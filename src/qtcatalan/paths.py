@@ -121,17 +121,19 @@ def enumerate_paths(m: int, n: int) -> Iterator[DyckPath]:
     if gcd(m, n) != 1:
         raise NotCoprime(f"gcd({m}, {n}) != 1")
     floors = [min_east_height(a, m, n) for a in range(1, m + 1)]
-    heights = [0] * m
-
-    def extend(a: int, prev: int) -> Iterator[DyckPath]:
-        if a == m:
-            yield DyckPath(m, n, tuple(heights))
+    heights = list(floors)  # the lowest path; floors weakly increase
+    while True:
+        yield DyckPath(m, n, tuple(heights))
+        # odometer step: raise the last height below n (the final height
+        # is always n) and drop every height after it to its lowest value
+        a = m - 2
+        while a >= 0 and heights[a] == n:
+            a -= 1
+        if a < 0:
             return
-        for y in range(max(prev, floors[a]), n + 1):
-            heights[a] = y
-            yield from extend(a + 1, y)
-
-    yield from extend(0, 0)
+        heights[a] += 1
+        for b in range(a + 1, m):
+            heights[b] = max(heights[b - 1], floors[b])
 
 
 @dataclass(frozen=True)

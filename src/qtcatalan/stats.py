@@ -77,15 +77,22 @@ def classify_nondinv_cell(p: DyckPath, x) -> CellClass:
 
     A cell failing the straddle inequality has either an east neighbour
     above the path with few cells below it (arm 1, leg < n/3 - 1) or no
-    east neighbour and many cells below (arm 0, leg > n/3), never both.
+    east neighbour and many cells below (arm 0, leg > n/3), never both,
+    and no contributing cell fits either case.  A cell that fits no
+    class or several raises AssertionError.
     """
     if p.m != 3:
         raise UnsupportedM(f"cell classification needs m = 3, not m = {p.m}")
-    if contributes_to_dinv(p, x):
-        return CellClass.CONTRIBUTES
     ar, lg = arm(p, x), leg(p, x)
-    if ar == 1 and 3 * (lg + 1) < p.n:
-        return CellClass.ARM1_SHORT_LEG
-    if ar == 0 and 3 * lg > p.n:
-        return CellClass.ARM0_LONG_LEG
-    raise AssertionError(f"cell {tuple(x)} fits no class")
+    fits = [
+        label
+        for label, holds in (
+            (CellClass.CONTRIBUTES, contributes_to_dinv(p, x)),
+            (CellClass.ARM1_SHORT_LEG, ar == 1 and 3 * (lg + 1) < p.n),
+            (CellClass.ARM0_LONG_LEG, ar == 0 and 3 * lg > p.n),
+        )
+        if holds
+    ]
+    if len(fits) != 1:
+        raise AssertionError(f"cell {tuple(x)} fits {len(fits)} classes, not one")
+    return fits[0]

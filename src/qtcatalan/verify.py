@@ -37,246 +37,184 @@ def _three_column_ns(max_n: int):
     return (n for n in range(1, max_n + 1) if n % 3 != 0)
 
 
+def _mn_paths(max_mn: int):
+    for m, n in _coprime_pairs(max_mn):
+        yield from paths.enumerate_paths(m, n)
+
+
+def _three_column_paths(max_n: int):
+    for n in _three_column_ns(max_n):
+        yield from paths.enumerate_paths(3, n)
+
+
+def _scan(name: str, objects, fault) -> CheckResult:
+    """Count objects up to and including the first counterexample.
+
+    fault(obj) describes what is wrong with obj, or returns None.
+    """
+    checked = 0
+    for obj in objects:
+        checked += 1
+        problem = fault(obj)
+        if problem is not None:
+            return CheckResult(name, checked, problem)
+    return CheckResult(name, checked)
+
+
 def check_path_counts(max_mn: int) -> CheckResult:
     """Enumeration size equals binomial(m+n, m) / (m+n)."""
-    checked = 0
-    for m, n in _coprime_pairs(max_mn):
-        checked += 1
+    def fault(pair):
+        m, n = pair
         seen = sum(1 for _ in paths.enumerate_paths(m, n))
         want = paths.count_paths(m, n)
         if seen != want:
-            return CheckResult(
-                "path-count", checked, f"({m},{n}): enumerated {seen}, formula {want}"
-            )
-    return CheckResult("path-count", checked)
+            return f"({m},{n}): enumerated {seen}, formula {want}"
+    return _scan("path-count", _coprime_pairs(max_mn), fault)
 
 
 def check_serialization(max_mn: int) -> CheckResult:
     """parse_path inverts render_path on every path."""
-    checked = 0
-    for m, n in _coprime_pairs(max_mn):
-        for p in paths.enumerate_paths(m, n):
-            checked += 1
-            if paths.parse_path(paths.render_path(p)) != p:
-                return CheckResult(
-                    "serialization-roundtrip", checked, f"{p.east_heights}"
-                )
-    return CheckResult("serialization-roundtrip", checked)
+    def fault(p):
+        if paths.parse_path(paths.render_path(p)) != p:
+            return f"{p.east_heights}"
+    return _scan("serialization-roundtrip", _mn_paths(max_mn), fault)
 
 
 def check_shape_monotone(max_mn: int) -> CheckResult:
     """cells_above always yields weakly decreasing column counts."""
-    checked = 0
-    for m, n in _coprime_pairs(max_mn):
-        for p in paths.enumerate_paths(m, n):
-            checked += 1
-            counts = paths.cells_above(p).counts
-            if any(lo < hi for lo, hi in zip(counts, counts[1:])):
-                return CheckResult("shape-monotone", checked, f"{p}: {counts}")
-    return CheckResult("shape-monotone", checked)
+    def fault(p):
+        counts = paths.cells_above(p).counts
+        if any(lo < hi for lo, hi in zip(counts, counts[1:])):
+            return f"{p}: {counts}"
+    return _scan("shape-monotone", _mn_paths(max_mn), fault)
 
 
 def check_transpose(max_mn: int) -> CheckResult:
     """transpose is an involution preserving area and dinv."""
-    checked = 0
-    for m, n in _coprime_pairs(max_mn):
-        for p in paths.enumerate_paths(m, n):
-            checked += 1
-            q = paths.transpose(p)
-            if (q.m, q.n) != (n, m) or paths.transpose(q) != p:
-                return CheckResult(
-                    "transpose-involution", checked, f"{p.east_heights}"
-                )
-            if stats.area(q) != stats.area(p) or stats.dinv(q) != stats.dinv(p):
-                return CheckResult(
-                    "transpose-involution",
-                    checked,
-                    f"({m},{n}) {p.east_heights}: statistics changed",
-                )
-    return CheckResult("transpose-involution", checked)
+    def fault(p):
+        q = paths.transpose(p)
+        if (q.m, q.n) != (p.n, p.m) or paths.transpose(q) != p:
+            return f"{p.east_heights}"
+        if stats.area(q) != stats.area(p) or stats.dinv(q) != stats.dinv(p):
+            return f"({p.m},{p.n}) {p.east_heights}: statistics changed"
+    return _scan("transpose-involution", _mn_paths(max_mn), fault)
 
 
 def check_poly_mn_symmetry(max_mn: int) -> CheckResult:
     """catalan_bruteforce(m,n) = catalan_bruteforce(n,m)."""
-    checked = 0
-    for m, n in _coprime_pairs(max_mn):
-        if m > n:
-            continue
-        checked += 1
+    def fault(pair):
+        m, n = pair
         if qtpoly.catalan_bruteforce(m, n) != qtpoly.catalan_bruteforce(n, m):
-            return CheckResult("poly-mn-symmetry", checked, f"({m},{n})")
-    return CheckResult("poly-mn-symmetry", checked)
+            return f"({m},{n})"
+    pairs = ((m, n) for m, n in _coprime_pairs(max_mn) if m <= n)
+    return _scan("poly-mn-symmetry", pairs, fault)
 
 
 def check_rank_positivity(max_n: int) -> CheckResult:
     """Every cell above a (3,n)-path has positive rank."""
-    checked = 0
-    for n in _three_column_ns(max_n):
-        for p in paths.enumerate_paths(3, n):
-            for x in paths.shape_cells(p):
-                checked += 1
-                if rankwords.rank(x.column, x.row, n) <= 0:
-                    return CheckResult(
-                        "rank-positivity", checked, f"n={n} cell {tuple(x)}"
-                    )
-    return CheckResult("rank-positivity", checked)
+    def fault(cell):
+        n, x = cell
+        if rankwords.rank(x.column, x.row, n) <= 0:
+            return f"n={n} cell {tuple(x)}"
+    cells = ((p.n, x) for p in _three_column_paths(max_n) for x in paths.shape_cells(p))
+    return _scan("rank-positivity", cells, fault)
 
 
 def check_cell_classification(max_n: int) -> CheckResult:
     """Each above-path cell gets exactly one label; label counts match skips."""
+    name = "cell-classification"
     checked = 0
-    for n in _three_column_ns(max_n):
-        for p in paths.enumerate_paths(3, n):
-            fenced = 0
-            for x in paths.shape_cells(p):
-                checked += 1
-                contributes = stats.contributes_to_dinv(p, x)
-                ar, lg = paths.arm(p, x), paths.leg(p, x)
-                case1 = ar == 1 and 3 * (lg + 1) < n
-                case2 = ar == 0 and 3 * lg > n
-                if contributes + case1 + case2 != 1:
-                    return CheckResult(
-                        "cell-classification",
-                        checked,
-                        f"n={n} {p.east_heights} cell {tuple(x)}: labels not exclusive",
-                    )
-                if x.column == 2 and not contributes:
-                    return CheckResult(
-                        "cell-classification",
-                        checked,
-                        f"n={n} {p.east_heights} cell {tuple(x)}: second column must contribute",
-                    )
+    for p in _three_column_paths(max_n):
+        where = f"n={p.n} {p.east_heights}"
+        fenced = 0
+        for x in paths.shape_cells(p):
+            checked += 1
+            try:
                 label = stats.classify_nondinv_cell(p, x)
-                want = (
-                    stats.CellClass.CONTRIBUTES
-                    if contributes
-                    else stats.CellClass.ARM1_SHORT_LEG
-                    if case1
-                    else stats.CellClass.ARM0_LONG_LEG
-                )
-                if label is not want:
-                    return CheckResult(
-                        "cell-classification",
-                        checked,
-                        f"n={n} {p.east_heights} cell {tuple(x)}: {label} != {want}",
-                    )
-                fenced += not contributes
-            if fenced != stats.skips(p):
+            except AssertionError:
                 return CheckResult(
-                    "cell-classification",
-                    checked,
-                    f"n={n} {p.east_heights}: {fenced} fenced cells, skips {stats.skips(p)}",
+                    name, checked, f"{where} cell {tuple(x)}: labels not exclusive"
                 )
-    return CheckResult("cell-classification", checked)
+            contributes = label is stats.CellClass.CONTRIBUTES
+            if x.column == 2 and not contributes:
+                return CheckResult(
+                    name,
+                    checked,
+                    f"{where} cell {tuple(x)}: second column must contribute",
+                )
+            fenced += not contributes
+        if fenced != stats.skips(p):
+            return CheckResult(
+                name, checked, f"{where}: {fenced} fenced cells, skips {stats.skips(p)}"
+            )
+    return CheckResult(name, checked)
 
 
 def check_stat_identity(max_n: int) -> CheckResult:
     """area + skips + dinv = n - 1."""
-    checked = 0
-    for n in _three_column_ns(max_n):
-        for p in paths.enumerate_paths(3, n):
-            checked += 1
-            a, s, d = stats.stat_triple(p)
-            if a + s + d != n - 1:
-                return CheckResult(
-                    "stat-identity",
-                    checked,
-                    f"n={n} {p.east_heights}: {a}+{s}+{d} != {n - 1}",
-                )
-    return CheckResult("stat-identity", checked)
+    def fault(p):
+        a, s, d = stats.stat_triple(p)
+        if a + s + d != p.n - 1:
+            return f"n={p.n} {p.east_heights}: {a}+{s}+{d} != {p.n - 1}"
+    return _scan("stat-identity", _three_column_paths(max_n), fault)
 
 
 def check_stat_inequalities(max_n: int) -> CheckResult:
     """0 <= skips < n/3 and skips <= dinv, area <= n-1-2*skips."""
-    checked = 0
-    for n in _three_column_ns(max_n):
-        for p in paths.enumerate_paths(3, n):
-            checked += 1
-            a, s, d = stats.stat_triple(p)
-            bad = (
-                s < 0
-                or 3 * s >= n
-                or not s <= d <= n - 1 - 2 * s
-                or not s <= a <= n - 1 - 2 * s
-            )
-            if bad:
-                return CheckResult(
-                    "stat-inequalities",
-                    checked,
-                    f"n={n} {p.east_heights}: triple ({a},{s},{d})",
-                )
-    return CheckResult("stat-inequalities", checked)
+    def fault(p):
+        a, s, d = stats.stat_triple(p)
+        top = p.n - 1 - 2 * s
+        if s < 0 or 3 * s >= p.n or not s <= d <= top or not s <= a <= top:
+            return f"n={p.n} {p.east_heights}: triple ({a},{s},{d})"
+    return _scan("stat-inequalities", _three_column_paths(max_n), fault)
 
 
 def check_triple_uniqueness(max_n: int) -> CheckResult:
     """Distinct paths of one lattice carry distinct triples."""
-    checked = 0
-    for n in _three_column_ns(max_n):
-        seen: dict[stats.StatTriple, paths.DyckPath] = {}
-        for p in paths.enumerate_paths(3, n):
-            checked += 1
-            t = stats.stat_triple(p)
-            if t in seen:
-                return CheckResult(
-                    "triple-uniqueness",
-                    checked,
-                    f"n={n}: {seen[t].east_heights} and {p.east_heights} share {tuple(t)}",
-                )
-            seen[t] = p
-    return CheckResult("triple-uniqueness", checked)
+    def lattice_paths():  # each path beside the triples seen so far in its lattice
+        for n in _three_column_ns(max_n):
+            seen: dict[stats.StatTriple, paths.DyckPath] = {}
+            for p in paths.enumerate_paths(3, n):
+                yield p, seen
+
+    def fault(item):
+        p, seen = item
+        t = stats.stat_triple(p)
+        first = seen.setdefault(t, p)
+        if first is not p:
+            pair = f"{first.east_heights} and {p.east_heights}"
+            return f"n={p.n}: {pair} share {tuple(t)}"
+    return _scan("triple-uniqueness", lattice_paths(), fault)
 
 
 def check_word_roundtrip(max_n: int) -> CheckResult:
     """path_from_word inverts mark_from_path."""
-    checked = 0
-    for n in _three_column_ns(max_n):
-        for p in paths.enumerate_paths(3, n):
-            checked += 1
-            if rankwords.path_from_word(rankwords.mark_from_path(p)) != p:
-                return CheckResult(
-                    "word-roundtrip", checked, f"n={n} {p.east_heights}"
-                )
-    return CheckResult("word-roundtrip", checked)
+    def fault(p):
+        if rankwords.path_from_word(rankwords.mark_from_path(p)) != p:
+            return f"n={p.n} {p.east_heights}"
+    return _scan("word-roundtrip", _three_column_paths(max_n), fault)
 
 
 def check_triple_reconstruction(max_n: int) -> CheckResult:
     """omega rebuilds each path's word; unboxed entries count the area."""
-    checked = 0
-    for n in _three_column_ns(max_n):
-        for p in paths.enumerate_paths(3, n):
-            checked += 1
-            word = rankwords.mark_from_path(p)
-            a, s, d = stats.stat_triple(p)
-            if rankwords.omega(a, s, d) != word:
-                return CheckResult(
-                    "triple-reconstruction",
-                    checked,
-                    f"n={n} {p.east_heights}: omega({a},{s},{d}) differs",
-                )
-            unboxed = len(word) - len(word.boxed)
-            if unboxed != a or rankwords.count_skips(word) != s:
-                return CheckResult(
-                    "triple-reconstruction",
-                    checked,
-                    f"n={n} {p.east_heights}: word statistics disagree",
-                )
-    return CheckResult("triple-reconstruction", checked)
+    def fault(p):
+        word = rankwords.mark_from_path(p)
+        a, s, d = stats.stat_triple(p)
+        if rankwords.omega(a, s, d) != word:
+            return f"n={p.n} {p.east_heights}: omega({a},{s},{d}) differs"
+        unboxed = len(word) - len(word.boxed)
+        if unboxed != a or rankwords.count_skips(word) != s:
+            return f"n={p.n} {p.east_heights}: word statistics disagree"
+    return _scan("triple-reconstruction", _three_column_paths(max_n), fault)
 
 
 def check_triple_realizability(max_n: int) -> CheckResult:
     """Valid triples and realized triples are the same sets."""
     checked = 0
     for n in _three_column_ns(max_n):
-        realized = {
-            tuple(stats.stat_triple(p)) for p in paths.enumerate_paths(3, n)
-        }
-        valid = {
-            (a, s, d)
-            for a in range(n)
-            for s in range(n)
-            for d in range(n)
-            if a + s + d == n - 1 and rankwords.is_valid_triple(a, s, d)
-        }
+        realized = {tuple(stats.stat_triple(p)) for p in paths.enumerate_paths(3, n)}
+        triples = ((a, s, n - 1 - a - s) for a in range(n) for s in range(n - a))
+        valid = {t for t in triples if rankwords.is_valid_triple(*t)}
         checked += len(valid)
         if realized != valid:
             diff = realized.symmetric_difference(valid)
@@ -288,48 +226,40 @@ def check_triple_realizability(max_n: int) -> CheckResult:
 
 def check_closed_form(max_n: int) -> CheckResult:
     """Brute-force summation agrees with the closed form."""
-    checked = 0
-    for n in _three_column_ns(max_n):
-        checked += 1
+    def fault(n):
         if qtpoly.catalan_bruteforce(3, n) != qtpoly.catalan3_closed_form(n):
-            return CheckResult("closed-form", checked, f"n={n}")
-    return CheckResult("closed-form", checked)
+            return f"n={n}"
+    return _scan("closed-form", _three_column_ns(max_n), fault)
 
 
 def check_qt_symmetry(max_n: int) -> CheckResult:
     """The closed form is symmetric in q and t."""
-    checked = 0
-    for n in _three_column_ns(max_n):
-        checked += 1
+    def fault(n):
         if not qtpoly.is_qt_symmetric(qtpoly.catalan3_closed_form(n)):
-            return CheckResult("qt-symmetry", checked, f"n={n}")
-    return CheckResult("qt-symmetry", checked)
+            return f"n={n}"
+    return _scan("qt-symmetry", _three_column_ns(max_n), fault)
 
 
 def check_involution(max_n: int) -> CheckResult:
     """involution swaps area and dinv, fixes skips, and squares to the identity."""
-    checked = 0
-    for n in _three_column_ns(max_n):
-        path_set = set(paths.enumerate_paths(3, n))
-        for p in path_set:
-            checked += 1
-            q = bijection.involution(p)
-            if q not in path_set:
-                return CheckResult(
-                    "involution", checked, f"n={n} {p.east_heights}: image not a path"
-                )
-            a, s, d = stats.stat_triple(p)
-            if tuple(stats.stat_triple(q)) != (d, s, a):
-                return CheckResult(
-                    "involution",
-                    checked,
-                    f"n={n} {p.east_heights}: triple not swapped",
-                )
-            if bijection.involution(q) != p:
-                return CheckResult(
-                    "involution", checked, f"n={n} {p.east_heights}: not an involution"
-                )
-    return CheckResult("involution", checked)
+    def lattice_paths():  # each path beside every path of its lattice
+        for n in _three_column_ns(max_n):
+            path_set = set(paths.enumerate_paths(3, n))
+            for p in path_set:
+                yield p, path_set
+
+    def fault(item):
+        p, path_set = item
+        where = f"n={p.n} {p.east_heights}"
+        q = bijection.involution(p)
+        if q not in path_set:
+            return f"{where}: image not a path"
+        a, s, d = stats.stat_triple(p)
+        if tuple(stats.stat_triple(q)) != (d, s, a):
+            return f"{where}: triple not swapped"
+        if bijection.involution(q) != p:
+            return f"{where}: not an involution"
+    return _scan("involution", lattice_paths(), fault)
 
 
 # (name, check, which bound it takes)

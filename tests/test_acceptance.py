@@ -1,33 +1,29 @@
 """Acceptance suite: one test per numbered criterion, all exact.
 
-Each test prints a single PASS/FAIL line (visible with pytest -s, or in
-captured output on failure).  Time budgets are asserted where stated.
+Criteria 1 and 3-10 run the `qtcatalan verify` checks at the bounds
+stated here; the assertions verify has no check for (the worked
+examples, the classical n = 4 polynomial, triples whose n is a multiple
+of 3) live here.  Each test prints a single PASS/FAIL line (visible with
+pytest -s, or in captured output on failure).  Time budgets are
+asserted where stated.
 """
 
 import time
-from math import comb, gcd
 
 from qtcatalan import (
     StatTriple,
-    arm,
     catalan3_closed_form,
     catalan_bruteforce,
-    contributes_to_dinv,
-    enumerate_paths,
-    involution,
-    is_qt_symmetric,
     is_valid_triple,
     lattice_rank_word,
-    leg,
     make_path,
     mark_from_path,
     omega,
     render_word,
-    shape_cells,
-    skips,
     stat_triple,
     QtPolynomial,
 )
+from qtcatalan import verify
 
 PI1 = make_path(3, 8, [6, 6, 8])
 PI2 = make_path(3, 8, [7, 7, 8])
@@ -41,26 +37,22 @@ def report(num, name, failures, detail=""):
     assert ok, f"criterion {num} ({name}): {tail}"
 
 
-def three_column_ns(limit):
-    return [n for n in range(1, limit + 1) if n % 3 != 0]
+def accept(num, name, checks, budget_s=None, extra=()):
+    """Run (check, bound) pairs from verify and report them as one criterion."""
+    start = time.perf_counter()
+    results = [check(bound) for check, bound in checks]
+    elapsed = time.perf_counter() - start
+    failures = [f"{r.name}: {r.counterexample}" for r in results if not r.ok]
+    failures += [f"{r.name}: nothing checked" for r in results if not r.checked]
+    failures += extra
+    if budget_s is not None and elapsed >= budget_s:
+        failures.append(f"took {elapsed:.1f}s, budget {budget_s}s")
+    checked = ", ".join(f"{r.name} {r.checked}" for r in results)
+    report(num, name, failures, f"{checked}; {elapsed:.2f}s")
 
 
 def test_criterion_01_path_counts_match_formula():
-    start = time.perf_counter()
-    failures = []
-    for total in range(2, 19):
-        for m in range(1, total):
-            n = total - m
-            if gcd(m, n) != 1:
-                continue
-            got = sum(1 for _ in enumerate_paths(m, n))
-            want = comb(total, m) // total
-            if got != want:
-                failures.append(f"({m},{n}): {got} != {want}")
-    elapsed = time.perf_counter() - start
-    if elapsed >= 10.0:
-        failures.append(f"took {elapsed:.1f}s, budget 10s")
-    report(1, "path counts, m+n <= 18", failures, f"{elapsed:.2f}s")
+    accept(1, "path counts, m+n <= 18", [(verify.check_path_counts, 18)], 10)
 
 
 def test_criterion_02_worked_examples():
@@ -79,137 +71,55 @@ def test_criterion_02_worked_examples():
 
 
 def test_criterion_03_statistics_sum_to_n_minus_1():
-    start = time.perf_counter()
-    failures = []
-    for n in three_column_ns(31):
-        for p in enumerate_paths(3, n):
-            a, s, d = stat_triple(p)
-            if a + s + d != n - 1:
-                failures.append(f"n={n} {p.east_heights}: {a}+{s}+{d}")
-    elapsed = time.perf_counter() - start
-    if elapsed >= 5.0:
-        failures.append(f"took {elapsed:.1f}s, budget 5s")
-    report(3, "area + skips + dinv = n - 1, n <= 31", failures, f"{elapsed:.2f}s")
+    accept(3, "area + skips + dinv = n - 1, n <= 31",
+           [(verify.check_stat_identity, 31)], 5)
 
 
 def test_criterion_04_reconstruction_matches_marking():
-    failures = []
-    for n in three_column_ns(31):
-        for p in enumerate_paths(3, n):
-            if omega(*stat_triple(p)) != mark_from_path(p):
-                failures.append(f"n={n} {p.east_heights}")
-    report(4, "omega(stat_triple) = marked word, n <= 31", failures)
+    accept(4, "omega(stat_triple) = marked word, n <= 31",
+           [(verify.check_triple_reconstruction, 31)])
 
 
 def test_criterion_05_triple_validity_iff_realizable():
-    failures = []
-    for n in three_column_ns(31):
-        realized = {tuple(stat_triple(p)) for p in enumerate_paths(3, n)}
-        valid = {
-            (a, s, n - 1 - a - s)
-            for a in range(n)
-            for s in range(n - a)
-            if is_valid_triple(a, s, n - 1 - a - s)
-        }
-        if realized != valid:
-            diff = sorted(realized.symmetric_difference(valid))
-            failures.append(f"n={n}: mismatch {diff[:3]}")
     # triples whose n is a multiple of 3 must be invalid outright
-    for a, s, d in [(2, 2, 4), (0, 0, 2), (5, 0, 0)]:
-        if is_valid_triple(a, s, d):
-            failures.append(f"({a},{s},{d}) wrongly valid")
-    report(5, "valid triples = realized triples, n <= 31", failures)
+    wrongly_valid = [
+        f"({a},{s},{d}) wrongly valid"
+        for a, s, d in [(2, 2, 4), (0, 0, 2), (5, 0, 0)]
+        if is_valid_triple(a, s, d)
+    ]
+    accept(5, "valid triples = realized triples, n <= 31",
+           [(verify.check_triple_realizability, 31)], extra=wrongly_valid)
 
 
 def test_criterion_06_closed_form_equals_bruteforce():
-    failures = []
-    for n in three_column_ns(31):
-        if catalan_bruteforce(3, n) != catalan3_closed_form(n):
-            failures.append(f"n={n}")
     classical = QtPolynomial(
         {(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1, (1, 1): 1}
     )
+    failures = []
     if catalan3_closed_form(4) != classical:
         failures.append("n=4 is not the classical polynomial")
     if catalan_bruteforce(3, 4) != classical:
         failures.append("brute force at n=4 is not the classical polynomial")
-    report(6, "closed form = brute force, n <= 31", failures)
+    accept(6, "closed form = brute force, n <= 31",
+           [(verify.check_closed_form, 31)], extra=failures)
 
 
 def test_criterion_07_qt_symmetry_and_involution():
-    start = time.perf_counter()
-    failures = []
-    for n in three_column_ns(100):
-        if not is_qt_symmetric(catalan3_closed_form(n)):
-            failures.append(f"closed form not symmetric at n={n}")
-    for n in three_column_ns(31):
-        path_set = set(enumerate_paths(3, n))
-        for p in path_set:
-            q = involution(p)
-            a, s, d = stat_triple(p)
-            if q not in path_set:
-                failures.append(f"n={n} {p.east_heights}: image invalid")
-            elif tuple(stat_triple(q)) != (d, s, a):
-                failures.append(f"n={n} {p.east_heights}: stats not exchanged")
-            elif involution(q) != p:
-                failures.append(f"n={n} {p.east_heights}: not an involution")
-    elapsed = time.perf_counter() - start
-    if elapsed >= 10.0:
-        failures.append(f"took {elapsed:.1f}s, budget 10s")
-    report(7, "q,t-symmetry (n <= 100) and involution (n <= 31)", failures,
-           f"{elapsed:.2f}s")
+    accept(7, "q,t-symmetry (n <= 100) and involution (n <= 31)",
+           [(verify.check_qt_symmetry, 100), (verify.check_involution, 31)], 10)
 
 
 def test_criterion_08_mn_symmetry_of_the_polynomial():
-    failures = []
-    for total in range(2, 17):
-        for m in range(1, total // 2 + 1):
-            n = total - m
-            if gcd(m, n) != 1:
-                continue
-            if catalan_bruteforce(m, n) != catalan_bruteforce(n, m):
-                failures.append(f"({m},{n})")
-    report(8, "C(m,n) = C(n,m), m+n <= 16", failures)
+    accept(8, "C(m,n) = C(n,m), m+n <= 16", [(verify.check_poly_mn_symmetry, 16)])
 
 
 def test_criterion_09_cell_classification():
-    failures = []
-    for n in three_column_ns(16):
-        for p in enumerate_paths(3, n):
-            fenced = 0
-            for x in shape_cells(p):
-                straddles = contributes_to_dinv(p, x)
-                ar, lg = arm(p, x), leg(p, x)
-                case1 = ar == 1 and 3 * (lg + 1) < n
-                case2 = ar == 0 and 3 * lg > n
-                if straddles + case1 + case2 != 1:
-                    failures.append(
-                        f"n={n} {p.east_heights} cell {tuple(x)}: labels not exclusive"
-                    )
-                if x.column == 2 and not straddles:
-                    failures.append(
-                        f"n={n} {p.east_heights} cell {tuple(x)}: column 2 must contribute"
-                    )
-                fenced += not straddles
-            if fenced != skips(p):
-                failures.append(
-                    f"n={n} {p.east_heights}: {fenced} fenced != skips {skips(p)}"
-                )
-    report(9, "cell classification, n <= 16", failures)
+    accept(9, "cell classification, n <= 16",
+           [(verify.check_cell_classification, 16)])
 
 
 def test_criterion_10_inequality_suite():
-    failures = []
-    for n in three_column_ns(31):
-        for p in enumerate_paths(3, n):
-            a, s, d = stat_triple(p)
-            if not (0 <= s and 3 * s < n):
-                failures.append(f"n={n} {p.east_heights}: skips {s}")
-            if not (s <= d <= n - 1 - 2 * s):
-                failures.append(f"n={n} {p.east_heights}: dinv {d}")
-            if not (s <= a <= n - 1 - 2 * s):
-                failures.append(f"n={n} {p.east_heights}: area {a}")
-    report(10, "inequality suite, n <= 31", failures)
+    accept(10, "inequality suite, n <= 31", [(verify.check_stat_inequalities, 31)])
 
 
 def test_worked_triples_are_valid_and_their_words_realizable():

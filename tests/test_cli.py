@@ -74,6 +74,12 @@ def test_enumerate_json(capsys):
     assert len(obj["paths"]) == 5
 
 
+def test_enumerate_a_single_path_of_many_columns(capsys):
+    code, out, _ = run(capsys, "enumerate", "1100", "1")
+    assert code == 0
+    assert out == "N" + "E" * 1100 + "\n"
+
+
 def test_enumerate_rejects_non_coprime(capsys):
     code, _, err = run(capsys, "enumerate", "3", "6")
     assert code == 2
@@ -197,6 +203,34 @@ def test_verify_passes_at_desk_scale(capsys):
     lines = out.splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("0 failed")
+
+
+# `qtcatalan verify` at its default bounds: check names, order and counts
+VERIFY_DEFAULT_TEXT = [
+    "PASS  path-count                    45 checked",
+    "PASS  serialization-roundtrip      431 checked",
+    "PASS  shape-monotone               431 checked",
+    "PASS  transpose-involution         431 checked",
+    "PASS  poly-mn-symmetry              23 checked",
+    "PASS  rank-positivity             1305 checked",
+    "PASS  cell-classification         1305 checked",
+    "PASS  stat-identity                216 checked",
+    "PASS  stat-inequalities            216 checked",
+    "PASS  triple-uniqueness            216 checked",
+    "PASS  word-roundtrip               216 checked",
+    "PASS  triple-reconstruction        216 checked",
+    "PASS  triple-realizability         216 checked",
+    "PASS  closed-form                   11 checked",
+    "PASS  qt-symmetry                   11 checked",
+    "PASS  involution                   216 checked",
+    "16 passed, 0 failed",
+]
+
+
+def test_verify_text_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert out.splitlines() == VERIFY_DEFAULT_TEXT
 
 
 def test_verify_json_report(capsys):

@@ -1,4 +1,60 @@
+from types import SimpleNamespace
+
+import pytest
+
+from qtcatalan import QtPolynomial, StatTriple, bijection, paths, qtpoly, rankwords
 from qtcatalan import stats, verify
+
+SWAP_NE = str.maketrans("NE", "EN")
+
+# check name -> (module, function the check guards, fault built from the real one)
+PLANTED_FAULTS = {
+    "path-count": (paths, "count_paths", lambda real: lambda m, n: real(m, n) + 1),
+    # parses the transposed word, so the (n,m)-path comes back
+    "serialization-roundtrip": (
+        paths, "parse_path", lambda real: lambda w: real(w[::-1].translate(SWAP_NE))
+    ),
+    "shape-monotone": (
+        paths, "cells_above",
+        lambda real: lambda p: SimpleNamespace(counts=real(p).counts[::-1]),
+    ),
+    "transpose-involution": (paths, "transpose", lambda real: lambda p: p),
+    "poly-mn-symmetry": (
+        qtpoly, "catalan_bruteforce",
+        lambda real: lambda m, n: real(m, n) + QtPolynomial({(m, 0): 1}),
+    ),
+    "rank-positivity": (
+        rankwords, "rank", lambda real: lambda a, b, n: real(a, b, n) - 3
+    ),
+    "cell-classification": (
+        stats, "classify_nondinv_cell",
+        lambda real: lambda p, x: stats.CellClass.CONTRIBUTES,
+    ),
+    "stat-identity": (stats, "area", lambda real: lambda p: real(p) + 1),
+    "stat-inequalities": (stats, "skips", lambda real: lambda p: real(p) - 1),
+    "triple-uniqueness": (
+        stats, "stat_triple", lambda real: lambda p: StatTriple(0, 0, p.n - 1)
+    ),
+    "word-roundtrip": (
+        rankwords, "path_from_word",
+        lambda real: lambda w: next(paths.enumerate_paths(3, w.n)),
+    ),
+    "triple-reconstruction": (
+        rankwords, "omega", lambda real: lambda a, s, d: real(d, s, a)
+    ),
+    "triple-realizability": (
+        rankwords, "is_valid_triple", lambda real: lambda a, s, d: True
+    ),
+    "closed-form": (
+        qtpoly, "catalan3_closed_form",
+        lambda real: lambda n: real(n) + QtPolynomial({(0, 0): 1}),
+    ),
+    "qt-symmetry": (
+        qtpoly, "catalan3_closed_form",
+        lambda real: lambda n: real(n) + QtPolynomial({(1, 0): 1}),
+    ),
+    "involution": (bijection, "involution", lambda real: lambda p: p),
+}
 
 
 def test_all_checks_pass_at_default_scale():
@@ -27,3 +83,20 @@ def test_a_crashing_check_is_reported_not_raised(monkeypatch):
     failed = [r for r in results if not r.ok]
     assert failed
     assert any("RuntimeError" in (r.counterexample or "") for r in failed)
+
+
+@pytest.mark.parametrize(
+    "name, check, scope", verify.CHECKS, ids=[name for name, _, _ in verify.CHECKS]
+)
+def test_each_check_catches_a_planted_fault(monkeypatch, name, check, scope):
+    module, attr, plant = PLANTED_FAULTS[name]
+    monkeypatch.setattr(module, attr, plant(getattr(module, attr)))
+    result = check(8 if scope == "n" else 6)
+    assert not result.ok
+    assert 0 < result.checked
+
+
+def test_a_cell_fitting_no_class_is_named(monkeypatch):
+    monkeypatch.setattr(stats, "arm", lambda p, x: 2)
+    result = verify.check_cell_classification(8)
+    assert result.counterexample.endswith("labels not exclusive")
