@@ -54,7 +54,7 @@ def cmd_stats(args) -> int:
     ]
     if p.m == 3:
         word = rankwords.mark_from_path(p)
-        obj["skips"] = stats.skips(p)
+        obj["skips"] = rankwords.count_skips(word)
         obj["rank_word"] = rankwords.render_word(word)
         obj["boxed"] = sorted(word.boxed)
         lines.append(f"skips: {obj['skips']}")

@@ -7,7 +7,8 @@ all negative), gives the rank word of the lattice.  Equivalently, the
 color-1 entries are the positive integers below 2n congruent to 2n mod 3
 and the color-2 entries those below n congruent to n mod 3; the two
 residues differ exactly when 3 does not divide n, which is why that case
-is required throughout.
+is required throughout.  Every function reads the word through that
+residue rule; only MarkedRankWord.entries lists the word entry by entry.
 
 Marking (boxing) the ranks of the cells above a path yields the marked
 rank word of the path.  Within each color the boxed entries are always
@@ -38,16 +39,13 @@ class RankEntry(NamedTuple):
     boxed: bool
 
 
-def _word_ranks(n: int) -> tuple[tuple[int, int], ...]:
-    """(rank, color) pairs of the positive lattice ranks, increasing."""
-    pairs = []
-    for column in (1, 2):
-        for b in range(1, n + 1):
-            r = rank(column, b, n)
-            if r > 0:
-                pairs.append((r, column))
-    pairs.sort()
-    return tuple(pairs)
+def _color(r: int, n: int) -> int | None:
+    """Color of rank r in the n-row rank word, or None when r is not in it."""
+    if 0 < r < 2 * n and (2 * n - r) % 3 == 0:
+        return 1
+    if 0 < r < n and (n - r) % 3 == 0:
+        return 2
+    return None
 
 
 @dataclass(frozen=True)
@@ -68,16 +66,17 @@ class MarkedRankWord:
             raise ValueError("n must be positive")
         if self.n % 3 == 0:
             raise BadResidue(f"n must not be a multiple of 3, got {self.n}")
-        stray = self.boxed - {r for r, _ in _word_ranks(self.n)}
+        stray = sorted(r for r in self.boxed if _color(r, self.n) is None)
         if stray:
-            raise ValueError(
-                f"not ranks of the {self.n}-row lattice: {sorted(stray)}"
-            )
+            raise ValueError(f"not ranks of the {self.n}-row lattice: {stray}")
 
     @property
     def entries(self) -> tuple[RankEntry, ...]:
+        """The n - 1 entries in increasing rank order."""
         return tuple(
-            RankEntry(r, color, r in self.boxed) for r, color in _word_ranks(self.n)
+            RankEntry(r, color, r in self.boxed)
+            for r in range(1, 2 * self.n)
+            if (color := _color(r, self.n))
         )
 
     def __len__(self) -> int:
@@ -98,26 +97,23 @@ def mark_from_path(p: DyckPath) -> MarkedRankWord:
 
 
 def count_skips(w: MarkedRankWord) -> int:
-    """Maximal unboxed runs with boxed entries somewhere on both sides."""
-    total = 0
-    seen_boxed = False
-    open_run = False
-    for entry in w.entries:
-        if entry.boxed:
-            if open_run:
-                total += 1
-            open_run = False
-            seen_boxed = True
-        elif seen_boxed:
-            open_run = True
-    return total
+    """Gaps between consecutive boxed ranks that hold a word rank.
+
+    Each such gap is one maximal unboxed run fenced by boxed entries.  Color
+    1 takes every third number below 2n, so a gap is searched in <= 3 steps.
+    """
+    marks = sorted(w.boxed)
+    return sum(
+        1
+        for lo, hi in zip(marks, marks[1:])
+        if any(_color(r, w.n) for r in range(lo + 1, hi))
+    )
 
 
 def boxed_counts(w: MarkedRankWord) -> tuple[int, int]:
     """(number of boxed color-1 entries, number of boxed color-2 entries)."""
-    k = sum(1 for e in w.entries if e.boxed and e.color == 1)
-    ell = sum(1 for e in w.entries if e.boxed and e.color == 2)
-    return k, ell
+    k = sum(1 for r in w.boxed if _color(r, w.n) == 1)
+    return k, len(w.boxed) - k
 
 
 def path_from_word(w: MarkedRankWord) -> DyckPath:
@@ -126,14 +122,12 @@ def path_from_word(w: MarkedRankWord) -> DyckPath:
     Realizable words box, within each color, only the largest ranks, and
     box at least as many color-1 entries as color-2 entries.
     """
-    for color in (1, 2):
-        ranks = [e.rank for e in w.entries if e.color == color]
-        marked = [r for r in ranks if r in w.boxed]
-        if marked != ranks[len(ranks) - len(marked):]:
+    k, ell = boxed_counts(w)
+    for color, top, count in ((1, 2 * w.n - 3, k), (2, w.n - 3, ell)):
+        if any(r not in w.boxed for r in range(top, top - 3 * count, -3)):
             raise NotRealizable(
                 f"boxed color-{color} entries are not the largest ones"
             )
-    k, ell = boxed_counts(w)
     if k < ell:
         raise NotRealizable(
             f"needs at least as many boxed color-1 as color-2 entries ({k} < {ell})"
@@ -159,18 +153,21 @@ def omega(a: int, s: int, d: int) -> MarkedRankWord:
     if not is_valid_triple(a, s, d):
         raise InvalidTriple(f"no path has area={a}, skips={s}, dinv={d}")
     n = a + s + d + 1
-    word = _word_ranks(n)
-    frontier = len(word) - d  # leftmost processed position
-    boxed = {r for r, _ in word[frontier:]}
-    for _ in range(s):
-        j = frontier - 1
-        run_color = word[j][1]
-        while j >= 0 and word[j][1] == run_color:
-            j -= 1
-        # valid triples always leave an entry beyond the skipped run
-        assert j >= 0
-        boxed.add(word[j][0])
-        frontier = j
+    boxed: list[int] = []
+    run = None  # color of the unboxed run being skipped
+    for r in range(2 * n - 1, 0, -1):
+        if len(boxed) == d + s:
+            break
+        color = _color(r, n)
+        if color is None:
+            continue
+        if len(boxed) < d or run not in (None, color):
+            boxed.append(r)
+            run = None
+        else:
+            run = color  # opens or extends the skipped run
+    # valid triples always leave an entry beyond each skipped run
+    assert len(boxed) == d + s
     return MarkedRankWord(n, frozenset(boxed))
 
 

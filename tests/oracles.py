@@ -3,7 +3,8 @@
 Each oracle takes a different route than the library: paths are generated
 as raw step words and filtered point by point, area is counted cell by
 cell from corner positions, dinv uses Fraction arithmetic over an
-explicit cell set, and skips works by string surgery on the boxed flags.
+explicit cell set, skips works by string surgery on the boxed flags, and
+the rank word is sorted from the cell ranks instead of read off residues.
 """
 
 from fractions import Fraction
@@ -67,3 +68,13 @@ def skips_by_runs(flags):
     """Skips of a boxed/unboxed flag sequence via strip-and-group."""
     core = "".join("B" if f else "U" for f in flags).strip("U")
     return sum(1 for ch, _ in groupby(core) if ch == "U")
+
+
+def rank_word_by_sorting(n):
+    """(rank, color) pairs of the positive cell ranks -a*n + 3*(b-1), sorted."""
+    return sorted(
+        (-a * n + 3 * (b - 1), a)
+        for a in (1, 2, 3)
+        for b in range(1, n + 1)
+        if -a * n + 3 * (b - 1) > 0
+    )

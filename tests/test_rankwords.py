@@ -61,6 +61,13 @@ def test_lattice_rank_word_small_cases():
     assert entry_pairs(lattice_rank_word(1)) == []
 
 
+def test_entries_match_the_sorted_cell_ranks():
+    for n in range(1, 100):
+        if n % 3 == 0:
+            continue
+        assert entry_pairs(lattice_rank_word(n)) == oracles.rank_word_by_sorting(n)
+
+
 def test_lattice_rank_word_rejects_multiples_of_three():
     with pytest.raises(BadResidue):
         lattice_rank_word(6)
@@ -100,6 +107,14 @@ def test_mark_from_path_needs_three_columns():
 def test_marked_word_rejects_foreign_ranks():
     with pytest.raises(ValueError):
         MarkedRankWord(8, frozenset({3}))
+    for n in (1, 2, 4, 5, 7, 8):
+        ranks = {r for r, _ in oracles.rank_word_by_sorting(n)}
+        for r in range(-3 * n, 3 * n + 1):
+            if r in ranks:
+                assert MarkedRankWord(n, frozenset({r})).boxed == {r}
+            else:
+                with pytest.raises(ValueError):
+                    MarkedRankWord(n, frozenset({r}))
 
 
 def test_count_skips_worked_examples():
@@ -164,6 +179,34 @@ def test_path_from_word_on_worked_examples():
     assert path_from_word(mark_from_path(PI1)) == PI1
     assert PI1.east_heights == (6, 6, 8)
     assert path_from_word(lattice_rank_word(5)) == make_path(3, 5, [5, 5, 5])
+
+
+def test_path_from_word_inverts_marking_on_every_boxed_subset():
+    from itertools import combinations
+
+    words = 0
+    for n in (2, 4, 5, 7, 8, 10):
+        marked = {mark_from_path(p): p for p in enumerate_paths(3, n)}
+        ranks = [e.rank for e in lattice_rank_word(n).entries]
+        for size in range(len(ranks) + 1):
+            for subset in combinations(ranks, size):
+                word = MarkedRankWord(n, frozenset(subset))
+                words += 1
+                if word in marked:
+                    assert path_from_word(word) == marked[word]
+                else:
+                    with pytest.raises(NotRealizable):
+                        path_from_word(word)
+    assert words == 730
+
+
+def test_omega_roundtrips_at_a_thousand_rows():
+    for n in (1000, 1001):
+        top = (n - 1) // 3
+        for s in {0, 1, top // 2, top}:
+            for a in {s, (n - 1 - s) // 2, n - 1 - 2 * s}:
+                t = (a, s, n - 1 - a - s)
+                assert stat_triple(path_from_word(omega(*t))) == t
 
 
 def test_path_from_word_rejects_unbalanced_colors():

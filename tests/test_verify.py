@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import pytest
 
 from qtcatalan import QtPolynomial, StatTriple, bijection, paths, qtpoly, rankwords
@@ -16,7 +14,7 @@ PLANTED_FAULTS = {
     ),
     "shape-monotone": (
         paths, "cells_above",
-        lambda real: lambda p: SimpleNamespace(counts=real(p).counts[::-1]),
+        lambda real: lambda p: paths.FerrersShape(real(p).counts[::-1]),
     ),
     "transpose-involution": (paths, "transpose", lambda real: lambda p: p),
     "poly-mn-symmetry": (
