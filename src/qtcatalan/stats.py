@@ -8,6 +8,16 @@ counts the cells x above the path whose arm/leg ratios straddle m/n:
 where the right-hand ratio reads as +infinity when leg(x) = 0.  All
 comparisons are integer cross-multiplications; no floats anywhere.
 
+contributes_to_dinv applies that inequality to one cell; it is the
+definition.  dinv itself visits no cell.  Within one column the arm k
+stays constant between consecutive later east heights, and for a fixed
+arm k the inequality solves to the leg interval
+
+    k*n // m  <=  leg  <=  (n*(k+1) - 1) // m,
+
+so dinv adds up, per column, the overlap of each such stretch of legs
+with its interval: O(m) per column and O(m^2) per path, whatever n is.
+
 skips applies to three-column paths only: it is the number of maximal
 unboxed runs fenced by boxed entries in the marked rank word.  For a
 (3,n)-path the three statistics always sum to n - 1, the length of the
@@ -21,7 +31,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import UnsupportedM
-from .paths import DyckPath, arm, leg, min_east_height, shape_cells
+from .paths import DyckPath, arm, leg, min_east_height
 from .rankwords import count_skips, mark_from_path
 
 
@@ -39,17 +49,43 @@ def area(p: DyckPath) -> int:
     )
 
 
+def _straddles(ar: int, lg: int, m: int, n: int) -> bool:
+    """arm/(leg+1) < m/n < (arm+1)/leg, cross-multiplied.
+
+    At leg 0 the right side reads 0 < n*(arm+1), which always holds, so
+    the +infinity convention needs no case of its own.
+    """
+    return ar * n < m * (lg + 1) and lg * m < n * (ar + 1)
+
+
 def contributes_to_dinv(p: DyckPath, x) -> bool:
     """Exact straddle test for one cell above the path."""
-    ar, lg = arm(p, x), leg(p, x)
-    if ar * p.n >= p.m * (lg + 1):  # arm/(leg+1) < m/n fails
-        return False
-    return lg == 0 or lg * p.m < p.n * (ar + 1)  # right side, +inf at leg 0
+    return _straddles(arm(p, x), leg(p, x), p.m, p.n)
 
 
 def dinv(p: DyckPath) -> int:
-    """Cells above the path satisfying the straddle inequality."""
-    return sum(1 for x in shape_cells(p) if contributes_to_dinv(p, x))
+    """Cells above the path satisfying the straddle inequality.
+
+    In column a the rows y_a < row <= y_{a+1} have arm 0, the rows
+    y_{a+1} < row <= y_{a+2} arm 1, and so on, since y_m = n; a stretch
+    with arm k holds the legs y_{a+k} - y_a .. y_{a+k+1} - y_a - 1, and
+    exactly those in [k*n // m, (n*(k+1) - 1) // m] straddle.  Summing
+    the overlaps costs O(m^2) per path.
+    """
+    m, n, heights = p.m, p.n, p.east_heights
+    # straddling legs at arm k, as the half-open range [low, high)
+    legs = [(k * n // m, (n * (k + 1) - 1) // m + 1) for k in range(m - 1)]
+    total = 0
+    for a, y in enumerate(heights):
+        for (low, high), bottom, top in zip(legs, heights[a:], heights[a + 1:]):
+            lo, hi = bottom - y, top - y  # the stretch's legs, half-open
+            if lo < low:
+                lo = low
+            if hi > high:
+                hi = high
+            if lo < hi:
+                total += hi - lo
+    return total
 
 
 def skips(p: DyckPath) -> int:
@@ -87,7 +123,7 @@ def classify_nondinv_cell(p: DyckPath, x) -> CellClass:
     fits = [
         label
         for label, holds in (
-            (CellClass.CONTRIBUTES, contributes_to_dinv(p, x)),
+            (CellClass.CONTRIBUTES, _straddles(ar, lg, p.m, p.n)),
             (CellClass.ARM1_SHORT_LEG, ar == 1 and 3 * (lg + 1) < p.n),
             (CellClass.ARM0_LONG_LEG, ar == 0 and 3 * lg > p.n),
         )

@@ -124,12 +124,12 @@ def check_rank_positivity(max_n: int) -> CheckResult:
 
 
 def check_cell_classification(max_n: int) -> CheckResult:
-    """Each above-path cell gets exactly one label; label counts match skips."""
+    """Each above-path cell gets one label; the label counts match skips and dinv."""
     name = "cell-classification"
     checked = 0
     for p in _three_column_paths(max_n):
         where = f"n={p.n} {p.east_heights}"
-        fenced = 0
+        fenced = contributing = 0
         for x in paths.shape_cells(p):
             checked += 1
             try:
@@ -146,9 +146,15 @@ def check_cell_classification(max_n: int) -> CheckResult:
                     f"{where} cell {tuple(x)}: second column must contribute",
                 )
             fenced += not contributes
+            contributing += contributes
         if fenced != stats.skips(p):
             return CheckResult(
                 name, checked, f"{where}: {fenced} fenced cells, skips {stats.skips(p)}"
+            )
+        d = stats.dinv(p)
+        if contributing != d:
+            return CheckResult(
+                name, checked, f"{where}: {contributing} contributing cells, dinv {d}"
             )
     return CheckResult(name, checked)
 

@@ -1,4 +1,7 @@
+from math import gcd
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from qtcatalan import (
     Cell,
@@ -12,6 +15,7 @@ from qtcatalan import (
     enumerate_paths,
     make_path,
     mark_from_path,
+    min_east_height,
     shape_cells,
     skips,
     stat_triple,
@@ -67,9 +71,41 @@ def test_cell_with_zero_arm_and_leg_always_contributes():
 
 
 def test_dinv_matches_fraction_oracle():
-    for m, n in [(2, 5), (3, 4), (3, 5), (3, 8), (4, 7), (5, 3)]:
+    pairs = [(m, n) for m in range(1, 15) for n in range(1, 16 - m) if gcd(m, n) == 1]
+    for m, n in pairs:
         for p in enumerate_paths(m, n):
             assert dinv(p) == oracles.dinv_by_cells(m, n, p.east_heights)
+
+
+def lifted_path(m, n, raw):
+    """The path whose heights are the sorted raw heights lifted to the diagonal."""
+    return make_path(
+        m, n, [max(y, min_east_height(a, m, n)) for a, y in enumerate(sorted(raw), 1)]
+    )
+
+
+@st.composite
+def dyck_paths(draw):
+    """A path on up to 40 columns and 80 rows."""
+    m = draw(st.integers(min_value=1, max_value=40))
+    n = draw(st.sampled_from([n for n in range(1, 81) if gcd(m, n) == 1]))
+    return lifted_path(m, n, draw(st.lists(st.integers(0, n), min_size=m, max_size=m)))
+
+
+@given(dyck_paths())
+@example(make_path(1, 1, [1]))
+@example(make_path(1, 80, [80]))
+@example(make_path(40, 1, [1] * 40))
+@example(lifted_path(39, 80, [0] * 39))  # the lowest path, most cells
+@example(lifted_path(40, 79, [0] * 40))
+def test_dinv_counts_the_contributing_cells(p):
+    assert dinv(p) == sum(contributes_to_dinv(p, x) for x in shape_cells(p))
+
+
+def test_dinv_counts_the_contributing_cells_at_thirty_thousand_rows():
+    for heights in [(10001, 20001, 30001), (12345, 29000, 30001)]:
+        p = make_path(3, 30001, heights)
+        assert dinv(p) == sum(contributes_to_dinv(p, x) for x in shape_cells(p))
 
 
 def test_skips_of_worked_examples():

@@ -98,3 +98,12 @@ def test_a_cell_fitting_no_class_is_named(monkeypatch):
     monkeypatch.setattr(stats, "arm", lambda p, x: 2)
     result = verify.check_cell_classification(8)
     assert result.counterexample.endswith("labels not exclusive")
+
+
+def test_a_dinv_off_by_one_is_named(monkeypatch):
+    real_dinv = stats.dinv
+    monkeypatch.setattr(stats, "dinv", lambda p: real_dinv(p) + 1)
+    result = verify.check_cell_classification(8)
+    assert not result.ok
+    assert result.counterexample.startswith("n=1 (1, 1, 1)")
+    assert result.counterexample.endswith("0 contributing cells, dinv 1")
