@@ -26,7 +26,6 @@ from .errors import (
 from .paths import (
     Cell,
     DyckPath,
-    FerrersShape,
     arm,
     cells_above,
     count_paths,
@@ -82,7 +81,6 @@ __all__ = [
     "CoefficientOverflow",
     "COEFFICIENT_LIMIT",
     "DyckPath",
-    "FerrersShape",
     "InvalidTriple",
     "MarkedRankWord",
     "NotCoprime",

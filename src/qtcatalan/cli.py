@@ -16,10 +16,11 @@ from . import bijection, paths, qtpoly, rankwords, stats, verify
 
 
 def _emit(args, text_lines, json_obj) -> None:
+    """Print text_lines() or json_obj(); only the chosen form is built."""
     if args.format == "json":
-        print(json.dumps(json_obj, sort_keys=True))
+        print(json.dumps(json_obj(), sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -31,8 +32,8 @@ def cmd_enumerate(args) -> int:
     words = [paths.render_path(p) for p in paths.enumerate_paths(args.m, args.n)]
     _emit(
         args,
-        words,
-        {"m": args.m, "n": args.n, "count": len(words), "paths": words},
+        lambda: words,
+        lambda: {"m": args.m, "n": args.n, "count": len(words), "paths": words},
     )
     return 0
 
@@ -59,7 +60,7 @@ def cmd_stats(args) -> int:
         obj["boxed"] = sorted(word.boxed)
         lines.append(f"skips: {obj['skips']}")
         lines.append(f"rank word: {obj['rank_word']}")
-    _emit(args, lines, obj)
+    _emit(args, lambda: lines, lambda: obj)
     return 0
 
 
@@ -79,17 +80,19 @@ def cmd_rankword(args) -> int:
         word = rankwords.lattice_rank_word(int(args.target))
     else:
         word = rankwords.mark_from_path(paths.parse_path(args.target))
-    _emit(args, [rankwords.render_word(word)], _word_obj(word))
+    _emit(args, lambda: [rankwords.render_word(word)], lambda: _word_obj(word))
     return 0
 
 
 def cmd_omega(args) -> int:
     word = rankwords.omega(args.area, args.skips, args.dinv)
-    p = rankwords.path_from_word(word)
-    obj = _word_obj(word)
-    obj.update(area=args.area, skips=args.skips, dinv=args.dinv)
-    obj["path"] = paths.render_path(p)
-    _emit(args, [f"word: {obj['word']}", f"path: {obj['path']}"], obj)
+    path = paths.render_path(rankwords.path_from_word(word))
+    triple = {"area": args.area, "skips": args.skips, "dinv": args.dinv}
+    _emit(
+        args,
+        lambda: [f"word: {rankwords.render_word(word)}", f"path: {path}"],
+        lambda: {**_word_obj(word), **triple, "path": path},
+    )
     return 0
 
 
@@ -100,7 +103,7 @@ def cmd_poly(args) -> int:
         poly = qtpoly.catalan3_closed_form(args.n)
     else:
         poly = qtpoly.catalan_bruteforce(args.m, args.n)
-    _emit(args, [poly.render()], poly.json_terms())
+    _emit(args, lambda: [poly.render()], poly.json_terms)
     return 0
 
 
@@ -120,14 +123,14 @@ def cmd_bijection(args) -> int:
         "image": paths.render_path(image),
         "image_triple": _triple_obj(u),
     }
-    _emit(args, lines, obj)
+    _emit(args, lambda: lines, lambda: obj)
     return 0
 
 
 def cmd_transpose(args) -> int:
     p = paths.parse_path(args.path)
     word = paths.render_path(paths.transpose(p))
-    _emit(args, [word], {"path": args.path, "transpose": word})
+    _emit(args, lambda: [word], lambda: {"path": args.path, "transpose": word})
     return 0
 
 

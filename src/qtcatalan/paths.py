@@ -136,32 +136,9 @@ def enumerate_paths(m: int, n: int) -> Iterator[DyckPath]:
             heights[b] = max(heights[b - 1], floors[b])
 
 
-@dataclass(frozen=True)
-class FerrersShape:
-    """Cells above a path, as weakly decreasing per-column counts."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if any(c < 0 for c in self.counts):
-            raise ValueError("column counts must be nonnegative")
-        if any(lo < hi for lo, hi in zip(self.counts, self.counts[1:])):
-            raise ValueError(f"column counts must weakly decrease: {self.counts}")
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.counts)
-
-
-def cells_above(p: DyckPath) -> FerrersShape:
+def cells_above(p: DyckPath) -> tuple[int, ...]:
     """Per-column counts of the cells strictly above the path (n - y_a)."""
-    return FerrersShape(tuple(p.n - y for y in p.east_heights))
+    return tuple(p.n - y for y in p.east_heights)
 
 
 def shape_cells(p: DyckPath) -> tuple[Cell, ...]:

@@ -11,8 +11,13 @@ is required throughout.  Every function reads the word through that
 residue rule; only MarkedRankWord.entries lists the word entry by entry.
 
 Marking (boxing) the ranks of the cells above a path yields the marked
-rank word of the path.  Within each color the boxed entries are always
-the largest ones, so a word determines its path and vice versa.
+rank word of the path.  The n - y_a cells above column a have ranks
+falling by 3 from the top row, so the path (y1, y2, n) boxes the
+k = n - y1 largest color-1 ranks 2n-3, 2n-6, ... and the ell = n - y2
+largest color-2 ranks n-3, n-6, ...: a path's word is its counts
+(k, ell).  Marking, inversion and omega all read them through
+_top_ranks; the cell-by-cell definition is the reference, in verify
+and in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BadResidue, InvalidTriple, NotRealizable, UnsupportedM
-from .paths import DyckPath, shape_cells
+from .paths import DyckPath
 
 
 def rank(a: int, b: int, n: int) -> int:
@@ -83,17 +88,28 @@ class MarkedRankWord:
         return self.n - 1
 
 
+def _top_ranks(n: int, k: int, ell: int) -> frozenset[int]:
+    """The k largest color-1 ranks and the ell largest color-2 ranks."""
+    return frozenset(range(2 * n - 3, 2 * n - 3 - 3 * k, -3)).union(
+        range(n - 3, n - 3 - 3 * ell, -3)
+    )
+
+
 def lattice_rank_word(n: int) -> MarkedRankWord:
     """The all-unboxed rank word of the n-row lattice."""
     return MarkedRankWord(n, frozenset())
 
 
 def mark_from_path(p: DyckPath) -> MarkedRankWord:
-    """Box exactly the ranks of the cells above the path."""
+    """Box exactly the ranks of the cells above the path.
+
+    Those are the n - y1 largest color-1 and the n - y2 largest color-2
+    ranks; the third column has no cell above a path.
+    """
     if p.m != 3:
         raise UnsupportedM(f"rank words are defined for m = 3, not m = {p.m}")
-    boxed = frozenset(rank(x.column, x.row, p.n) for x in shape_cells(p))
-    return MarkedRankWord(p.n, boxed)
+    y1, y2, _ = p.east_heights
+    return MarkedRankWord(p.n, _top_ranks(p.n, p.n - y1, p.n - y2))
 
 
 def count_skips(w: MarkedRankWord) -> int:
@@ -123,8 +139,9 @@ def path_from_word(w: MarkedRankWord) -> DyckPath:
     box at least as many color-1 entries as color-2 entries.
     """
     k, ell = boxed_counts(w)
-    for color, top, count in ((1, 2 * w.n - 3, k), (2, w.n - 3, ell)):
-        if any(r not in w.boxed for r in range(top, top - 3 * count, -3)):
+    misplaced = w.boxed.symmetric_difference(_top_ranks(w.n, k, ell))
+    for color in (1, 2):
+        if any(_color(r, w.n) == color for r in misplaced):
             raise NotRealizable(
                 f"boxed color-{color} entries are not the largest ones"
             )
@@ -145,30 +162,33 @@ def is_valid_triple(a: int, s: int, d: int) -> bool:
 def omega(a: int, s: int, d: int) -> MarkedRankWord:
     """Rebuild the marked rank word with the given area, skips and dinv.
 
-    On the rank word of the (a+s+d+1)-row lattice, box the rightmost d
+    On the rank word of the n = a+s+d+1 row lattice, box the rightmost d
     entries outright.  Then, s times, walk left over the maximal run of
     same-colored entries adjacent to the processed region (the run stays
     unboxed and becomes one skip) and box the entry just past it.
+
+    The walk has a closed form.  Read from the top, the word opens with
+    the q = n // 3 color-1 ranks above n, and below n the colors
+    alternate starting with color 1.  So the d outright boxes take the
+    top of that block and then t = max(d - q, 0) alternating entries,
+    t // 2 of them color 2.  When t is even the first entry left is
+    color 1 (for t = 0 its run may start inside the top block), so every
+    skip passes a run of color 1 and boxes a color-2 entry.  When t is
+    odd the first entry left is color 2 and every skip boxes a color-1
+    entry.  Hence
+
+        ell = t // 2 + (s if t is even else 0),   k = d + s - ell,
+
+    and the word boxes the k largest color-1 and the ell largest color-2
+    ranks.  The walk itself is the reference, tests/oracles.py's
+    omega_by_walk.
     """
     if not is_valid_triple(a, s, d):
         raise InvalidTriple(f"no path has area={a}, skips={s}, dinv={d}")
     n = a + s + d + 1
-    boxed: list[int] = []
-    run = None  # color of the unboxed run being skipped
-    for r in range(2 * n - 1, 0, -1):
-        if len(boxed) == d + s:
-            break
-        color = _color(r, n)
-        if color is None:
-            continue
-        if len(boxed) < d or run not in (None, color):
-            boxed.append(r)
-            run = None
-        else:
-            run = color  # opens or extends the skipped run
-    # valid triples always leave an entry beyond each skipped run
-    assert len(boxed) == d + s
-    return MarkedRankWord(n, frozenset(boxed))
+    t = max(d - n // 3, 0)
+    ell = t // 2 + (0 if t % 2 else s)
+    return MarkedRankWord(n, _top_ranks(n, d + s - ell, ell))
 
 
 def render_word(w: MarkedRankWord) -> str:

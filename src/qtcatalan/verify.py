@@ -83,10 +83,7 @@ def check_serialization(max_mn: int) -> CheckResult:
 def check_shape_monotone(max_mn: int) -> CheckResult:
     """cells_above always yields weakly decreasing column counts."""
     def fault(p):
-        try:
-            counts = paths.cells_above(p).counts
-        except ValueError as exc:  # FerrersShape refuses increasing counts
-            return f"{p}: {exc}"
+        counts = paths.cells_above(p)
         if any(lo < hi for lo, hi in zip(counts, counts[1:])):
             return f"{p}: {counts}"
     return _scan("shape-monotone", _mn_paths(max_mn), fault)
@@ -197,9 +194,13 @@ def check_triple_uniqueness(max_n: int) -> CheckResult:
 
 
 def check_word_roundtrip(max_n: int) -> CheckResult:
-    """path_from_word inverts mark_from_path."""
+    """mark_from_path boxes the cell ranks, and path_from_word inverts it."""
     def fault(p):
-        if rankwords.path_from_word(rankwords.mark_from_path(p)) != p:
+        word = rankwords.mark_from_path(p)
+        cells = {rankwords.rank(x.column, x.row, p.n) for x in paths.shape_cells(p)}
+        if word.boxed != cells:
+            return f"n={p.n} {p.east_heights}: boxed ranks are not the cell ranks"
+        if rankwords.path_from_word(word) != p:
             return f"n={p.n} {p.east_heights}"
     return _scan("word-roundtrip", _three_column_paths(max_n), fault)
 

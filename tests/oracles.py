@@ -3,8 +3,10 @@
 Each oracle takes a different route than the library: paths are generated
 as raw step words and filtered point by point, area is counted cell by
 cell from corner positions, dinv uses Fraction arithmetic over an
-explicit cell set, skips works by string surgery on the boxed flags, and
-the rank word is sorted from the cell ranks instead of read off residues.
+explicit cell set, skips works by string surgery on the boxed flags, the
+rank word is sorted from the cell ranks instead of read off residues, a
+path's marking is the set of its cell ranks, and omega walks that sorted
+word entry by entry.
 """
 
 from fractions import Fraction
@@ -78,3 +80,35 @@ def rank_word_by_sorting(n):
         for b in range(1, n + 1)
         if -a * n + 3 * (b - 1) > 0
     )
+
+
+def marking_by_cells(n, east_heights):
+    """Ranks -a*n + 3*(b-1) of the cells above a (3,n)-path."""
+    return {
+        -a * n + 3 * (b - 1)
+        for a in (1, 2, 3)
+        for b in range(east_heights[a - 1] + 1, n + 1)
+    }
+
+
+def omega_by_walk(a, s, d):
+    """Boxed ranks of the word with area a, skips s, dinv d, by the paper's walk.
+
+    Box the rightmost d entries outright.  Then, s times, pass the maximal
+    run of same-colored entries next to the processed region (one skip)
+    and box the entry just past it.  Takes a valid triple.
+    """
+    n = a + s + d + 1
+    boxed = []
+    run = None  # color of the unboxed run being skipped
+    for r, color in reversed(rank_word_by_sorting(n)):
+        if len(boxed) == d + s:
+            break
+        if len(boxed) < d or run not in (None, color):
+            boxed.append(r)
+            run = None
+        else:
+            run = color  # opens or extends the skipped run
+    # valid triples always leave an entry beyond each skipped run
+    assert len(boxed) == d + s
+    return frozenset(boxed)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qtcatalan import stats
+from qtcatalan import QtPolynomial, cli, stats
 from qtcatalan.cli import main
 
 PI1_WORD = "NNNNNNEENNE"  # heights (6,6,8)
@@ -249,3 +249,15 @@ def test_verify_reports_a_perturbed_statistic(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "counterexample" in out
+
+
+def test_text_output_builds_no_json(capsys, monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("built the JSON form for text output")
+
+    monkeypatch.setattr(QtPolynomial, "json_terms", refuse)
+    monkeypatch.setattr(cli, "_word_obj", refuse)
+    for argv in (["poly", "3", "5"], ["rankword", "8"], ["omega", "3", "2", "2"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out

@@ -99,6 +99,15 @@ def test_mark_from_path_boxes_the_cells_above():
     assert mark_from_path(make_path(3, 8, [8, 8, 8])).boxed == frozenset()
 
 
+def test_mark_from_path_boxes_the_cell_ranks_of_every_path():
+    for n in range(1, 100):
+        if n % 3 == 0:
+            continue
+        for p in enumerate_paths(3, n):
+            want = oracles.marking_by_cells(n, p.east_heights)
+            assert mark_from_path(p).boxed == want
+
+
 def test_mark_from_path_needs_three_columns():
     with pytest.raises(UnsupportedM):
         mark_from_path(make_path(2, 5, [3, 5]))
@@ -153,6 +162,16 @@ def test_omega_reproduces_the_worked_traces():
     assert sorted(omega(3, 2, 2).boxed) == [2, 5, 10, 13]
     assert sorted(omega(5, 1, 1).boxed) == [5, 13]
     assert omega(7, 0, 0) == lattice_rank_word(8)
+
+
+def test_omega_matches_the_walk_on_every_valid_triple():
+    # n < 80 covers t = max(d - n // 3, 0) zero, even and odd
+    for n in range(1, 80):
+        for a in range(n):
+            for s in range(n - a):
+                d = n - 1 - a - s
+                if is_valid_triple(a, s, d):
+                    assert omega(a, s, d).boxed == oracles.omega_by_walk(a, s, d)
 
 
 def test_omega_rejects_invalid_triples():

@@ -12,10 +12,7 @@ PLANTED_FAULTS = {
     "serialization-roundtrip": (
         paths, "parse_path", lambda real: lambda w: real(w[::-1].translate(SWAP_NE))
     ),
-    "shape-monotone": (
-        paths, "cells_above",
-        lambda real: lambda p: paths.FerrersShape(real(p).counts[::-1]),
-    ),
+    "shape-monotone": (paths, "cells_above", lambda real: lambda p: real(p)[::-1]),
     "transpose-involution": (paths, "transpose", lambda real: lambda p: p),
     "poly-mn-symmetry": (
         qtpoly, "catalan_bruteforce",
@@ -107,3 +104,21 @@ def test_a_dinv_off_by_one_is_named(monkeypatch):
     assert not result.ok
     assert result.counterexample.startswith("n=1 (1, 1, 1)")
     assert result.counterexample.endswith("0 contributing cells, dinv 1")
+
+
+def test_word_roundtrip_catches_a_rule_shared_by_marking_and_inversion(monkeypatch):
+    # boxing the smallest ranks of each color is wrong, but mark_from_path
+    # and path_from_word share it, so only the cell ranks can tell
+    def bottom_ranks(n, k, ell):
+        by_color = {1: [], 2: []}
+        for e in rankwords.lattice_rank_word(n).entries:
+            by_color[e.color].append(e.rank)
+        return frozenset(by_color[1][:k] + by_color[2][:ell])
+
+    monkeypatch.setattr(rankwords, "_top_ranks", bottom_ranks)
+    for p in paths.enumerate_paths(3, 8):
+        assert rankwords.path_from_word(rankwords.mark_from_path(p)) == p
+    result = verify.check_word_roundtrip(8)
+    assert result.counterexample == (
+        "n=4 (3, 3, 4): boxed ranks are not the cell ranks"
+    )
