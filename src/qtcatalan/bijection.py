@@ -2,19 +2,19 @@
 
 Statistic triples determine three-column paths uniquely, and swapping
 area with dinv maps valid triples to valid triples, so the exchange is
-realized by reconstructing the path of the swapped triple.  Applied to
-every path of a fixed n it permutes the path set and proves the q,t
-symmetry of C_{3,n}.
+realized by the path (n-k, n-ell, n), where (k, ell) are omega's counts
+of the swapped triple: O(1), with no word.  Applied to every path of a
+fixed n it permutes the path set and proves the q,t symmetry of C_{3,n}.
 """
 
 from __future__ import annotations
 
 from .paths import DyckPath
-from .rankwords import omega, path_from_word
+from .rankwords import _counts
 from . import stats
 
 
 def involution(p: DyckPath) -> DyckPath:
     """The unique (3,n)-path whose triple is (dinv(p), skips(p), area(p))."""
-    t = stats.stat_triple(p)
-    return path_from_word(omega(t.dinv, t.skips, t.area))
+    k, ell = _counts(p.n, stats.skips(p), stats.area(p))
+    return DyckPath(3, p.n, (p.n - k, p.n - ell, p.n))

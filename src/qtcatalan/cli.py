@@ -55,7 +55,7 @@ def cmd_stats(args) -> int:
     ]
     if p.m == 3:
         word = rankwords.mark_from_path(p)
-        obj["skips"] = rankwords.count_skips(word)
+        obj["skips"] = stats.skips(p)
         obj["rank_word"] = rankwords.render_word(word)
         obj["boxed"] = sorted(word.boxed)
         lines.append(f"skips: {obj['skips']}")

@@ -119,12 +119,10 @@ def catalan3_closed_form(n: int) -> QtPolynomial:
         raise ValueError("n must be positive")
     if n % 3 == 0:
         raise BadResidue(f"n must not be a multiple of 3, got {n}")
-    counts: dict[tuple[int, int], int] = {}
-    for s in range(n // 3 + 1):
-        for a in range(s, n - 2 * s):
-            key = (n - a - s - 1, a)
-            counts[key] = counts.get(key, 0) + 1
-    return QtPolynomial(counts)
+    # each (dinv, area) fixes s = n - 1 - area - dinv, so every key is new
+    return QtPolynomial(
+        {(n - a - s - 1, a): 1 for s in range(n // 3 + 1) for a in range(s, n - 2 * s)}
+    )
 
 
 def is_qt_symmetric(p: QtPolynomial) -> bool:

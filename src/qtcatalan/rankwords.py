@@ -17,7 +17,9 @@ k = n - y1 largest color-1 ranks 2n-3, 2n-6, ... and the ell = n - y2
 largest color-2 ranks n-3, n-6, ...: a path's word is its counts
 (k, ell).  Marking, inversion and omega all read them through
 _top_ranks; the cell-by-cell definition is the reference, in verify
-and in tests/oracles.py.
+and in tests/oracles.py.  Skips and the involution need no word: _skips
+reads skips off (k, ell) and _counts gives (k, ell) back from (s, d),
+both O(1); count_skips, over any marking, is the definition.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def mark_from_path(p: DyckPath) -> MarkedRankWord:
 
 
 def count_skips(w: MarkedRankWord) -> int:
-    """Gaps between consecutive boxed ranks that hold a word rank.
+    """Skips by definition: gaps between boxed ranks that hold a word rank.
 
     Each such gap is one maximal unboxed run fenced by boxed entries.  Color
     1 takes every third number below 2n, so a gap is searched in <= 3 steps.
@@ -159,36 +161,43 @@ def is_valid_triple(a: int, s: int, d: int) -> bool:
     return s <= a and s <= d and (a + s + d + 1) % 3 != 0
 
 
+def _counts(n: int, s: int, d: int) -> tuple[int, int]:
+    """(k, ell) of the word omega builds for skips s and dinv d on n rows.
+
+    omega's walk (tests/oracles.py's omega_by_walk is the reference) boxes
+    the rightmost d entries outright, then s times passes the maximal
+    same-colored run next to the boxed region (one skip) and boxes the
+    entry past it.  From the top, the word opens with the q = n // 3
+    color-1 ranks above n; below n the colors alternate from color 1.  So
+    the d outright boxes take that block and t = max(d - q, 0) alternating
+    entries, t // 2 of them color 2.  For even t the first entry left is
+    color 1 (for t = 0 its run may start inside the block), so every skip
+    boxes a color-2 entry; for odd t it is color 2 and every skip boxes a
+    color-1 entry.  Hence ell = t // 2 + (s if t is even else 0) and
+    k = d + s - ell.  Back, K = max(k - q, 0) counts the color-1 boxes
+    below n: even t gives K = t / 2 and ell = K + s, odd t gives
+    ell = K - s - 1 < K, so _skips undoes _counts.
+    """
+    t = max(d - n // 3, 0)
+    ell = t // 2 + (0 if t % 2 else s)
+    return d + s - ell, ell
+
+
+def _skips(n: int, k: int, ell: int) -> int:
+    """Skips of the top k color-1 and ell color-2 boxes; see _counts."""
+    big = max(k - n // 3, 0)
+    return ell - big if big <= ell else big - ell - 1
+
+
 def omega(a: int, s: int, d: int) -> MarkedRankWord:
     """Rebuild the marked rank word with the given area, skips and dinv.
 
-    On the rank word of the n = a+s+d+1 row lattice, box the rightmost d
-    entries outright.  Then, s times, walk left over the maximal run of
-    same-colored entries adjacent to the processed region (the run stays
-    unboxed and becomes one skip) and box the entry just past it.
-
-    The walk has a closed form.  Read from the top, the word opens with
-    the q = n // 3 color-1 ranks above n, and below n the colors
-    alternate starting with color 1.  So the d outright boxes take the
-    top of that block and then t = max(d - q, 0) alternating entries,
-    t // 2 of them color 2.  When t is even the first entry left is
-    color 1 (for t = 0 its run may start inside the top block), so every
-    skip passes a run of color 1 and boxes a color-2 entry.  When t is
-    odd the first entry left is color 2 and every skip boxes a color-1
-    entry.  Hence
-
-        ell = t // 2 + (s if t is even else 0),   k = d + s - ell,
-
-    and the word boxes the k largest color-1 and the ell largest color-2
-    ranks.  The walk itself is the reference, tests/oracles.py's
-    omega_by_walk.
+    It boxes the top _counts(n, s, d) ranks of each color (n = a+s+d+1).
     """
     if not is_valid_triple(a, s, d):
         raise InvalidTriple(f"no path has area={a}, skips={s}, dinv={d}")
     n = a + s + d + 1
-    t = max(d - n // 3, 0)
-    ell = t // 2 + (0 if t % 2 else s)
-    return MarkedRankWord(n, _top_ranks(n, d + s - ell, ell))
+    return MarkedRankWord(n, _top_ranks(n, *_counts(n, s, d)))
 
 
 def render_word(w: MarkedRankWord) -> str:

@@ -19,10 +19,11 @@ so dinv adds up, per column, the overlap of each such stretch of legs
 with its interval: O(m) per column and O(m^2) per path, whatever n is.
 
 skips applies to three-column paths only: it is the number of maximal
-unboxed runs fenced by boxed entries in the marked rank word.  For a
-(3,n)-path the three statistics always sum to n - 1, the length of the
-rank word, because each above-path cell failing the straddle inequality
-pairs off with exactly one skip.
+unboxed runs fenced by boxed entries in the marked rank word
+(rankwords.count_skips, the definition), read in O(1) from the word's
+counts (n - y1, n - y2).  For a (3,n)-path the three statistics always
+sum to n - 1, the length of the rank word, because each above-path
+cell failing the straddle inequality pairs off with exactly one skip.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 from .errors import UnsupportedM
 from .paths import DyckPath, arm, leg, min_east_height
-from .rankwords import count_skips, mark_from_path
+from .rankwords import _skips
 
 
 class StatTriple(NamedTuple):
@@ -89,10 +90,10 @@ def dinv(p: DyckPath) -> int:
 
 
 def skips(p: DyckPath) -> int:
-    """Fenced unboxed runs in the marked rank word (three columns only)."""
+    """Fenced unboxed runs (count_skips), O(1) from the word's counts; m = 3."""
     if p.m != 3:
         raise UnsupportedM(f"skips is defined for m = 3, not m = {p.m}")
-    return count_skips(mark_from_path(p))
+    return _skips(p.n, p.n - p.east_heights[0], p.n - p.east_heights[1])
 
 
 def stat_triple(p: DyckPath) -> StatTriple:

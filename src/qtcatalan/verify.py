@@ -252,26 +252,17 @@ def check_qt_symmetry(max_n: int) -> CheckResult:
 
 def check_involution(max_n: int) -> CheckResult:
     """involution swaps area and dinv, fixes skips, and squares to the identity."""
-    def lattice_paths():  # each path beside the images and triples of its lattice
-        for n in _three_column_ns(max_n):
-            path_set = set(paths.enumerate_paths(3, n))
-            images = {p: bijection.involution(p) for p in path_set}
-            triples = {p: stats.stat_triple(p) for p in path_set}
-            for p in images:
-                yield p, images, triples
-
-    def fault(item):
-        p, images, triples = item
+    def fault(p):
         where = f"n={p.n} {p.east_heights}"
-        q = images[p]
-        if q not in images:
+        q = bijection.involution(p)
+        if (q.m, q.n) != (3, p.n):
             return f"{where}: image not a path"
-        a, s, d = triples[p]
-        if tuple(triples[q]) != (d, s, a):
+        a, s, d = stats.stat_triple(p)
+        if tuple(stats.stat_triple(q)) != (d, s, a):
             return f"{where}: triple not swapped"
-        if images[q] != p:
+        if bijection.involution(q) != p:
             return f"{where}: not an involution"
-    return _scan("involution", lattice_paths(), fault)
+    return _scan("involution", _three_column_paths(max_n), fault)
 
 
 # (name, check, which bound it takes)

@@ -4,6 +4,8 @@ from qtcatalan import (
     involution,
     is_valid_triple,
     make_path,
+    omega,
+    path_from_word,
     stat_triple,
 )
 
@@ -53,3 +55,23 @@ def test_involution_exchanges_area_and_dinv_fixing_skips():
         for p in enumerate_paths(3, n):
             a, s, d = stat_triple(p)
             assert stat_triple(involution(p)) == StatTriple(d, s, a)
+
+
+def rebuilt_from_the_word(p):
+    a, s, d = stat_triple(p)
+    return path_from_word(omega(d, s, a))
+
+
+def test_involution_equals_the_word_reconstruction_on_every_small_path():
+    for n in range(1, 64):
+        if n % 3 == 0:
+            continue
+        for p in enumerate_paths(3, n):
+            assert involution(p) == rebuilt_from_the_word(p)
+
+
+def test_involution_equals_the_word_reconstruction_at_a_hundred_thousand_rows(
+    large_three_column_paths,
+):
+    for p in large_three_column_paths:
+        assert involution(p) == rebuilt_from_the_word(p)

@@ -21,6 +21,7 @@ from qtcatalan import (
     shape_cells,
     transpose,
 )
+from qtcatalan import paths as paths_module
 
 import oracles
 
@@ -111,8 +112,23 @@ def test_enumeration_is_lexicographic_in_heights():
 
 
 def test_enumeration_rejects_non_coprime():
-    with pytest.raises(NotCoprime):
+    with pytest.raises(NotCoprime, match=r"^gcd\(3, 6\) != 1$"):
         list(enumerate_paths(3, 6))
+    for m, n in ((0, 5), (5, 0), (-3, 4)):
+        with pytest.raises(ValueError, match="^m and n must be positive$"):
+            list(enumerate_paths(m, n))
+
+
+def test_enumeration_rejects_a_lattice_before_computing_any_height(monkeypatch):
+    # the first path holds m heights, so a check left to it would cost O(m)
+    # time and memory before the error
+    def no_heights(a, m, n):
+        raise AssertionError("computed a height of a rejected lattice")
+
+    monkeypatch.setattr(paths_module, "min_east_height", no_heights)
+    for m, n in ((4, 6), (5, 0), (3, -4)):
+        with pytest.raises(ValueError):
+            next(enumerate_paths(m, n))
 
 
 def test_cells_above_counts():

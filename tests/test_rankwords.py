@@ -17,6 +17,7 @@ from qtcatalan import (
     path_from_word,
     rank,
     render_word,
+    skips,
     stat_triple,
 )
 
@@ -142,6 +143,23 @@ def test_count_skips_matches_run_oracle_on_all_markings():
                 word = MarkedRankWord(n, frozenset(subset))
                 flags = [e.boxed for e in word.entries]
                 assert count_skips(word) == oracles.skips_by_runs(flags)
+
+
+def test_skips_rule_counts_the_fenced_runs_of_every_small_path():
+    # n < 64 reaches K = max(k - n // 3, 0) both at most and above ell,
+    # for both residues of n
+    for n in range(1, 64):
+        if n % 3 == 0:
+            continue
+        for p in enumerate_paths(3, n):
+            assert skips(p) == count_skips(mark_from_path(p))
+
+
+def test_skips_rule_counts_the_fenced_runs_at_a_hundred_thousand_rows(
+    large_three_column_paths,
+):
+    for p in large_three_column_paths:
+        assert skips(p) == count_skips(mark_from_path(p))
 
 
 def test_boxed_counts():

@@ -106,6 +106,35 @@ def test_a_dinv_off_by_one_is_named(monkeypatch):
     assert result.counterexample.endswith("0 contributing cells, dinv 1")
 
 
+def test_a_fault_in_the_skips_rule_is_named(monkeypatch):
+    real_skips = stats._skips
+
+    def one_more_when_k_leads(n, k, ell):
+        return real_skips(n, k, ell) + (max(k - n // 3, 0) > ell)
+
+    monkeypatch.setattr(stats, "_skips", one_more_when_k_leads)
+    result = verify.check_cell_classification(16)
+    assert result.counterexample == "n=2 (1, 2, 2): 0 fenced cells, skips 1"
+
+
+def test_a_fault_in_the_counts_rule_is_named(monkeypatch):
+    def every_t_even(n, s, d):
+        t = max(d - n // 3, 0)
+        return d - t // 2, t // 2 + s
+
+    monkeypatch.setattr(bijection, "_counts", every_t_even)
+    result = verify.check_involution(16)
+    assert result.counterexample == "n=5 (2, 5, 5): not an involution"
+
+
+def test_an_image_in_another_lattice_is_named(monkeypatch):
+    monkeypatch.setattr(
+        bijection, "involution", lambda p: next(paths.enumerate_paths(3, p.n + 3))
+    )
+    result = verify.check_involution(8)
+    assert result.counterexample == "n=1 (1, 1, 1): image not a path"
+
+
 def test_word_roundtrip_catches_a_rule_shared_by_marking_and_inversion(monkeypatch):
     # boxing the smallest ranks of each color is wrong, but mark_from_path
     # and path_from_word share it, so only the cell ranks can tell
