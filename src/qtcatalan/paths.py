@@ -32,6 +32,17 @@ class Cell(NamedTuple):
     row: int
 
 
+def _check_lattice(m: int, n: int) -> None:
+    """Raise unless (m, n) is a lattice of paths: both positive and coprime.
+
+    Callers run it before any O(m) work, such as the list of floor heights.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
+    if gcd(m, n) != 1:
+        raise NotCoprime(f"gcd({m}, {n}) != 1")
+
+
 def min_east_height(a: int, m: int, n: int) -> int:
     """Lowest admissible height of the a-th east step: ceil(a*n/m)."""
     return -(-a * n // m)
@@ -52,10 +63,7 @@ class DyckPath:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "east_heights", tuple(self.east_heights))
-        if self.m < 1 or self.n < 1:
-            raise ValueError("m and n must be positive")
-        if gcd(self.m, self.n) != 1:
-            raise NotCoprime(f"gcd({self.m}, {self.n}) != 1")
+        _check_lattice(self.m, self.n)
         if len(self.east_heights) != self.m:
             raise ValueError(
                 f"expected {self.m} east heights, got {len(self.east_heights)}"
@@ -116,10 +124,7 @@ def count_paths(m: int, n: int) -> int:
 
 def enumerate_paths(m: int, n: int) -> Iterator[DyckPath]:
     """Yield every (m,n)-Dyck path once, in lexicographic height order."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    if gcd(m, n) != 1:
-        raise NotCoprime(f"gcd({m}, {n}) != 1")
+    _check_lattice(m, n)
     floors = [min_east_height(a, m, n) for a in range(1, m + 1)]
     heights = list(floors)  # the lowest path; floors weakly increase
     while True:

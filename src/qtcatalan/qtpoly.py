@@ -1,9 +1,14 @@
 """Exact sparse polynomials in q and t, and two routes to C_{m,n}(q,t).
 
-catalan_bruteforce sums q^dinv t^area over every (m,n)-Dyck path.  For
-m = 3 the same polynomial has a closed form: q^(n-a-s-1) t^a summed over
+catalan_bruteforce sums q^dinv t^area over every (m,n)-Dyck path.  It
+builds no DyckPath: an iterative odometer chooses the heights from the
+last column down and carries the dinv and area of the columns set so
+far, because column a's dinv term (stats._column_dinv) reads only the
+heights from column a on and area is a sum over columns.  Each path then
+costs one column, O(m) steps, at the bottom of the walk.  For m = 3 the
+same polynomial has a closed form: q^(n-a-s-1) t^a summed over
 0 <= s <= floor(n/3) and s <= a <= n-2s-1.  The two routes stay separate
-so each can check the other.
+(the walk reads no rank word) so each can check the other.
 
 Coefficients and evaluation results are capped at 2^63 - 1 so that JSON
 output stays exact for consumers with 64-bit integers; exceeding the cap
@@ -105,12 +110,30 @@ class QtPolynomial:
 
 
 def catalan_bruteforce(m: int, n: int) -> QtPolynomial:
-    """Sum q^dinv t^area over all (m,n)-Dyck paths."""
+    """Sum q^dinv t^area over all (m,n)-Dyck paths, by the suffix-first walk."""
+    paths._check_lattice(m, n)
+    floors = [paths.min_east_height(a, m, n) for a in range(1, m + 1)]
+    legs = stats._dinv_legs(m, n)
+    heights = [n] * m
+    # dinv and area of columns a..m-1; the last column, at height n, adds nothing
+    dinv_from = [0] * m
+    area_from = [0] * m
     counts: dict[tuple[int, int], int] = {}
-    for p in paths.enumerate_paths(m, n):
-        key = (stats.dinv(p), stats.area(p))
-        counts[key] = counts.get(key, 0) + 1
-    return QtPolynomial(counts)
+    a = m - 1  # columns a..m-1 are set
+    while True:
+        if a > 0:  # the next column down starts at its highest height
+            a -= 1
+            heights[a] = heights[a + 1]
+        else:  # a whole path: count it, then lower the first column above its floor
+            key = (dinv_from[0], area_from[0])
+            counts[key] = counts.get(key, 0) + 1
+            while a < m - 1 and heights[a] == floors[a]:
+                a += 1
+            if a == m - 1:
+                return QtPolynomial(counts)
+            heights[a] -= 1
+        dinv_from[a] = dinv_from[a + 1] + stats._column_dinv(heights, a, legs)
+        area_from[a] = area_from[a + 1] + heights[a] - floors[a]
 
 
 def catalan3_closed_form(n: int) -> QtPolynomial:

@@ -64,29 +64,36 @@ def contributes_to_dinv(p: DyckPath, x) -> bool:
     return _straddles(arm(p, x), leg(p, x), p.m, p.n)
 
 
-def dinv(p: DyckPath) -> int:
-    """Cells above the path satisfying the straddle inequality.
+def _dinv_legs(m: int, n: int) -> list[tuple[int, int]]:
+    """Straddling legs at each arm k < m - 1, as the half-open range [low, high)."""
+    return [(k * n // m, (n * (k + 1) - 1) // m + 1) for k in range(m - 1)]
+
+
+def _column_dinv(heights, a: int, legs: list[tuple[int, int]]) -> int:
+    """dinv cells of column a (0-based); reads only heights[a:].
 
     In column a the rows y_a < row <= y_{a+1} have arm 0, the rows
     y_{a+1} < row <= y_{a+2} arm 1, and so on, since y_m = n; a stretch
     with arm k holds the legs y_{a+k} - y_a .. y_{a+k+1} - y_a - 1, and
-    exactly those in [k*n // m, (n*(k+1) - 1) // m] straddle.  Summing
-    the overlaps costs O(m^2) per path.
+    exactly those in legs[k] straddle.  Summing the overlaps costs O(m).
     """
-    m, n, heights = p.m, p.n, p.east_heights
-    # straddling legs at arm k, as the half-open range [low, high)
-    legs = [(k * n // m, (n * (k + 1) - 1) // m + 1) for k in range(m - 1)]
+    y = heights[a]
     total = 0
-    for a, y in enumerate(heights):
-        for (low, high), bottom, top in zip(legs, heights[a:], heights[a + 1:]):
-            lo, hi = bottom - y, top - y  # the stretch's legs, half-open
-            if lo < low:
-                lo = low
-            if hi > high:
-                hi = high
-            if lo < hi:
-                total += hi - lo
+    for (low, high), bottom, top in zip(legs, heights[a:], heights[a + 1:]):
+        lo, hi = bottom - y, top - y  # the stretch's legs, half-open
+        if lo < low:
+            lo = low
+        if hi > high:
+            hi = high
+        if lo < hi:
+            total += hi - lo
     return total
+
+
+def dinv(p: DyckPath) -> int:
+    """Cells above the path satisfying the straddle inequality, O(m^2)."""
+    legs = _dinv_legs(p.m, p.n)
+    return sum(_column_dinv(p.east_heights, a, legs) for a in range(p.m))
 
 
 def skips(p: DyckPath) -> int:

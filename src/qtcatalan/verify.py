@@ -61,6 +61,21 @@ def _scan(name: str, objects, fault) -> CheckResult:
     return CheckResult(name, checked)
 
 
+def _names_the_path(fault):
+    """Wrap fault(p, where), where naming the (3,n)-path p.
+
+    A ValueError it raises (every error the library raises on a bad value
+    is one) becomes p's counterexample, so the scan names the path.
+    """
+    def named(p):
+        where = f"n={p.n} {p.east_heights}"
+        try:
+            return fault(p, where)
+        except ValueError as exc:
+            return f"{where}: raised {type(exc).__name__}: {exc}"
+    return named
+
+
 def check_path_counts(max_mn: int) -> CheckResult:
     """Enumeration size equals binomial(m+n, m) / (m+n)."""
     def fault(pair):
@@ -207,14 +222,15 @@ def check_word_roundtrip(max_n: int) -> CheckResult:
 
 def check_triple_reconstruction(max_n: int) -> CheckResult:
     """omega rebuilds each path's word; unboxed entries count the area."""
-    def fault(p):
+    @_names_the_path
+    def fault(p, where):
         word = rankwords.mark_from_path(p)
         a, s, d = stats.stat_triple(p)
         if rankwords.omega(a, s, d) != word:
-            return f"n={p.n} {p.east_heights}: omega({a},{s},{d}) differs"
+            return f"{where}: omega({a},{s},{d}) differs"
         unboxed = len(word) - len(word.boxed)
         if unboxed != a or rankwords.count_skips(word) != s:
-            return f"n={p.n} {p.east_heights}: word statistics disagree"
+            return f"{where}: word statistics disagree"
     return _scan("triple-reconstruction", _three_column_paths(max_n), fault)
 
 
@@ -252,8 +268,8 @@ def check_qt_symmetry(max_n: int) -> CheckResult:
 
 def check_involution(max_n: int) -> CheckResult:
     """involution swaps area and dinv, fixes skips, and squares to the identity."""
-    def fault(p):
-        where = f"n={p.n} {p.east_heights}"
+    @_names_the_path
+    def fault(p, where):
         q = bijection.involution(p)
         if (q.m, q.n) != (3, p.n):
             return f"{where}: image not a path"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -134,6 +135,50 @@ def test_poly_single_column(capsys):
     code, out, _ = run(capsys, "poly", "1", "7")
     assert code == 0
     assert out.strip() == "1"
+
+
+def test_poly_brute_on_a_single_column_or_row_of_many_steps(capsys):
+    # one path of 1100 columns: the walk sets each column without recursing
+    for m, n in (("1100", "1"), ("1", "1100")):
+        code, out, _ = run(capsys, "poly", m, n, "--method", "brute")
+        assert (code, out) == (0, "1\n")
+
+
+ONE = ("1\n", '[{"c": 1, "q": 0, "t": 0}]\n')
+C_2_9 = (
+    "q^4 + q^3 t + q^2 t^2 + q t^3 + t^4\n",
+    '[{"c": 1, "q": 4, "t": 0}, {"c": 1, "q": 3, "t": 1}, {"c": 1, "q": 2, "t": 2}, '
+    '{"c": 1, "q": 1, "t": 3}, {"c": 1, "q": 0, "t": 4}]\n',
+)
+C_3_4 = (
+    "q^3 + q^2 t + q t^2 + t^3 + q t\n",
+    '[{"c": 1, "q": 3, "t": 0}, {"c": 1, "q": 2, "t": 1}, {"c": 1, "q": 1, "t": 2}, '
+    '{"c": 1, "q": 0, "t": 3}, {"c": 1, "q": 1, "t": 1}]\n',
+)
+# sha256 of the text and JSON output of the per-path sum over enumerate_paths
+C_7_11_SHA256 = (
+    "7ef97bdb36ada91a118695c6d85c1ec61397053ad8167d5010fa1bb6bd6f0865",
+    "97fce9dcffb8d592f74f12ef6b910da920dd2ca93fa3a1f3d7997bc17e06648c",
+)
+POLY_BRUTE_OUTPUT = {
+    (1, 1): ONE, (1, 5): ONE, (5, 1): ONE,
+    (2, 9): C_2_9, (9, 2): C_2_9, (3, 4): C_3_4, (4, 3): C_3_4,
+}
+
+
+@pytest.mark.parametrize("m, n", sorted(POLY_BRUTE_OUTPUT) + [(7, 11), (11, 7)])
+def test_poly_brute_output_is_pinned(capsys, m, n):
+    outputs = []
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "poly", str(m), str(n), "--method", "brute",
+                             "--format", fmt)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    if (m, n) in POLY_BRUTE_OUTPUT:
+        assert tuple(outputs) == POLY_BRUTE_OUTPUT[m, n]
+    else:
+        digests = tuple(hashlib.sha256(out.encode()).hexdigest() for out in outputs)
+        assert digests == C_7_11_SHA256
 
 
 def test_poly_closed_rejects_bad_input(capsys):

@@ -1,7 +1,11 @@
 import json
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+import oracles
+from qtcatalan import paths as paths_module
 from qtcatalan import (
     COEFFICIENT_LIMIT,
     BadResidue,
@@ -11,7 +15,9 @@ from qtcatalan import (
     catalan3_closed_form,
     catalan_bruteforce,
     count_paths,
+    enumerate_paths,
     is_qt_symmetric,
+    stats,
 )
 
 CLASSICAL_C3 = QtPolynomial({(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1, (1, 1): 1})
@@ -81,6 +87,50 @@ def test_bruteforce_3_4_equals_the_classical_polynomial():
 def test_bruteforce_rejects_non_coprime():
     with pytest.raises(NotCoprime):
         catalan_bruteforce(3, 6)
+
+
+def test_bruteforce_rejects_a_lattice_before_computing_any_height(monkeypatch):
+    # the walk's floors hold m heights, so a check left to them would cost
+    # O(m) time and memory before the error
+    def no_heights(a, m, n):
+        raise AssertionError("computed a height of a rejected lattice")
+
+    monkeypatch.setattr(paths_module, "min_east_height", no_heights)
+    for m, n in ((0, 5), (-3, 4)):
+        with pytest.raises(ValueError, match="m and n must be positive"):
+            catalan_bruteforce(m, n)
+    with pytest.raises(NotCoprime, match=r"gcd\(3, 6\) != 1"):
+        catalan_bruteforce(3, 6)
+
+
+def _heights(word):
+    return [word[:i].count("N") for i, ch in enumerate(word) if ch == "E"]
+
+
+def test_bruteforce_equals_the_oracle_sum():
+    # step words filtered point by point, dinv and area cell by cell: no
+    # line of the library's path, dinv or area code is shared
+    for total in range(2, 14):
+        for m in range(1, total):
+            n = total - m
+            if gcd(m, n) != 1:
+                continue
+            counts = {}
+            for word in oracles.paths_by_filter(m, n):
+                h = _heights(word)
+                key = (oracles.dinv_by_cells(m, n, h), oracles.area_by_cells(m, n, h))
+                counts[key] = counts.get(key, 0) + 1
+            assert catalan_bruteforce(m, n) == QtPolynomial(counts), (m, n)
+
+
+@given(st.integers(1, 9), st.integers(1, 9))
+def test_bruteforce_equals_the_sum_of_path_statistics(m, n):
+    assume(gcd(m, n) == 1)
+    counts = {}
+    for p in enumerate_paths(m, n):
+        key = (stats.dinv(p), stats.area(p))
+        counts[key] = counts.get(key, 0) + 1
+    assert catalan_bruteforce(m, n) == QtPolynomial(counts)
 
 
 def test_specialization_at_one_one_counts_paths():

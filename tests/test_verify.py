@@ -151,3 +151,24 @@ def test_word_roundtrip_catches_a_rule_shared_by_marking_and_inversion(monkeypat
     assert result.counterexample == (
         "n=4 (3, 3, 4): boxed ranks are not the cell ranks"
     )
+
+
+def test_a_skips_fault_that_breaks_the_involution_names_the_path(monkeypatch):
+    # the wrong skips makes the swapped triple unrealizable, so involution
+    # and omega raise; the checks report the path instead of raising
+    real_skips = stats._skips
+
+    def one_more_when_k_leads(n, k, ell):
+        return real_skips(n, k, ell) + (max(k - n // 3, 0) > ell)
+
+    monkeypatch.setattr(stats, "_skips", one_more_when_k_leads)
+    involution = verify.check_involution(16)
+    assert involution.counterexample.startswith("n=2 (1, 2, 2): raised NotMonotone: ")
+    reconstruction = verify.check_triple_reconstruction(16)
+    assert reconstruction.counterexample.startswith(
+        "n=2 (1, 2, 2): raised InvalidTriple: "
+    )
+    by_name = {r.name: r for r in verify.run_all(max_n=16, max_mn=6)}
+    for name in ("involution", "triple-reconstruction"):
+        assert by_name[name].checked > 0
+        assert by_name[name].counterexample.startswith("n=2 (1, 2, 2): raised ")
