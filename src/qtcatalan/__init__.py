@@ -17,6 +17,7 @@ from .errors import (
     BelowDiagonal,
     CellNotAboveThePath,
     CoefficientOverflow,
+    EmptyBound,
     InvalidTriple,
     NotCoprime,
     NotMonotone,
@@ -81,6 +82,7 @@ __all__ = [
     "CoefficientOverflow",
     "COEFFICIENT_LIMIT",
     "DyckPath",
+    "EmptyBound",
     "InvalidTriple",
     "MarkedRankWord",
     "NotCoprime",

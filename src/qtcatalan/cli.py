@@ -3,13 +3,14 @@
 Subcommands: enumerate, stats, rankword, omega, poly, bijection,
 transpose, verify.  Every command takes --format {text,json} and writes
 deterministic output.  Exit codes: 0 success, 1 a verify property
-failed, 2 bad usage or invalid input.
+failed, 2 bad usage or invalid input, 141 the reader closed stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bijection, paths, qtpoly, rankwords, stats, verify
@@ -69,8 +70,8 @@ def _word_obj(word: rankwords.MarkedRankWord) -> dict:
         "n": word.n,
         "word": rankwords.render_word(word),
         "entries": [
-            {"rank": e.rank, "color": e.color, "boxed": e.boxed}
-            for e in word.entries
+            {"rank": r, "color": color, "boxed": boxed}
+            for r, color, boxed in rankwords._listing(word)
         ],
     }
 
@@ -100,10 +101,14 @@ def cmd_poly(args) -> int:
     if args.method == "closed":
         if args.m != 3:
             raise ValueError(f"the closed form needs m = 3, got m = {args.m}")
-        poly = qtpoly.catalan3_closed_form(args.n)
+        terms = qtpoly._closed_form_terms(args.n)
     else:
-        poly = qtpoly.catalan_bruteforce(args.m, args.n)
-    _emit(args, lambda: [poly.render()], poly.json_terms)
+        terms = qtpoly.catalan_bruteforce(args.m, args.n).terms()
+    _emit(
+        args,
+        lambda: [qtpoly.render_terms(terms)],
+        lambda: qtpoly.json_terms(terms),
+    )
     return 0
 
 
@@ -248,7 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to /dev/null, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, the status of a process a closed pipe ends
     except (ValueError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -37,5 +37,9 @@ class NotRealizable(ValueError):
     """The marked rank word does not encode any path."""
 
 
+class EmptyBound(ValueError):
+    """A verify bound selects no lattice, so every check would pass vacuously."""
+
+
 class CoefficientOverflow(OverflowError):
     """A value left the signed 64-bit range promised to consumers."""

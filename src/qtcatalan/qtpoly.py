@@ -10,6 +10,12 @@ same polynomial has a closed form: q^(n-a-s-1) t^a summed over
 0 <= s <= floor(n/3) and s <= a <= n-2s-1.  The two routes stay separate
 (the walk reads no rank word) so each can check the other.
 
+_closed_form_terms lists those terms already in graded-lex order (s
+ascending, then a ascending), and render_terms and json_terms format any
+ordered term list, so the CLI prints the closed form straight from the
+generator: O(output), with no polynomial, no validation and no sort.
+QtPolynomial.render and json_terms format the sorted terms() the same way.
+
 Coefficients and evaluation results are capped at 2^63 - 1 so that JSON
 output stays exact for consumers with 64-bit integers; exceeding the cap
 raises CoefficientOverflow instead of silently degrading.
@@ -17,7 +23,7 @@ raises CoefficientOverflow instead of silently degrading.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import BadResidue, CoefficientOverflow
 from . import paths, stats
@@ -90,23 +96,32 @@ class QtPolynomial:
 
     def render(self) -> str:
         """Human-readable sum in graded-lex term order; "0" when empty."""
-        if not self._terms:
-            return "0"
-        chunks = []
-        for dq, dt, c in self.terms():
-            factors = []
-            if c != 1 or (dq == 0 and dt == 0):
-                factors.append(str(c))
-            if dq:
-                factors.append("q" if dq == 1 else f"q^{dq}")
-            if dt:
-                factors.append("t" if dt == 1 else f"t^{dt}")
-            chunks.append(" ".join(factors))
-        return " + ".join(chunks)
+        return render_terms(self.terms())
 
     def json_terms(self) -> list[dict[str, int]]:
         """Term list for JSON output, in the same order as render."""
-        return [{"q": dq, "t": dt, "c": c} for dq, dt, c in self.terms()]
+        return json_terms(self.terms())
+
+
+def _render_term(dq: int, dt: int, c: int) -> str:
+    factors = []
+    if c != 1 or (dq == 0 and dt == 0):
+        factors.append(str(c))
+    if dq:
+        factors.append("q" if dq == 1 else f"q^{dq}")
+    if dt:
+        factors.append("t" if dt == 1 else f"t^{dt}")
+    return " ".join(factors)
+
+
+def render_terms(terms: Iterable[tuple[int, int, int]]) -> str:
+    """Human-readable sum of (dq, dt, c) terms in the given order; "0" when none."""
+    return " + ".join(_render_term(dq, dt, c) for dq, dt, c in terms) or "0"
+
+
+def json_terms(terms: Iterable[tuple[int, int, int]]) -> list[dict[str, int]]:
+    """JSON term list of (dq, dt, c) terms, in the given order."""
+    return [{"q": dq, "t": dt, "c": c} for dq, dt, c in terms]
 
 
 def catalan_bruteforce(m: int, n: int) -> QtPolynomial:
@@ -136,16 +151,28 @@ def catalan_bruteforce(m: int, n: int) -> QtPolynomial:
         area_from[a] = area_from[a + 1] + heights[a] - floors[a]
 
 
-def catalan3_closed_form(n: int) -> QtPolynomial:
-    """C_{3,n}(q,t) summed directly over the valid statistic triples."""
+def _closed_form_terms(n: int) -> Iterator[tuple[int, int, int]]:
+    """The terms (dq, dt, 1) of C_{3,n}(q,t), in graded-lex order.
+
+    n is checked at the call.  Each (dinv, area) fixes s = n - 1 - area -
+    dinv, so every coefficient is 1; s ascending is total degree n - 1 - s
+    descending, and a ascending within it is q-degree descending.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n % 3 == 0:
         raise BadResidue(f"n must not be a multiple of 3, got {n}")
-    # each (dinv, area) fixes s = n - 1 - area - dinv, so every key is new
-    return QtPolynomial(
-        {(n - a - s - 1, a): 1 for s in range(n // 3 + 1) for a in range(s, n - 2 * s)}
+    return (
+        (n - a - s - 1, a, 1) for s in range(n // 3 + 1) for a in range(s, n - 2 * s)
     )
+
+
+def catalan3_closed_form(n: int) -> QtPolynomial:
+    """C_{3,n}(q,t) summed directly over the valid statistic triples."""
+    poly = QtPolynomial()
+    # distinct keys, exponents >= 0 and coefficients 1: nothing to re-check
+    poly._terms = {(dq, dt): c for dq, dt, c in _closed_form_terms(n)}
+    return poly
 
 
 def is_qt_symmetric(p: QtPolynomial) -> bool:

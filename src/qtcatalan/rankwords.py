@@ -7,8 +7,11 @@ all negative), gives the rank word of the lattice.  Equivalently, the
 color-1 entries are the positive integers below 2n congruent to 2n mod 3
 and the color-2 entries those below n congruent to n mod 3; the two
 residues differ exactly when 3 does not divide n, which is why that case
-is required throughout.  Every function reads the word through that
-residue rule; only MarkedRankWord.entries lists the word entry by entry.
+is required throughout.  Membership (validation, count_skips,
+boxed_counts, path_from_word) reads that residue rule, _color, one rank
+at a time.  Only _listing lists the word: entry by entry in rank order,
+straight from the two progressions, so render_word, MarkedRankWord.entries
+and the CLI's JSON, which all read it, cost O(n) with no _color call.
 
 Marking (boxing) the ranks of the cells above a path yields the marked
 rank word of the path.  The n - y_a cells above column a have ranks
@@ -25,7 +28,7 @@ both O(1); count_skips, over any marking, is the definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import BadResidue, InvalidTriple, NotRealizable, UnsupportedM
 from .paths import DyckPath
@@ -80,14 +83,26 @@ class MarkedRankWord:
     @property
     def entries(self) -> tuple[RankEntry, ...]:
         """The n - 1 entries in increasing rank order."""
-        return tuple(
-            RankEntry(r, color, r in self.boxed)
-            for r in range(1, 2 * self.n)
-            if (color := _color(r, self.n))
-        )
+        return tuple(map(RankEntry._make, _listing(self)))
 
     def __len__(self) -> int:
         return self.n - 1
+
+
+def _listing(w: MarkedRankWord) -> Iterator[tuple[int, int, bool]]:
+    """(rank, color, boxed) of each entry of w, in increasing rank order.
+
+    Below n the word holds every rank not divisible by 3, the colors
+    alternating with color 1 on the residue of 2n; from n up it holds only
+    color 1, every third rank from the first one congruent to 2n.
+    """
+    n, boxed = w.n, w.boxed
+    one = 2 * n % 3
+    for r in range(1, n):
+        if r % 3:
+            yield r, 1 if r % 3 == one else 2, r in boxed
+    for r in range(n + n % 3, 2 * n, 3):
+        yield r, 1, r in boxed
 
 
 def _top_ranks(n: int, k: int, ell: int) -> frozenset[int]:
@@ -203,6 +218,6 @@ def omega(a: int, s: int, d: int) -> MarkedRankWord:
 def render_word(w: MarkedRankWord) -> str:
     """Space-separated "rank_color" entries, boxed ones in square brackets."""
     return " ".join(
-        f"[{e.rank}_{e.color}]" if e.boxed else f"{e.rank}_{e.color}"
-        for e in w.entries
+        f"[{r}_{color}]" if boxed else f"{r}_{color}"
+        for r, color, boxed in _listing(w)
     )

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import bijection, paths, qtpoly, rankwords, stats
+from .errors import EmptyBound
 
 
 @dataclass
@@ -303,7 +304,14 @@ CHECKS = [
 
 
 def run_all(max_n: int = 16, max_mn: int = 12) -> list[CheckResult]:
-    """Run every check; a check that raises counts as a failure."""
+    """Run every check; a check that raises counts as a failure.
+
+    Bounds that select no lattice (max_n < 1, max_mn < 2) raise EmptyBound.
+    """
+    if max_n < 1:
+        raise EmptyBound(f"max_n must be at least 1 to select a lattice, got {max_n}")
+    if max_mn < 2:
+        raise EmptyBound(f"max_mn must be at least 2 to select a lattice, got {max_mn}")
     results = []
     for name, func, scope in CHECKS:
         bound = max_mn if scope == "mn" else max_n

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qtcatalan import QtPolynomial, cli, stats
+from qtcatalan import QtPolynomial, cli, qtpoly, stats
 from qtcatalan.cli import main
 
 PI1_WORD = "NNNNNNEENNE"  # heights (6,6,8)
@@ -301,8 +305,90 @@ def test_text_output_builds_no_json(capsys, monkeypatch):
         raise RuntimeError("built the JSON form for text output")
 
     monkeypatch.setattr(QtPolynomial, "json_terms", refuse)
+    monkeypatch.setattr(qtpoly, "json_terms", refuse)
     monkeypatch.setattr(cli, "_word_obj", refuse)
-    for argv in (["poly", "3", "5"], ["rankword", "8"], ["omega", "3", "2", "2"]):
+    for argv in (["poly", "3", "5"], ["poly", "3", "5", "--method", "closed"],
+                 ["rankword", "8"], ["omega", "3", "2", "2"]):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out
+
+
+# sha256 of the text and JSON output of large words and closed forms, as
+# printed when they were listed through RankEntry tuples and a sorted
+# QtPolynomial
+LARGE_OUTPUT_SHA256 = {
+    ("rankword", "100001"): (
+        "0c8dbb36466db9881035508251b67a5d4b85670a57d9a24d7c5ef7878271c24b",
+        "91d1562e858334a7c910313cd57023d777f456bff258190090860396b5343bf9",
+    ),
+    ("omega", "40000", "20000", "40000"): (
+        "15ddd45d68f309335e1d7060bd0b6eaf1277220796034b692a3d392b39c0bebf",
+        "056c4107c04cd3481d3e3c9cc5ce7a778e5c995bfe0d63667b1c0a7e55b7660f",
+    ),
+    ("poly", "3", "1001", "--method", "closed"): (
+        "9836cad93694f90ef4a1c17b0bb7659c90c53699177822472026f7ef2e794d8e",
+        "7a8a0b2656e1fb85ade542db8278dbe3cab442feaf9735c850952754e424c21f",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LARGE_OUTPUT_SHA256))
+def test_large_output_is_pinned(capsys, argv):
+    digests = []
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == LARGE_OUTPUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("bounds", [
+    ["--max-n", "-5", "--max-mn", "-1"], ["--max-n", "0"], ["--max-mn", "1"],
+])
+def test_verify_rejects_bounds_that_select_nothing(capsys, bounds):
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "verify", *bounds, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: EmptyBound: ")
+        assert len(err.splitlines()) == 1
+
+
+def test_verify_accepts_the_smallest_bounds(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "1", "--max-mn", "2")
+    assert code == 0
+    assert out.splitlines()[-1] == "16 passed, 0 failed"
+
+
+def run_until_the_reader_leaves(argv, keep):
+    """Run the CLI in a child process, read keep(stdout), then close the pipe."""
+    # stdout block-buffered, as it is for a pipe by default, so a short
+    # output reaches the pipe only when it is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "qtcatalan", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = keep(child.stdout)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    return child.wait(timeout=120), head, err
+
+
+@pytest.mark.parametrize("argv, keep, head", [
+    # the reader leaves in the middle of a long output
+    (["enumerate", "3", "200"], lambda out: out.readline(), b"N" * 67 + b"E"),
+    (["rankword", "100001"], lambda out: out.read(10), b"1_1 2_2 4_"),
+    # the reader leaves before anything is written: the flush at the end hits it
+    (["rankword", "5"], lambda out: b"", b""),
+    (["poly", "3", "5", "--method", "closed", "--format", "json"], lambda out: b"", b""),
+])
+def test_a_closed_pipe_exits_141_quietly(argv, keep, head):
+    code, got, err = run_until_the_reader_leaves(argv, keep)
+    assert code == 141
+    assert got.startswith(head)
+    assert err == b""

@@ -6,6 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 import oracles
 from qtcatalan import paths as paths_module
+from qtcatalan import qtpoly
 from qtcatalan import (
     COEFFICIENT_LIMIT,
     BadResidue,
@@ -150,6 +151,32 @@ def test_closed_form_small_cases():
 def test_closed_form_rejects_multiples_of_three():
     with pytest.raises(BadResidue):
         catalan3_closed_form(6)
+
+
+def test_closed_form_terms_come_in_graded_lex_order():
+    # the same terms as the sorted polynomial, in its order, for every n < 400
+    for n in range(1, 400):
+        if n % 3 == 0:
+            continue
+        assert list(qtpoly._closed_form_terms(n)) == catalan3_closed_form(n).terms(), n
+
+
+def test_term_formatting_of_the_closed_form_terms():
+    for n in [*range(1, 100), 398, 399]:
+        if n % 3 == 0:
+            continue
+        poly = catalan3_closed_form(n)
+        assert qtpoly.render_terms(qtpoly._closed_form_terms(n)) == poly.render()
+        assert qtpoly.json_terms(qtpoly._closed_form_terms(n)) == poly.json_terms()
+    assert qtpoly.render_terms([]) == "0"
+    assert qtpoly.json_terms([]) == []
+
+
+def test_closed_form_terms_check_n_at_the_call():
+    with pytest.raises(ValueError, match="n must be positive"):
+        qtpoly._closed_form_terms(0)
+    with pytest.raises(BadResidue, match="n must not be a multiple of 3, got 6"):
+        qtpoly._closed_form_terms(6)
 
 
 def test_closed_form_equals_bruteforce():

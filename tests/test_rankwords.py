@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from qtcatalan import rankwords
 from qtcatalan import (
     BadResidue,
     InvalidTriple,
@@ -67,6 +70,21 @@ def test_entries_match_the_sorted_cell_ranks():
         if n % 3 == 0:
             continue
         assert entry_pairs(lattice_rank_word(n)) == oracles.rank_word_by_sorting(n)
+
+
+def test_listing_reads_the_sorted_cell_ranks_and_any_marking():
+    rng = random.Random(3)
+    for n in range(1, 100):
+        if n % 3 == 0:
+            continue
+        word = oracles.rank_word_by_sorting(n)
+        ranks = [r for r, _ in word]
+        markings = [frozenset(), frozenset(ranks)]
+        markings += [frozenset(rng.sample(ranks, rng.randint(0, len(ranks)))) for _ in range(4)]
+        for boxed in markings:
+            listed = list(rankwords._listing(MarkedRankWord(n, boxed)))
+            assert [(r, color) for r, color, _ in listed] == word
+            assert [b for _, _, b in listed] == [r in boxed for r in ranks]
 
 
 def test_lattice_rank_word_rejects_multiples_of_three():

@@ -2,6 +2,7 @@ import pytest
 
 from qtcatalan import QtPolynomial, StatTriple, bijection, paths, qtpoly, rankwords
 from qtcatalan import stats, verify
+from qtcatalan.errors import EmptyBound
 
 SWAP_NE = str.maketrans("NE", "EN")
 
@@ -58,6 +59,12 @@ def test_all_checks_pass_at_default_scale():
     for r in results:
         assert r.ok, f"{r.name}: {r.counterexample}"
         assert r.checked > 0
+
+
+def test_bounds_that_select_nothing_are_rejected():
+    for bounds in ({"max_n": 0}, {"max_n": -5, "max_mn": -1}, {"max_mn": 1}):
+        with pytest.raises(EmptyBound):
+            verify.run_all(**bounds)
 
 
 def test_a_broken_statistic_is_caught_with_a_counterexample(monkeypatch):
