@@ -141,29 +141,26 @@ def cmd_transpose(args) -> int:
 
 def cmd_verify(args) -> int:
     results = verify.run_all(max_n=args.max_n, max_mn=args.max_mn)
-    failed = [r for r in results if not r.ok]
-    if args.format == "json":
-        obj = {
-            "passed": len(results) - len(failed),
-            "failed": len(failed),
-            "checks": [
-                {
-                    "name": r.name,
-                    "ok": r.ok,
-                    "checked": r.checked,
-                    "counterexample": r.counterexample,
-                }
-                for r in results
-            ],
-        }
-        print(json.dumps(obj, sort_keys=True))
-    else:
+    failed = sum(not r.ok for r in results)
+    passed = len(results) - failed
+
+    def lines():
         for r in results:
             line = f"{'PASS' if r.ok else 'FAIL'}  {r.name:<24} {r.checked:>7} checked"
             if not r.ok:
                 line += f"  counterexample: {r.counterexample}"
-            print(line)
-        print(f"{len(results) - len(failed)} passed, {len(failed)} failed")
+            yield line
+        yield f"{passed} passed, {failed} failed"
+
+    def obj():
+        checks = [
+            {"name": r.name, "ok": r.ok, "checked": r.checked,
+             "counterexample": r.counterexample}
+            for r in results
+        ]
+        return {"passed": passed, "failed": failed, "checks": checks}
+
+    _emit(args, lines, obj)
     return 1 if failed else 0
 
 
@@ -251,8 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            sys.stdout.flush()  # --help has printed: a closed pipe raises here
+            raise
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

@@ -68,21 +68,21 @@ class DyckPath:
             raise ValueError(
                 f"expected {self.m} east heights, got {len(self.east_heights)}"
             )
+        # one pass; the first bad column names the error.  y is below the
+        # floor ceil(a*n/m) exactly when m*y < a*n, y being an integer
+        m, n = self.m, self.n
         prev = 0
-        for y in self.east_heights:
-            if y < prev or y > self.n:
-                raise NotMonotone(
-                    f"heights must weakly increase within 0..{self.n}: "
-                    f"{self.east_heights}"
-                )
-            prev = y
         for a, y in enumerate(self.east_heights, start=1):
-            floor = min_east_height(a, self.m, self.n)
-            if y < floor:
+            if y < prev or y > n:
+                raise NotMonotone(
+                    f"heights must weakly increase within 0..{n}: {self.east_heights}"
+                )
+            if m * y < a * n:
                 raise BelowDiagonal(
                     f"east step {a} at height {y} dips below the diagonal "
-                    f"(needs >= {floor})"
+                    f"(needs >= {min_east_height(a, m, n)})"
                 )
+            prev = y
 
 
 def make_path(m: int, n: int, east_heights: Iterable[int]) -> DyckPath:
@@ -117,8 +117,7 @@ def render_path(p: DyckPath) -> str:
 
 def count_paths(m: int, n: int) -> int:
     """Number of (m,n)-Dyck paths: binomial(m+n, m) / (m+n)."""
-    if gcd(m, n) != 1:
-        raise NotCoprime(f"gcd({m}, {n}) != 1")
+    _check_lattice(m, n)
     return comb(m + n, m) // (m + n)
 
 

@@ -23,6 +23,7 @@ raises CoefficientOverflow instead of silently degrading.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator, Mapping
 
 from .errors import BadResidue, CoefficientOverflow
@@ -39,6 +40,8 @@ class QtPolynomial:
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         clean: dict[tuple[int, int], int] = {}
         for (dq, dt), c in (terms or {}).items():
+            # index, not int: a float exponent or coefficient raises TypeError
+            dq, dt, c = index(dq), index(dt), index(c)
             if dq < 0 or dt < 0:
                 raise ValueError(f"exponents must be nonnegative: q^{dq} t^{dt}")
             if c < 0:
@@ -48,7 +51,7 @@ class QtPolynomial:
                     f"coefficient {c} exceeds {COEFFICIENT_LIMIT}"
                 )
             if c:
-                clean[(int(dq), int(dt))] = int(c)
+                clean[dq, dt] = c
         self._terms = clean
 
     def coefficient(self, dq: int, dt: int) -> int:

@@ -1,14 +1,19 @@
 """Exhaustive desk-scale checks of every structural claim in the package.
 
-Each check scans all relevant objects up to the given bounds and records
-the first counterexample, if any.  Everything is exact; there are no
-tolerances.  max_mn bounds m+n for the general-(m,n) checks, max_n
-bounds n for the three-column checks.
+Each check is a stream of objects (lattices, paths or values of n) and a
+fault that says what is wrong with one of them.  One loop, _scan, runs
+every check: it counts what it visits, stops at the first counterexample,
+names the object in it, and reports a ValueError the library raises on an
+object (every error it raises on a bad value is one) as that object's
+counterexample.  Everything is exact; there are no tolerances.  max_mn
+bounds m+n for the general-(m,n) checks, max_n bounds n for the
+three-column checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 
 from . import bijection, paths, qtpoly, rankwords, stats
@@ -48,52 +53,53 @@ def _three_column_paths(max_n: int):
         yield from paths.enumerate_paths(3, n)
 
 
-def _scan(name: str, objects, fault) -> CheckResult:
+# how a counterexample names its object: a (3,n)-path, an (m,n)-path, a
+# lattice (m,n), or n
+_PATH3 = "n={0.n} {0.east_heights}"
+_PATH = "({0.m},{0.n}) {0.east_heights}"
+_PAIR = "({0[0]},{0[1]})"
+_N = "n={0}"
+
+
+def _cell_count(p) -> int:
+    return sum(paths.cells_above(p))
+
+
+def _scan(name: str, objects, fault, where=_PATH3, size=None) -> CheckResult:
     """Count objects up to and including the first counterexample.
 
-    fault(obj) describes what is wrong with obj, or returns None.
+    fault(obj) describes what is wrong with obj, or returns None; the
+    counterexample is where.format(obj) followed by that problem.  size(obj)
+    is what obj adds to the count (one object by default).
     """
     checked = 0
     for obj in objects:
-        checked += 1
-        problem = fault(obj)
-        if problem is not None:
-            return CheckResult(name, checked, problem)
-    return CheckResult(name, checked)
-
-
-def _names_the_path(fault):
-    """Wrap fault(p, where), where naming the (3,n)-path p.
-
-    A ValueError it raises (every error the library raises on a bad value
-    is one) becomes p's counterexample, so the scan names the path.
-    """
-    def named(p):
-        where = f"n={p.n} {p.east_heights}"
+        checked += 1 if size is None else size(obj)
         try:
-            return fault(p, where)
+            problem = fault(obj)
         except ValueError as exc:
-            return f"{where}: raised {type(exc).__name__}: {exc}"
-    return named
+            problem = f"raised {type(exc).__name__}: {exc}"
+        if problem is not None:
+            return CheckResult(name, checked, f"{where.format(obj)}: {problem}")
+    return CheckResult(name, checked)
 
 
 def check_path_counts(max_mn: int) -> CheckResult:
     """Enumeration size equals binomial(m+n, m) / (m+n)."""
     def fault(pair):
-        m, n = pair
-        seen = sum(1 for _ in paths.enumerate_paths(m, n))
-        want = paths.count_paths(m, n)
+        seen = sum(1 for _ in paths.enumerate_paths(*pair))
+        want = paths.count_paths(*pair)
         if seen != want:
-            return f"({m},{n}): enumerated {seen}, formula {want}"
-    return _scan("path-count", _coprime_pairs(max_mn), fault)
+            return f"enumerated {seen}, formula {want}"
+    return _scan("path-count", _coprime_pairs(max_mn), fault, _PAIR)
 
 
 def check_serialization(max_mn: int) -> CheckResult:
     """parse_path inverts render_path on every path."""
     def fault(p):
         if paths.parse_path(paths.render_path(p)) != p:
-            return f"{p.east_heights}"
-    return _scan("serialization-roundtrip", _mn_paths(max_mn), fault)
+            return "parse_path does not invert render_path"
+    return _scan("serialization-roundtrip", _mn_paths(max_mn), fault, _PATH)
 
 
 def check_shape_monotone(max_mn: int) -> CheckResult:
@@ -101,8 +107,8 @@ def check_shape_monotone(max_mn: int) -> CheckResult:
     def fault(p):
         counts = paths.cells_above(p)
         if any(lo < hi for lo, hi in zip(counts, counts[1:])):
-            return f"{p}: {counts}"
-    return _scan("shape-monotone", _mn_paths(max_mn), fault)
+            return f"column counts {counts}"
+    return _scan("shape-monotone", _mn_paths(max_mn), fault, _PATH)
 
 
 def check_transpose(max_mn: int) -> CheckResult:
@@ -110,10 +116,10 @@ def check_transpose(max_mn: int) -> CheckResult:
     def fault(p):
         q = paths.transpose(p)
         if (q.m, q.n) != (p.n, p.m) or paths.transpose(q) != p:
-            return f"{p.east_heights}"
+            return "transpose is not an involution"
         if stats.area(q) != stats.area(p) or stats.dinv(q) != stats.dinv(p):
-            return f"({p.m},{p.n}) {p.east_heights}: statistics changed"
-    return _scan("transpose-involution", _mn_paths(max_mn), fault)
+            return "statistics changed"
+    return _scan("transpose-involution", _mn_paths(max_mn), fault, _PATH)
 
 
 def check_poly_mn_symmetry(max_mn: int) -> CheckResult:
@@ -121,55 +127,42 @@ def check_poly_mn_symmetry(max_mn: int) -> CheckResult:
     def fault(pair):
         m, n = pair
         if qtpoly.catalan_bruteforce(m, n) != qtpoly.catalan_bruteforce(n, m):
-            return f"({m},{n})"
+            return "C_{m,n} != C_{n,m}"
     pairs = ((m, n) for m, n in _coprime_pairs(max_mn) if m <= n)
-    return _scan("poly-mn-symmetry", pairs, fault)
+    return _scan("poly-mn-symmetry", pairs, fault, _PAIR)
 
 
 def check_rank_positivity(max_n: int) -> CheckResult:
     """Every cell above a (3,n)-path has positive rank."""
-    def fault(cell):
-        n, x = cell
-        if rankwords.rank(x.column, x.row, n) <= 0:
-            return f"n={n} cell {tuple(x)}"
-    cells = ((p.n, x) for p in _three_column_paths(max_n) for x in paths.shape_cells(p))
-    return _scan("rank-positivity", cells, fault)
+    def fault(p):
+        for x in paths.shape_cells(p):
+            r = rankwords.rank(x.column, x.row, p.n)
+            if r <= 0:
+                return f"cell {tuple(x)} has rank {r}"
+    return _scan("rank-positivity", _three_column_paths(max_n), fault, size=_cell_count)
 
 
 def check_cell_classification(max_n: int) -> CheckResult:
     """Each above-path cell gets one label; the label counts match skips and dinv."""
-    name = "cell-classification"
-    checked = 0
-    for p in _three_column_paths(max_n):
-        where = f"n={p.n} {p.east_heights}"
+    def fault(p):
         fenced = contributing = 0
         for x in paths.shape_cells(p):
-            checked += 1
             try:
                 label = stats.classify_nondinv_cell(p, x)
             except AssertionError:
-                return CheckResult(
-                    name, checked, f"{where} cell {tuple(x)}: labels not exclusive"
-                )
+                return f"cell {tuple(x)}: labels not exclusive"
             contributes = label is stats.CellClass.CONTRIBUTES
             if x.column == 2 and not contributes:
-                return CheckResult(
-                    name,
-                    checked,
-                    f"{where} cell {tuple(x)}: second column must contribute",
-                )
+                return f"cell {tuple(x)}: second column must contribute"
             fenced += not contributes
             contributing += contributes
         if fenced != stats.skips(p):
-            return CheckResult(
-                name, checked, f"{where}: {fenced} fenced cells, skips {stats.skips(p)}"
-            )
+            return f"{fenced} fenced cells, skips {stats.skips(p)}"
         d = stats.dinv(p)
         if contributing != d:
-            return CheckResult(
-                name, checked, f"{where}: {contributing} contributing cells, dinv {d}"
-            )
-    return CheckResult(name, checked)
+            return f"{contributing} contributing cells, dinv {d}"
+    paths3 = _three_column_paths(max_n)
+    return _scan("cell-classification", paths3, fault, size=_cell_count)
 
 
 def check_stat_identity(max_n: int) -> CheckResult:
@@ -177,7 +170,7 @@ def check_stat_identity(max_n: int) -> CheckResult:
     def fault(p):
         a, s, d = stats.stat_triple(p)
         if a + s + d != p.n - 1:
-            return f"n={p.n} {p.east_heights}: {a}+{s}+{d} != {p.n - 1}"
+            return f"{a}+{s}+{d} != {p.n - 1}"
     return _scan("stat-identity", _three_column_paths(max_n), fault)
 
 
@@ -187,26 +180,20 @@ def check_stat_inequalities(max_n: int) -> CheckResult:
         a, s, d = stats.stat_triple(p)
         top = p.n - 1 - 2 * s
         if s < 0 or 3 * s >= p.n or not s <= d <= top or not s <= a <= top:
-            return f"n={p.n} {p.east_heights}: triple ({a},{s},{d})"
+            return f"triple ({a},{s},{d})"
     return _scan("stat-inequalities", _three_column_paths(max_n), fault)
 
 
 def check_triple_uniqueness(max_n: int) -> CheckResult:
     """Distinct paths of one lattice carry distinct triples."""
-    def lattice_paths():  # each path beside the triples seen so far in its lattice
-        for n in _three_column_ns(max_n):
-            seen: dict[stats.StatTriple, paths.DyckPath] = {}
-            for p in paths.enumerate_paths(3, n):
-                yield p, seen
+    seen: dict[tuple[int, stats.StatTriple], tuple[int, ...]] = {}  # first heights
 
-    def fault(item):
-        p, seen = item
+    def fault(p):
         t = stats.stat_triple(p)
-        first = seen.setdefault(t, p)
-        if first is not p:
-            pair = f"{first.east_heights} and {p.east_heights}"
-            return f"n={p.n}: {pair} share {tuple(t)}"
-    return _scan("triple-uniqueness", lattice_paths(), fault)
+        first = seen.setdefault((p.n, t), p.east_heights)
+        if first != p.east_heights:
+            return f"shares {tuple(t)} with {first}"
+    return _scan("triple-uniqueness", _three_column_paths(max_n), fault)
 
 
 def check_word_roundtrip(max_n: int) -> CheckResult:
@@ -215,70 +202,68 @@ def check_word_roundtrip(max_n: int) -> CheckResult:
         word = rankwords.mark_from_path(p)
         cells = {rankwords.rank(x.column, x.row, p.n) for x in paths.shape_cells(p)}
         if word.boxed != cells:
-            return f"n={p.n} {p.east_heights}: boxed ranks are not the cell ranks"
+            return "boxed ranks are not the cell ranks"
         if rankwords.path_from_word(word) != p:
-            return f"n={p.n} {p.east_heights}"
+            return "path_from_word does not invert the marking"
     return _scan("word-roundtrip", _three_column_paths(max_n), fault)
 
 
 def check_triple_reconstruction(max_n: int) -> CheckResult:
     """omega rebuilds each path's word; unboxed entries count the area."""
-    @_names_the_path
-    def fault(p, where):
+    def fault(p):
         word = rankwords.mark_from_path(p)
         a, s, d = stats.stat_triple(p)
         if rankwords.omega(a, s, d) != word:
-            return f"{where}: omega({a},{s},{d}) differs"
+            return f"omega({a},{s},{d}) differs"
         unboxed = len(word) - len(word.boxed)
         if unboxed != a or rankwords.count_skips(word) != s:
-            return f"{where}: word statistics disagree"
+            return "word statistics disagree"
     return _scan("triple-reconstruction", _three_column_paths(max_n), fault)
 
 
 def check_triple_realizability(max_n: int) -> CheckResult:
-    """Valid triples and realized triples are the same sets."""
-    checked = 0
-    for n in _three_column_ns(max_n):
+    """Valid triples and realized triples are the same sets.
+
+    Each n counts its paths: as many as its valid triples when this check
+    and triple-uniqueness pass.
+    """
+    def fault(n):
         realized = {tuple(stats.stat_triple(p)) for p in paths.enumerate_paths(3, n)}
         triples = ((a, s, n - 1 - a - s) for a in range(n) for s in range(n - a))
         valid = {t for t in triples if rankwords.is_valid_triple(*t)}
-        checked += len(valid)
         if realized != valid:
-            diff = realized.symmetric_difference(valid)
-            return CheckResult(
-                "triple-realizability", checked, f"n={n}: mismatch at {sorted(diff)[0]}"
-            )
-    return CheckResult("triple-realizability", checked)
+            return f"mismatch at {min(realized ^ valid)}"
+    ns = _three_column_ns(max_n)
+    return _scan("triple-realizability", ns, fault, _N, partial(paths.count_paths, 3))
 
 
 def check_closed_form(max_n: int) -> CheckResult:
     """Brute-force summation agrees with the closed form."""
     def fault(n):
         if qtpoly.catalan_bruteforce(3, n) != qtpoly.catalan3_closed_form(n):
-            return f"n={n}"
-    return _scan("closed-form", _three_column_ns(max_n), fault)
+            return "brute force and closed form differ"
+    return _scan("closed-form", _three_column_ns(max_n), fault, _N)
 
 
 def check_qt_symmetry(max_n: int) -> CheckResult:
     """The closed form is symmetric in q and t."""
     def fault(n):
         if not qtpoly.is_qt_symmetric(qtpoly.catalan3_closed_form(n)):
-            return f"n={n}"
-    return _scan("qt-symmetry", _three_column_ns(max_n), fault)
+            return "closed form not symmetric in q and t"
+    return _scan("qt-symmetry", _three_column_ns(max_n), fault, _N)
 
 
 def check_involution(max_n: int) -> CheckResult:
     """involution swaps area and dinv, fixes skips, and squares to the identity."""
-    @_names_the_path
-    def fault(p, where):
+    def fault(p):
         q = bijection.involution(p)
         if (q.m, q.n) != (3, p.n):
-            return f"{where}: image not a path"
+            return "image not a path"
         a, s, d = stats.stat_triple(p)
         if tuple(stats.stat_triple(q)) != (d, s, a):
-            return f"{where}: triple not swapped"
+            return "triple not swapped"
         if bijection.involution(q) != p:
-            return f"{where}: not an involution"
+            return "not an involution"
     return _scan("involution", _three_column_paths(max_n), fault)
 
 

@@ -386,9 +386,25 @@ def run_until_the_reader_leaves(argv, keep):
     # the reader leaves before anything is written: the flush at the end hits it
     (["rankword", "5"], lambda out: b"", b""),
     (["poly", "3", "5", "--method", "closed", "--format", "json"], lambda out: b"", b""),
+    # argparse prints the help and exits before any command runs
+    (["--help"], lambda out: b"", b""),
+    (["poly", "-h"], lambda out: b"", b""),
 ])
 def test_a_closed_pipe_exits_141_quietly(argv, keep, head):
     code, got, err = run_until_the_reader_leaves(argv, keep)
     assert code == 141
     assert got.startswith(head)
     assert err == b""
+
+
+@pytest.mark.parametrize("argv, code, head", [
+    (["--help"], 0, b"usage: qtcatalan "),
+    (["poly", "-h"], 0, b"usage: qtcatalan poly "),
+    (["poly", "3"], 2, b"usage: qtcatalan poly "),
+])
+def test_help_and_usage_errors_to_an_open_pipe(argv, code, head):
+    got, stdout, stderr = run_until_the_reader_leaves(argv, lambda out: out.read())
+    assert got == code
+    # the help goes to stdout, a usage error to stderr, and nothing to the other
+    assert (stdout if code == 0 else stderr).startswith(head)
+    assert (stderr if code == 0 else stdout) == b""

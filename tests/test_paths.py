@@ -59,6 +59,15 @@ def test_make_path_rejects_decreasing_or_overflowing_heights():
         make_path(3, 5, [-1, 4, 5])
 
 
+def test_the_first_bad_column_names_the_error():
+    # column 1 dips below the diagonal before column 2 breaks monotonicity
+    floor = r"^east step 1 at height 1 dips below the diagonal \(needs >= 2\)$"
+    with pytest.raises(BelowDiagonal, match=floor):
+        make_path(3, 5, [1, 0, 5])
+    with pytest.raises(NotMonotone):
+        make_path(3, 5, [2, 1, 5])
+
+
 def test_make_path_rejects_wrong_height_count():
     with pytest.raises(ValueError):
         make_path(3, 5, [2, 4])
@@ -117,6 +126,16 @@ def test_enumeration_rejects_non_coprime():
     for m, n in ((0, 5), (5, 0), (-3, 4)):
         with pytest.raises(ValueError, match="^m and n must be positive$"):
             list(enumerate_paths(m, n))
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (2, -1), (-1, 2), (3, 6)])
+def test_count_paths_rejects_a_lattice_as_enumeration_does(m, n):
+    with pytest.raises(ValueError) as enumerated:
+        next(enumerate_paths(m, n))
+    with pytest.raises(ValueError) as counted:
+        count_paths(m, n)
+    assert type(counted.value) is type(enumerated.value)
+    assert str(counted.value) == str(enumerated.value)
 
 
 def test_enumeration_rejects_a_lattice_before_computing_any_height(monkeypatch):

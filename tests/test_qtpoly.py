@@ -38,6 +38,13 @@ def test_negative_inputs_are_rejected():
         QtPolynomial({(0, 0): -1})
 
 
+def test_non_integer_exponents_and_coefficients_are_rejected():
+    # int() would truncate q^1.5 to q
+    for terms in ({(1.5, 0): 1}, {(0, 2.0): 1}, {(1, 0): 2.0}, {(1, 0): 0.5}):
+        with pytest.raises(TypeError):
+            QtPolynomial(terms)
+
+
 def test_addition_and_equality_are_exact():
     p = QtPolynomial({(1, 0): 1, (0, 1): 1})
     q = QtPolynomial({(0, 1): 2})

@@ -2,7 +2,7 @@ import pytest
 
 from qtcatalan import QtPolynomial, StatTriple, bijection, paths, qtpoly, rankwords
 from qtcatalan import stats, verify
-from qtcatalan.errors import EmptyBound
+from qtcatalan.errors import EmptyBound, NotMonotone
 
 SWAP_NE = str.maketrans("NE", "EN")
 
@@ -179,3 +179,19 @@ def test_a_skips_fault_that_breaks_the_involution_names_the_path(monkeypatch):
     for name in ("involution", "triple-reconstruction"):
         assert by_name[name].checked > 0
         assert by_name[name].counterexample.startswith("n=2 (1, 2, 2): raised ")
+
+
+def test_a_value_error_in_any_check_names_the_object(monkeypatch):
+    def no_area(p):
+        raise NotMonotone("planted")
+
+    monkeypatch.setattr(stats, "area", no_area)
+    want = "n=1 (1, 1, 1): raised NotMonotone: planted"
+    direct = verify.check_stat_identity(8)
+    assert (direct.checked, direct.counterexample) == (1, want)
+    by_name = {r.name: r for r in verify.run_all(max_n=8, max_mn=6)}
+    assert by_name["stat-identity"].checked > 0
+    assert by_name["stat-identity"].counterexample == want
+    assert by_name["transpose-involution"].counterexample == (
+        "(1,1) (1,): raised NotMonotone: planted"
+    )
