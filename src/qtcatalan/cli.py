@@ -9,11 +9,13 @@ failed, 2 bad usage or invalid input, 141 the reader closed stdout early.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from . import bijection, paths, qtpoly, rankwords, stats, verify
+from .errors import UnsupportedM
 
 
 def _emit(args, text_lines, json_obj) -> None:
@@ -23,10 +25,6 @@ def _emit(args, text_lines, json_obj) -> None:
     else:
         for line in text_lines():
             print(line)
-
-
-def _triple_obj(t: stats.StatTriple) -> dict[str, int]:
-    return {"area": t.area, "skips": t.skips, "dinv": t.dinv}
 
 
 def cmd_enumerate(args) -> int:
@@ -100,7 +98,7 @@ def cmd_omega(args) -> int:
 def cmd_poly(args) -> int:
     if args.method == "closed":
         if args.m != 3:
-            raise ValueError(f"the closed form needs m = 3, got m = {args.m}")
+            raise UnsupportedM(f"the closed form needs m = 3, got m = {args.m}")
         terms = qtpoly._closed_form_terms(args.n)
     else:
         terms = qtpoly.catalan_bruteforce(args.m, args.n).terms()
@@ -124,9 +122,9 @@ def cmd_bijection(args) -> int:
     ]
     obj = {
         "path": args.path,
-        "triple": _triple_obj(t),
+        "triple": t._asdict(),
         "image": paths.render_path(image),
-        "image_triple": _triple_obj(u),
+        "image_triple": u._asdict(),
     }
     _emit(args, lambda: lines, lambda: obj)
     return 0
@@ -153,11 +151,7 @@ def cmd_verify(args) -> int:
         yield f"{passed} passed, {failed} failed"
 
     def obj():
-        checks = [
-            {"name": r.name, "ok": r.ok, "checked": r.checked,
-             "counterexample": r.counterexample}
-            for r in results
-        ]
+        checks = [{**dataclasses.asdict(r), "ok": r.ok} for r in results]
         return {"passed": passed, "failed": failed, "checks": checks}
 
     _emit(args, lines, obj)
@@ -165,11 +159,33 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-
+    # the table is built at each call: bench/tracing.py rebinds cli.cmd_*
+    # after import, and a table built at import would keep the old handlers
+    m, n = ("m", {"type": int}), ("n", {"type": int})
+    step_word = ("path", {"help": "step word over {N,E}"})
+    commands = [
+        ("enumerate", cmd_enumerate, "list all (m,n)-Dyck paths as step words",
+         [m, n]),
+        ("stats", cmd_stats, "statistics of one path given as a step word",
+         [("path", {"help": "step word over {N,E}, e.g. NNENNEE"})]),
+        ("rankword", cmd_rankword,
+         "rank word of a lattice (give n) or of a path (give its step word)",
+         [("target", {"help": "row count n, or a step word"})]),
+        ("omega", cmd_omega,
+         "rebuild the marked rank word and path from (area, skips, dinv)",
+         [(name, {"type": int}) for name in ("area", "skips", "dinv")]),
+        ("poly", cmd_poly, "the polynomial C_{m,n}(q,t)", [m, n, ("--method", {
+            "choices": ("brute", "closed"), "default": "brute",
+            "help": "sum over paths, or use the three-column closed form"})]),
+        ("bijection", cmd_bijection,
+         "image of a (3,n)-path under the area/dinv exchange", [step_word]),
+        ("transpose", cmd_transpose, "the complementary (n,m)-path", [step_word]),
+        ("verify", cmd_verify, "run the exhaustive property checks",
+         [("--max-n", {"type": int, "default": 16,
+                       "help": "bound on n for (3,n) checks"}),
+          ("--max-mn", {"type": int, "default": 12,
+                        "help": "bound on m+n for general checks"})]),
+    ]
     parser = argparse.ArgumentParser(
         prog="qtcatalan",
         description=(
@@ -178,72 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser(
-        "enumerate", parents=[fmt], help="list all (m,n)-Dyck paths as step words"
-    )
-    sp.add_argument("m", type=int)
-    sp.add_argument("n", type=int)
-    sp.set_defaults(func=cmd_enumerate)
-
-    sp = sub.add_parser(
-        "stats", parents=[fmt], help="statistics of one path given as a step word"
-    )
-    sp.add_argument("path", help="step word over {N,E}, e.g. NNENNEE")
-    sp.set_defaults(func=cmd_stats)
-
-    sp = sub.add_parser(
-        "rankword",
-        parents=[fmt],
-        help="rank word of a lattice (give n) or of a path (give its step word)",
-    )
-    sp.add_argument("target", help="row count n, or a step word")
-    sp.set_defaults(func=cmd_rankword)
-
-    sp = sub.add_parser(
-        "omega",
-        parents=[fmt],
-        help="rebuild the marked rank word and path from (area, skips, dinv)",
-    )
-    sp.add_argument("area", type=int)
-    sp.add_argument("skips", type=int)
-    sp.add_argument("dinv", type=int)
-    sp.set_defaults(func=cmd_omega)
-
-    sp = sub.add_parser("poly", parents=[fmt], help="the polynomial C_{m,n}(q,t)")
-    sp.add_argument("m", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument(
-        "--method",
-        choices=("brute", "closed"),
-        default="brute",
-        help="sum over paths, or use the three-column closed form",
-    )
-    sp.set_defaults(func=cmd_poly)
-
-    sp = sub.add_parser(
-        "bijection",
-        parents=[fmt],
-        help="image of a (3,n)-path under the area/dinv exchange",
-    )
-    sp.add_argument("path", help="step word over {N,E}")
-    sp.set_defaults(func=cmd_bijection)
-
-    sp = sub.add_parser(
-        "transpose", parents=[fmt], help="the complementary (n,m)-path"
-    )
-    sp.add_argument("path", help="step word over {N,E}")
-    sp.set_defaults(func=cmd_transpose)
-
-    sp = sub.add_parser(
-        "verify", parents=[fmt], help="run the exhaustive property checks"
-    )
-    sp.add_argument("--max-n", type=int, default=16, help="bound on n for (3,n) checks")
-    sp.add_argument(
-        "--max-mn", type=int, default=12, help="bound on m+n for general checks"
-    )
-    sp.set_defaults(func=cmd_verify)
-
+    for name, handler, help_text, arguments in commands:
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument(
+            "--format", choices=("text", "json"), default="text", help="output format"
+        )
+        for flag, keywords in arguments:
+            sp.add_argument(flag, **keywords)
+        sp.set_defaults(func=handler)
     return parser
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, gcd
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -68,11 +69,13 @@ class DyckPath:
             raise ValueError(
                 f"expected {self.m} east heights, got {len(self.east_heights)}"
             )
-        # one pass; the first bad column names the error.  y is below the
-        # floor ceil(a*n/m) exactly when m*y < a*n, y being an integer
+        # one pass; the first bad column names the error.  index makes y an
+        # integer (a float raises TypeError), so y is below the floor
+        # ceil(a*n/m) exactly when m*y < a*n
         m, n = self.m, self.n
         prev = 0
         for a, y in enumerate(self.east_heights, start=1):
+            y = index(y)
             if y < prev or y > n:
                 raise NotMonotone(
                     f"heights must weakly increase within 0..{n}: {self.east_heights}"

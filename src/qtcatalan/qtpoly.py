@@ -26,8 +26,8 @@ from __future__ import annotations
 from operator import index
 from typing import Iterable, Iterator, Mapping
 
-from .errors import BadResidue, CoefficientOverflow
-from . import paths, stats
+from .errors import CoefficientOverflow
+from . import paths, rankwords, stats
 
 COEFFICIENT_LIMIT = 2**63 - 1
 
@@ -161,10 +161,7 @@ def _closed_form_terms(n: int) -> Iterator[tuple[int, int, int]]:
     dinv, so every coefficient is 1; s ascending is total degree n - 1 - s
     descending, and a ascending within it is q-degree descending.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n % 3 == 0:
-        raise BadResidue(f"n must not be a multiple of 3, got {n}")
+    rankwords._check_rows(n)
     return (
         (n - a - s - 1, a, 1) for s in range(n // 3 + 1) for a in range(s, n - 2 * s)
     )

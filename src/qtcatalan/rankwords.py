@@ -28,6 +28,7 @@ both O(1); count_skips, over any marking, is the definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterator, NamedTuple
 
 from .errors import BadResidue, InvalidTriple, NotRealizable, UnsupportedM
@@ -58,6 +59,18 @@ def _color(r: int, n: int) -> int | None:
     return None
 
 
+def _check_rows(n: int) -> None:
+    """Raise unless n is a row count of the three-column lattice.
+
+    n must be an integer (index: a float raises TypeError), positive and
+    not a multiple of 3.
+    """
+    if index(n) < 1:
+        raise ValueError("n must be positive")
+    if n % 3 == 0:
+        raise BadResidue(f"n must not be a multiple of 3, got {n}")
+
+
 @dataclass(frozen=True)
 class MarkedRankWord:
     """A rank word with a subset of entries boxed.
@@ -72,10 +85,7 @@ class MarkedRankWord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "boxed", frozenset(self.boxed))
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.n % 3 == 0:
-            raise BadResidue(f"n must not be a multiple of 3, got {self.n}")
+        _check_rows(self.n)
         stray = sorted(r for r in self.boxed if _color(r, self.n) is None)
         if stray:
             raise ValueError(f"not ranks of the {self.n}-row lattice: {stray}")
@@ -170,7 +180,11 @@ def path_from_word(w: MarkedRankWord) -> DyckPath:
 
 
 def is_valid_triple(a: int, s: int, d: int) -> bool:
-    """True when some (3, a+s+d+1)-path has these area, skips, dinv values."""
+    """True when some (3, a+s+d+1)-path has these area, skips, dinv values.
+
+    The three values must be integers: a float raises TypeError.
+    """
+    a, s, d = index(a), index(s), index(d)
     if a < 0 or s < 0 or d < 0:
         return False
     return s <= a and s <= d and (a + s + d + 1) % 3 != 0

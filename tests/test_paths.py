@@ -68,6 +68,14 @@ def test_the_first_bad_column_names_the_error():
         make_path(3, 5, [2, 1, 5])
 
 
+def test_heights_must_be_integers():
+    # a float height passed every comparison: area, skips and the
+    # involution then computed with it, and render_path failed
+    for heights in [(2.5, 3, 4), (2, 3.0, 4), (2, 3, 4.0)]:
+        with pytest.raises(TypeError):
+            DyckPath(3, 4, heights)
+
+
 def test_make_path_rejects_wrong_height_count():
     with pytest.raises(ValueError):
         make_path(3, 5, [2, 4])

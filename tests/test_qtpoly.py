@@ -184,6 +184,8 @@ def test_closed_form_terms_check_n_at_the_call():
         qtpoly._closed_form_terms(0)
     with pytest.raises(BadResidue, match="n must not be a multiple of 3, got 6"):
         qtpoly._closed_form_terms(6)
+    with pytest.raises(TypeError):
+        qtpoly._closed_form_terms(4.0)
 
 
 def test_closed_form_equals_bruteforce():

@@ -92,6 +92,16 @@ def test_lattice_rank_word_rejects_multiples_of_three():
         lattice_rank_word(6)
 
 
+def test_row_counts_must_be_integers():
+    # a float n built a word whose rendering failed in range()
+    with pytest.raises(TypeError):
+        lattice_rank_word(4.0)
+    with pytest.raises(TypeError):
+        MarkedRankWord(5.0, frozenset())
+    with pytest.raises(TypeError):
+        omega(1.0, 0, 0)
+
+
 def test_color_counts_and_right_block_structure():
     # the rightmost ceil(n/3) entries are color 1; to their left the
     # colors alternate starting with 2
@@ -192,6 +202,9 @@ def test_is_valid_triple():
     assert not is_valid_triple(2, 2, 4)  # n = 9 divisible by 3
     assert not is_valid_triple(-1, 0, 0)
     assert is_valid_triple(0, 0, 0)
+    for triple in [(0.5, 0, 0), (0, 0.5, 0), (0, 0, 0.5), (1.0, 0, 0)]:
+        with pytest.raises(TypeError):
+            is_valid_triple(*triple)
 
 
 def test_omega_reproduces_the_worked_traces():
