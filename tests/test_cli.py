@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -101,6 +102,17 @@ def test_rankword_of_a_path(capsys):
     code, out, _ = run(capsys, "rankword", PI1_WORD)
     assert code == 0
     assert out.strip() == "1_1 [2_2] 4_1 [5_2] 7_1 [10_1] [13_1]"
+
+
+def test_rankword_takes_a_decimal_row_count(capsys):
+    # '\u0664' (ARABIC-INDIC DIGIT FOUR) is a decimal, and int() reads it as 4
+    for fmt in ("text", "json"):
+        assert run(capsys, "rankword", "\u0664", "--format", fmt) == run(
+            capsys, "rankword", "4", "--format", fmt)
+    # '\u00b2' (SUPERSCRIPT TWO) is a digit but no decimal, so it is read as a
+    # step word
+    assert run(capsys, "rankword", "\u00b2") == (
+        2, "", "error: BadCharacter: step words use only N and E, found '\u00b2'\n")
 
 
 def test_rankword_json_entries(capsys):
@@ -544,8 +556,54 @@ def test_main_runs_the_handler_bound_at_the_call(capsys, monkeypatch):
 
     def fake(args):
         seen.append(args.path)
-        return 0
+        return 0, lambda: [], lambda: {}
 
     monkeypatch.setattr(cli, "cmd_transpose", fake)
     assert run(capsys, "transpose", "NE") == (0, "", "")
     assert seen == ["NE"]
+
+
+# a request of each command: main writes what the handler returns
+HANDLER_REQUESTS = [
+    ["enumerate", "3", "4"], ["stats", PI2_WORD], ["stats", "NNNNE"],
+    ["rankword", "8"], ["rankword", PI1_WORD], ["omega", "3", "2", "2"],
+    ["poly", "3", "5"], ["poly", "3", "5", "--method", "closed"],
+    ["bijection", PI1_WORD], ["transpose", "NNNNE"],
+    ["verify", "--max-n", "7", "--max-mn", "7"],
+]
+
+
+@pytest.mark.parametrize("argv", HANDLER_REQUESTS, ids=" ".join)
+def test_a_handler_returns_its_output_and_prints_nothing(capsys, argv):
+    for fmt in ("text", "json"):
+        args = cli.build_parser().parse_args([*argv, "--format", fmt])
+        code, text, record = getattr(cli, f"cmd_{argv[0]}")(args)
+        assert capsys.readouterr() == ("", "")
+        if fmt == "json":
+            form = json.dumps(record(), sort_keys=True) + "\n"
+        else:
+            form = "".join(f"{line}\n" for line in text())
+        assert run(capsys, *argv, "--format", fmt) == (code, form, "")
+
+
+def test_every_command_has_a_handler():
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(commands) == [name for name, _help, _arguments in cli.COMMANDS]
+    assert {argv[0] for argv in HANDLER_REQUESTS} == set(commands)
+    for name in commands:
+        assert callable(getattr(cli, f"cmd_{name}", None)), name
+
+
+def test_the_parser_is_built_once(capsys, monkeypatch):
+    run(capsys, "transpose", "NNNNE")
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "transpose", "NNNNE") == (0, "NEEEE\n", "")
+    assert built == []
