@@ -10,6 +10,11 @@ Note y_m = n always: the final east step runs along the top edge.
 
 Cells are addressed (column, row), both 1-based, rows numbered bottom to
 top, so cell (1,1) rests on the origin.
+
+Validation runs once, at the boundary: the public constructors (DyckPath,
+make_path, parse_path) check every column, while the paths the library
+derives from a genuine path or lattice, which enumerate_paths yields and
+transpose returns, are built unchecked by _built.
 """
 
 from __future__ import annotations
@@ -54,8 +59,8 @@ class DyckPath:
     """An (m,n)-Dyck path stored as its east-step heights.
 
     east_heights[a-1] is the number of north steps taken before the a-th
-    east step.  Validation runs on construction, so every instance in
-    hand is a genuine path.
+    east step.  Constructing one validates every column; the library
+    builds the paths it derives, valid by construction, through _built.
     """
 
     m: int
@@ -86,6 +91,15 @@ class DyckPath:
                     f"(needs >= {min_east_height(a, m, n)})"
                 )
             prev = y
+
+
+def _built(m: int, n: int, heights: tuple[int, ...]) -> DyckPath:
+    """A DyckPath from data valid by construction, with no validation."""
+    p = object.__new__(DyckPath)
+    object.__setattr__(p, "m", m)
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "east_heights", heights)
+    return p
 
 
 def make_path(m: int, n: int, east_heights: Iterable[int]) -> DyckPath:
@@ -130,7 +144,7 @@ def enumerate_paths(m: int, n: int) -> Iterator[DyckPath]:
     floors = [min_east_height(a, m, n) for a in range(1, m + 1)]
     heights = list(floors)  # the lowest path; floors weakly increase
     while True:
-        yield DyckPath(m, n, tuple(heights))
+        yield _built(m, n, tuple(heights))
         # odometer step: raise the last height below n (the final height
         # is always n) and drop every height after it to its lowest value
         a = m - 2
@@ -178,10 +192,15 @@ def leg(p: DyckPath, x) -> int:
     return x.row - 1 - p.east_heights[x.column - 1]
 
 
-_SWAP_NE = str.maketrans("NE", "EN")
-
-
 def transpose(p: DyckPath) -> DyckPath:
-    """The complementary (n,m)-path: reverse the step word, swap N and E."""
-    word = render_path(p)
-    return parse_path(word[::-1].translate(_SWAP_NE))
+    """The complementary (n,m)-path: reverse the step word, swap N and E.
+
+    The c-th north step of the reversed, swapped word is followed by the
+    y_{m-c+1} - y_{m-c} east steps of column m-c+1 (y_0 = 0), so the image
+    has that many east steps at height c, for c = 1..m.
+    """
+    ys = p.east_heights
+    heights: list[int] = []
+    for c, (top, below) in enumerate(zip(ys[::-1], ys[-2::-1] + (0,)), start=1):
+        heights += [c] * (top - below)
+    return _built(p.n, p.m, tuple(heights))

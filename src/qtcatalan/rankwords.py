@@ -23,6 +23,11 @@ _top_ranks; the cell-by-cell definition is the reference, in verify
 and in tests/oracles.py.  Skips and the involution need no word: _skips
 reads skips off (k, ell) and _counts gives (k, ell) back from (s, d),
 both O(1); count_skips, over any marking, is the definition.
+
+Validation runs once, at the boundary: MarkedRankWord(...) checks n and
+every boxed rank, while the words mark_from_path and omega build from
+_top_ranks, whose ranks are word ranks by construction, come unchecked
+from _word.
 """
 
 from __future__ import annotations
@@ -78,6 +83,8 @@ class MarkedRankWord:
     Only n and the boxed rank set are stored; entry order and colors are
     fixed by n, so equality is structural.  Arbitrary boxed subsets are
     representable; only realizable ones convert back to a path.
+    Constructing one validates n and the boxed ranks; the words the
+    library derives from a path or a triple come unchecked from _word.
     """
 
     n: int
@@ -97,6 +104,14 @@ class MarkedRankWord:
 
     def __len__(self) -> int:
         return self.n - 1
+
+
+def _word(n: int, boxed: frozenset[int]) -> MarkedRankWord:
+    """A MarkedRankWord from ranks valid by construction, with no validation."""
+    w = object.__new__(MarkedRankWord)
+    object.__setattr__(w, "n", n)
+    object.__setattr__(w, "boxed", boxed)
+    return w
 
 
 def _listing(w: MarkedRankWord) -> Iterator[tuple[int, int, bool]]:
@@ -136,7 +151,7 @@ def mark_from_path(p: DyckPath) -> MarkedRankWord:
     if p.m != 3:
         raise UnsupportedM(f"rank words are defined for m = 3, not m = {p.m}")
     y1, y2, _ = p.east_heights
-    return MarkedRankWord(p.n, _top_ranks(p.n, p.n - y1, p.n - y2))
+    return _word(p.n, _top_ranks(p.n, p.n - y1, p.n - y2))
 
 
 def count_skips(w: MarkedRankWord) -> int:
@@ -226,7 +241,7 @@ def omega(a: int, s: int, d: int) -> MarkedRankWord:
     if not is_valid_triple(a, s, d):
         raise InvalidTriple(f"no path has area={a}, skips={s}, dinv={d}")
     n = a + s + d + 1
-    return MarkedRankWord(n, _top_ranks(n, *_counts(n, s, d)))
+    return _word(n, _top_ranks(n, *_counts(n, s, d)))
 
 
 def render_word(w: MarkedRankWord) -> str:

@@ -112,9 +112,10 @@ def check_shape_monotone(max_mn: int) -> CheckResult:
 
 
 def check_transpose(max_mn: int) -> CheckResult:
-    """transpose is an involution preserving area and dinv."""
+    """transpose gives a genuine path, is an involution, preserves area and dinv."""
     def fault(p):
         q = paths.transpose(p)
+        paths.make_path(q.m, q.n, q.east_heights)  # transpose builds q unchecked
         if (q.m, q.n) != (p.n, p.m) or paths.transpose(q) != p:
             return "transpose is not an involution"
         if stats.area(q) != stats.area(p) or stats.dinv(q) != stats.dinv(p):

@@ -5,12 +5,16 @@ as raw step words and filtered point by point, area is counted cell by
 cell from corner positions, dinv uses Fraction arithmetic over an
 explicit cell set, skips works by string surgery on the boxed flags, the
 rank word is sorted from the cell ranks instead of read off residues, a
-path's marking is the set of its cell ranks, and omega walks that sorted
-word entry by entry.
+path's marking is the set of its cell ranks, omega walks that sorted
+word entry by entry, and transpose goes through the step word.
 """
 
 from fractions import Fraction
 from itertools import combinations, groupby
+
+from qtcatalan.paths import parse_path, render_path
+
+SWAP_NE = str.maketrans("NE", "EN")
 
 
 def paths_by_filter(m, n):
@@ -112,3 +116,11 @@ def omega_by_walk(a, s, d):
     # valid triples always leave an entry beyond each skipped run
     assert len(boxed) == d + s
     return frozenset(boxed)
+
+
+def transpose_by_word(p):
+    """The (n,m)-path read from p's step word reversed with N and E swapped.
+
+    parse_path validates the image, so a wrong word raises.
+    """
+    return parse_path(render_path(p)[::-1].translate(SWAP_NE))

@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -217,13 +218,48 @@ def test_transpose_is_a_bijection_between_path_sets():
     assert images == set(enumerate_paths(5, 3))
 
 
-def test_counting_formula_matches_enumeration_for_all_small_pairs():
-    for total in range(2, 13):
+def _coprime_pairs(max_total):
+    for total in range(2, max_total + 1):
         for m in range(1, total):
-            n = total - m
-            if gcd(m, n) != 1:
-                continue
-            assert count_paths(m, n) == sum(1 for _ in enumerate_paths(m, n))
+            if gcd(m, total - m) == 1:
+                yield m, total - m
+
+
+def test_transpose_matches_the_word_route_on_every_small_path():
+    for m, n in _coprime_pairs(16):
+        for p in enumerate_paths(m, n):
+            assert transpose(p) == oracles.transpose_by_word(p)
+
+
+def test_transpose_matches_the_word_route_on_the_edge_lattices():
+    for n in range(1, 41):
+        for m_n in ((1, n), (n, 1)):
+            (p,) = enumerate_paths(*m_n)
+            assert transpose(p) == oracles.transpose_by_word(p)
+
+
+def test_transpose_matches_the_word_route_on_a_long_path():
+    rng = random.Random(12)
+    n = 30001
+    y1 = rng.randint(-(-n // 3), n)
+    y2 = rng.randint(max(y1, -(-2 * n // 3)), n)
+    p = make_path(3, n, [y1, y2, n])
+    assert transpose(p) == oracles.transpose_by_word(p)
+
+
+def test_unchecked_paths_are_genuine_paths():
+    # enumerate_paths and transpose skip validation; each path they build
+    # must equal, and hash like, the validated one
+    for m, n in _coprime_pairs(14):
+        for p in enumerate_paths(m, n):
+            for q in (p, transpose(p)):
+                checked = make_path(q.m, q.n, q.east_heights)
+                assert q == checked and hash(q) == hash(checked)
+
+
+def test_counting_formula_matches_enumeration_for_all_small_pairs():
+    for m, n in _coprime_pairs(12):
+        assert count_paths(m, n) == sum(1 for _ in enumerate_paths(m, n))
 
 
 def test_paths_are_immutable_values():

@@ -128,13 +128,21 @@ def test_mark_from_path_boxes_the_cells_above():
     assert mark_from_path(make_path(3, 8, [8, 8, 8])).boxed == frozenset()
 
 
+def _assert_genuine(w):
+    # mark_from_path and omega skip validation; each word they build must
+    # equal, and hash like, the validated one
+    checked = MarkedRankWord(w.n, w.boxed)
+    assert w == checked and hash(w) == hash(checked)
+
+
 def test_mark_from_path_boxes_the_cell_ranks_of_every_path():
     for n in range(1, 100):
         if n % 3 == 0:
             continue
         for p in enumerate_paths(3, n):
-            want = oracles.marking_by_cells(n, p.east_heights)
-            assert mark_from_path(p).boxed == want
+            word = mark_from_path(p)
+            assert word.boxed == oracles.marking_by_cells(n, p.east_heights)
+            _assert_genuine(word)
 
 
 def test_mark_from_path_needs_three_columns():
@@ -220,7 +228,9 @@ def test_omega_matches_the_walk_on_every_valid_triple():
             for s in range(n - a):
                 d = n - 1 - a - s
                 if is_valid_triple(a, s, d):
-                    assert omega(a, s, d).boxed == oracles.omega_by_walk(a, s, d)
+                    word = omega(a, s, d)
+                    assert word.boxed == oracles.omega_by_walk(a, s, d)
+                    _assert_genuine(word)
 
 
 def test_omega_rejects_invalid_triples():

@@ -142,6 +142,32 @@ def test_an_image_in_another_lattice_is_named(monkeypatch):
     assert result.counterexample == "n=1 (1, 1, 1): image not a path"
 
 
+def test_a_transpose_image_below_the_diagonal_is_named(monkeypatch):
+    # transpose builds its image unchecked, so the check validates it
+    monkeypatch.setattr(
+        paths, "transpose", lambda p: paths._built(p.n, p.m, (0,) * p.n)
+    )
+    result = verify.check_transpose(6)
+    assert (result.checked, result.counterexample) == (
+        1, "(1,1) (1,): raised BelowDiagonal: east step 1 at height 0 dips "
+        "below the diagonal (needs >= 1)",
+    )
+
+
+def test_word_roundtrip_names_marked_ranks_outside_the_lattice(monkeypatch):
+    # mark_from_path builds its word unchecked, so ranks that are not word
+    # ranks reach the comparison with the cell ranks instead of raising
+    real_top_ranks = rankwords._top_ranks
+    monkeypatch.setattr(
+        rankwords, "_top_ranks",
+        lambda n, k, ell: frozenset(r - 3 for r in real_top_ranks(n, k, ell)),
+    )
+    result = verify.check_word_roundtrip(8)
+    assert result.counterexample == (
+        "n=2 (1, 2, 2): boxed ranks are not the cell ranks"
+    )
+
+
 def test_word_roundtrip_catches_a_rule_shared_by_marking_and_inversion(monkeypatch):
     # boxing the smallest ranks of each color is wrong, but mark_from_path
     # and path_from_word share it, so only the cell ranks can tell
