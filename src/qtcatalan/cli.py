@@ -8,8 +8,18 @@ failed, 2 bad usage or invalid input, 141 the reader closed stdout early.
 A command NAME is a row (NAME, help, arguments) of COMMANDS and a
 handler cmd_NAME(args), which main looks up by name at each call.  A
 handler prints nothing: it returns (exit_code, text, record), two
-zero-argument builders of the output's lines and of its JSON object,
-and main builds and writes only the form --format chose.
+zero-argument builders that each yield the output, in text or as JSON,
+as str chunks, and main writes the chunks of the form --format chose as
+they come.  A handler runs every check and every computation that can
+raise before it returns, so the builders only format and a failing
+request writes nothing to stdout.
+
+Outputs that grow with n (a word's entries and rendering, a term list,
+a path list) are formatted a chunk of rows at a time (chunks.joined),
+so no layer holds the whole output.  Their JSON is written by hand: one
+fixed template per row kind, and the keys around the rows in the order
+and with the separators of json.dumps(obj, sort_keys=True).  A small
+record is one json.dumps(obj, sort_keys=True) chunk.
 """
 
 from __future__ import annotations
@@ -20,21 +30,46 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 
 from . import bijection, paths, qtpoly, rankwords, stats, verify
+from .chunks import joined
 from .errors import UnsupportedM
 
-Output = tuple[int, Callable[[], Iterable[str]], Callable[[], object]]
+Output = tuple[int, Callable[[], Iterable[str]], Callable[[], Iterable[str]]]
+
+_ENTRY = '{"boxed": %s, "color": %d, "rank": %d}'
+_TERM = '{"c": %d, "q": %d, "t": %d}'
+_BOOL = ("false", "true")
+
+
+def _text(*lines: str) -> Callable[[], Iterable[str]]:
+    """A short text output: its lines as one chunk."""
+    return lambda: ["".join(f"{line}\n" for line in lines)]
+
+
+def _record(obj: object) -> Callable[[], Iterable[str]]:
+    """A small JSON record as one chunk."""
+    return lambda: [json.dumps(obj, sort_keys=True) + "\n"]
 
 
 def cmd_enumerate(args) -> Output:
-    words = [paths.render_path(p) for p in paths.enumerate_paths(args.m, args.n)]
-    return (
-        0,
-        lambda: words,
-        lambda: {"m": args.m, "n": args.n, "count": len(words), "paths": words},
-    )
+    m, n = args.m, args.n
+    count = paths.count_paths(m, n)  # checks the lattice: enumerate_paths is lazy
+
+    def words() -> Iterator[str]:
+        return map(paths.render_path, paths.enumerate_paths(m, n))
+
+    def text():
+        yield from joined(words(), "\n")
+        yield "\n"
+
+    def record():
+        yield f'{{"count": {count}, "m": {m}, "n": {n}, "paths": ['
+        yield from joined((f'"{word}"' for word in words()), ", ")
+        yield "]}\n"
+
+    return 0, text, record
 
 
 def cmd_stats(args) -> Output:
@@ -59,18 +94,25 @@ def cmd_stats(args) -> Output:
         obj["boxed"] = sorted(word.boxed)
         lines.append(f"skips: {obj['skips']}")
         lines.append(f"rank word: {obj['rank_word']}")
-    return 0, lambda: lines, lambda: obj
+    return 0, _text(*lines), _record(obj)
 
 
-def _word_obj(word: rankwords.MarkedRankWord) -> dict:
-    return {
-        "n": word.n,
-        "word": rankwords.render_word(word),
-        "entries": [
-            {"rank": r, "color": color, "boxed": boxed}
-            for r, color, boxed in rankwords._listing(word)
-        ],
-    }
+def _word_json(
+    word: rankwords.MarkedRankWord, head: str = "", middle: str = ""
+) -> Iterator[str]:
+    """The JSON record of a word: head, "entries", "n", middle, "word".
+
+    head and middle are the '"key": value, ' text of the keys that sort
+    before "entries" and between "n" and "word".
+    """
+    yield f'{{{head}"entries": ['
+    yield from joined(
+        (_ENTRY % (_BOOL[b], color, r) for r, color, b in rankwords._listing(word)),
+        ", ",
+    )
+    yield f'], "n": {word.n}, {middle}"word": "'
+    yield from rankwords._word_chunks(word)
+    yield '"}\n'
 
 
 def cmd_rankword(args) -> Output:
@@ -79,17 +121,26 @@ def cmd_rankword(args) -> Output:
         word = rankwords.lattice_rank_word(int(args.target))
     else:
         word = rankwords.mark_from_path(paths.parse_path(args.target))
-    return 0, lambda: [rankwords.render_word(word)], lambda: _word_obj(word)
+
+    def text():
+        yield from rankwords._word_chunks(word)
+        yield "\n"
+
+    return 0, text, lambda: _word_json(word)
 
 
 def cmd_omega(args) -> Output:
-    word = rankwords.omega(args.area, args.skips, args.dinv)
+    a, s, d = args.area, args.skips, args.dinv
+    word = rankwords.omega(a, s, d)
     path = paths.render_path(rankwords.path_from_word(word))
-    triple = {"area": args.area, "skips": args.skips, "dinv": args.dinv}
-    return (
-        0,
-        lambda: [f"word: {rankwords.render_word(word)}", f"path: {path}"],
-        lambda: {**_word_obj(word), **triple, "path": path},
+
+    def text():
+        yield "word: "
+        yield from rankwords._word_chunks(word)
+        yield f"\npath: {path}\n"
+
+    return 0, text, lambda: _word_json(
+        word, f'"area": {a}, "dinv": {d}, ', f'"path": "{path}", "skips": {s}, '
     )
 
 
@@ -97,10 +148,22 @@ def cmd_poly(args) -> Output:
     if args.method == "closed":
         if args.m != 3:
             raise UnsupportedM(f"the closed form needs m = 3, got m = {args.m}")
-        terms = qtpoly._closed_form_terms(args.n)
+        terms = qtpoly._closed_form_terms(args.n)  # one pass: main reads one form
     else:
         terms = qtpoly.catalan_bruteforce(args.m, args.n).terms()
-    return 0, lambda: [qtpoly.render_terms(terms)], lambda: qtpoly.json_terms(terms)
+
+    def text():
+        yield from qtpoly._term_chunks(terms)
+        yield "\n"
+
+    return 0, text, lambda: _terms_json(terms)
+
+
+def _terms_json(terms: Iterable[tuple[int, int, int]]) -> Iterator[str]:
+    """The JSON record of a polynomial: the bare list of its terms."""
+    yield "["
+    yield from joined((_TERM % (c, dq, dt) for dq, dt, c in terms), ", ")
+    yield "]\n"
 
 
 def cmd_bijection(args) -> Output:
@@ -108,44 +171,40 @@ def cmd_bijection(args) -> Output:
     t = stats.stat_triple(p)
     image = bijection.involution(p)
     u = stats.stat_triple(image)
-    lines = [
-        f"image: {paths.render_path(image)}",
-        f"triple: area={t.area} skips={t.skips} dinv={t.dinv}",
-        f"image triple: area={u.area} skips={u.skips} dinv={u.dinv}",
-    ]
     obj = {
         "path": args.path,
         "triple": t._asdict(),
         "image": paths.render_path(image),
         "image_triple": u._asdict(),
     }
-    return 0, lambda: lines, lambda: obj
+    lines = [
+        f"image: {obj['image']}",
+        f"triple: area={t.area} skips={t.skips} dinv={t.dinv}",
+        f"image triple: area={u.area} skips={u.skips} dinv={u.dinv}",
+    ]
+    return 0, _text(*lines), _record(obj)
 
 
 def cmd_transpose(args) -> Output:
     p = paths.parse_path(args.path)
     word = paths.render_path(paths.transpose(p))
-    return 0, lambda: [word], lambda: {"path": args.path, "transpose": word}
+    return 0, _text(word), _record({"path": args.path, "transpose": word})
 
 
 def cmd_verify(args) -> Output:
     results = verify.run_all(max_n=args.max_n, max_mn=args.max_mn)
     failed = sum(not r.ok for r in results)
     passed = len(results) - failed
-
-    def lines():
-        for r in results:
-            line = f"{'PASS' if r.ok else 'FAIL'}  {r.name:<24} {r.checked:>7} checked"
-            if not r.ok:
-                line += f"  counterexample: {r.counterexample}"
-            yield line
-        yield f"{passed} passed, {failed} failed"
-
-    def obj():
-        checks = [{**dataclasses.asdict(r), "ok": r.ok} for r in results]
-        return {"passed": passed, "failed": failed, "checks": checks}
-
-    return 1 if failed else 0, lines, obj
+    lines = []
+    for r in results:
+        line = f"{'PASS' if r.ok else 'FAIL'}  {r.name:<24} {r.checked:>7} checked"
+        if not r.ok:
+            line += f"  counterexample: {r.counterexample}"
+        lines.append(line)
+    lines.append(f"{passed} passed, {failed} failed")
+    checks = [{**dataclasses.asdict(r), "ok": r.ok} for r in results]
+    obj = {"passed": passed, "failed": failed, "checks": checks}
+    return 1 if failed else 0, _text(*lines), _record(obj)
 
 
 _M, _N = ("m", {"type": int}), ("n", {"type": int})
@@ -200,11 +259,9 @@ def main(argv: list[str] | None = None) -> int:
             raise
         # found by name at each call: bench/tracing.py rebinds cli.cmd_* after import
         code, text, record = globals()[f"cmd_{args.command}"](args)
-        if args.format == "json":
-            print(json.dumps(record(), sort_keys=True))
-        else:
-            for line in text():
-                print(line)
+        write = sys.stdout.write
+        for chunk in (record if args.format == "json" else text)():
+            write(chunk)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:

@@ -11,10 +11,11 @@ same polynomial has a closed form: q^(n-a-s-1) t^a summed over
 (the walk reads no rank word) so each can check the other.
 
 _closed_form_terms lists those terms already in graded-lex order (s
-ascending, then a ascending), and render_terms and json_terms format any
-ordered term list, so the CLI prints the closed form straight from the
-generator: O(output), with no polynomial, no validation and no sort.
-QtPolynomial.render and json_terms format the sorted terms() the same way.
+ascending, then a ascending), and _term_chunks formats any ordered term
+list a chunk of terms at a time, so the CLI writes the closed form
+straight from the generator: O(output) time, with no polynomial, no
+validation, no sort and no whole output in memory.  render_terms joins
+those chunks; QtPolynomial.render formats the sorted terms() the same way.
 
 Coefficients and evaluation results are capped at 2^63 - 1 so that JSON
 output stays exact for consumers with 64-bit integers; exceeding the cap
@@ -23,9 +24,11 @@ raises CoefficientOverflow instead of silently degrading.
 
 from __future__ import annotations
 
+from itertools import starmap
 from operator import index
 from typing import Iterable, Iterator, Mapping
 
+from .chunks import joined
 from .errors import CoefficientOverflow
 from . import paths, rankwords, stats
 
@@ -103,7 +106,7 @@ class QtPolynomial:
 
     def json_terms(self) -> list[dict[str, int]]:
         """Term list for JSON output, in the same order as render."""
-        return json_terms(self.terms())
+        return [{"q": dq, "t": dt, "c": c} for dq, dt, c in self.terms()]
 
 
 def _render_term(dq: int, dt: int, c: int) -> str:
@@ -117,14 +120,16 @@ def _render_term(dq: int, dt: int, c: int) -> str:
     return " ".join(factors)
 
 
+def _term_chunks(terms: Iterable[tuple[int, int, int]]) -> Iterator[str]:
+    """render_terms(terms) as chunks (chunks.joined); "0" when there are none."""
+    rendered = joined(starmap(_render_term, terms), " + ")
+    yield next(rendered, "0")
+    yield from rendered
+
+
 def render_terms(terms: Iterable[tuple[int, int, int]]) -> str:
     """Human-readable sum of (dq, dt, c) terms in the given order; "0" when none."""
-    return " + ".join(_render_term(dq, dt, c) for dq, dt, c in terms) or "0"
-
-
-def json_terms(terms: Iterable[tuple[int, int, int]]) -> list[dict[str, int]]:
-    """JSON term list of (dq, dt, c) terms, in the given order."""
-    return [{"q": dq, "t": dt, "c": c} for dq, dt, c in terms]
+    return "".join(_term_chunks(terms))
 
 
 def catalan_bruteforce(m: int, n: int) -> QtPolynomial:

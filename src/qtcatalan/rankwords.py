@@ -12,6 +12,8 @@ boxed_counts, path_from_word) reads that residue rule, _color, one rank
 at a time.  Only _listing lists the word: entry by entry in rank order,
 straight from the two progressions, so render_word, MarkedRankWord.entries
 and the CLI's JSON, which all read it, cost O(n) with no _color call.
+_word_chunks renders the word a chunk of entries at a time: render_word
+joins the chunks, and the CLI writes them as they come.
 
 Marking (boxing) the ranks of the cells above a path yields the marked
 rank word of the path.  The n - y_a cells above column a have ranks
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 from operator import index
 from typing import Iterator, NamedTuple
 
+from .chunks import joined
 from .errors import BadResidue, InvalidTriple, NotRealizable, UnsupportedM
 from .paths import DyckPath
 
@@ -244,9 +247,14 @@ def omega(a: int, s: int, d: int) -> MarkedRankWord:
     return _word(n, _top_ranks(n, *_counts(n, s, d)))
 
 
+def _word_chunks(w: MarkedRankWord) -> Iterator[str]:
+    """render_word(w) as chunks (chunks.joined)."""
+    entries = (
+        f"[{r}_{color}]" if boxed else f"{r}_{color}" for r, color, boxed in _listing(w)
+    )
+    return joined(entries, " ")
+
+
 def render_word(w: MarkedRankWord) -> str:
     """Space-separated "rank_color" entries, boxed ones in square brackets."""
-    return " ".join(
-        f"[{r}_{color}]" if boxed else f"{r}_{color}"
-        for r, color, boxed in _listing(w)
-    )
+    return "".join(_word_chunks(w))

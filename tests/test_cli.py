@@ -1,14 +1,19 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qtcatalan import QtPolynomial, cli, qtpoly, stats
+from qtcatalan import bijection, chunks, cli, paths, qtpoly, rankwords, stats
 from qtcatalan.cli import main
 
 PI1_WORD = "NNNNNNEENNE"  # heights (6,6,8)
@@ -314,14 +319,17 @@ def test_verify_reports_a_perturbed_statistic(capsys, monkeypatch):
 
 
 def test_text_output_builds_no_json(capsys, monkeypatch):
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise RuntimeError("built the JSON form for text output")
 
-    monkeypatch.setattr(QtPolynomial, "json_terms", refuse)
-    monkeypatch.setattr(qtpoly, "json_terms", refuse)
-    monkeypatch.setattr(cli, "_word_obj", refuse)
+    # the hand-written JSON of words and term lists, and every small record
+    monkeypatch.setattr(cli, "_word_json", refuse)
+    monkeypatch.setattr(cli, "_terms_json", refuse)
+    monkeypatch.setattr(cli.json, "dumps", refuse)
     for argv in (["poly", "3", "5"], ["poly", "3", "5", "--method", "closed"],
-                 ["rankword", "8"], ["omega", "3", "2", "2"]):
+                 ["rankword", "8"], ["rankword", PI1_WORD], ["omega", "3", "2", "2"],
+                 ["enumerate", "3", "4"], ["stats", PI2_WORD], ["bijection", PI1_WORD],
+                 ["transpose", "NNNNE"], ["verify", "--max-n", "7", "--max-mn", "7"]):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out
@@ -356,6 +364,110 @@ def test_large_output_is_pinned(capsys, argv):
     assert tuple(digests) == LARGE_OUTPUT_SHA256[argv]
 
 
+def run_captured(*argv):
+    """main(argv) with stdout and stderr captured, for use under hypothesis."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def word_record(word):
+    entries = [e._asdict() for e in word.entries]
+    return {"n": word.n, "word": rankwords.render_word(word), "entries": entries}
+
+
+def three_column_paths(max_n=40):
+    return st.integers(1, max_n).filter(lambda n: n % 3).flatmap(
+        lambda n: st.sampled_from(list(paths.enumerate_paths(3, n))))
+
+
+def any_paths(max_mn=11):
+    pairs = [(m, n) for m in range(1, max_mn) for n in range(1, max_mn - m + 1)
+             if gcd(m, n) == 1]
+    return st.sampled_from(pairs).flatmap(
+        lambda mn: st.sampled_from(list(paths.enumerate_paths(*mn))))
+
+
+@st.composite
+def json_requests(draw):
+    """(argv, the record built from library data) of a small request."""
+    kind = draw(st.sampled_from(
+        ["enumerate", "stats", "rankword", "omega", "brute", "closed", "bijection",
+         "transpose"]))
+    if kind == "enumerate":
+        p = draw(any_paths())
+        words = [paths.render_path(q) for q in paths.enumerate_paths(p.m, p.n)]
+        return [kind, str(p.m), str(p.n)], {
+            "m": p.m, "n": p.n, "count": len(words), "paths": words}
+    if kind == "stats":
+        p = draw(st.one_of(any_paths(), three_column_paths()))
+        word = paths.render_path(p)
+        record = {"path": word, "m": p.m, "n": p.n,
+                  "area": stats.area(p), "dinv": stats.dinv(p)}
+        if p.m == 3:
+            marked = rankwords.mark_from_path(p)
+            record.update(skips=stats.skips(p), boxed=sorted(marked.boxed),
+                          rank_word=rankwords.render_word(marked))
+        return [kind, word], record
+    if kind == "rankword":
+        if draw(st.booleans()):
+            n = draw(st.integers(1, 200).filter(lambda n: n % 3))
+            return [kind, str(n)], word_record(rankwords.lattice_rank_word(n))
+        p = draw(three_column_paths())
+        return [kind, paths.render_path(p)], word_record(rankwords.mark_from_path(p))
+    if kind == "omega":
+        t = stats.stat_triple(draw(three_column_paths()))
+        word = rankwords.omega(*t)
+        path = paths.render_path(rankwords.path_from_word(word))
+        return [kind, *map(str, t)], {**word_record(word), **t._asdict(), "path": path}
+    if kind in ("brute", "closed"):
+        if kind == "closed":
+            m, n = 3, draw(st.integers(1, 60).filter(lambda n: n % 3))
+            poly = qtpoly.catalan3_closed_form(n)
+        else:
+            p = draw(any_paths())
+            m, n = p.m, p.n
+            poly = qtpoly.catalan_bruteforce(m, n)
+        terms = [{"q": dq, "t": dt, "c": c} for dq, dt, c in poly.terms()]
+        return ["poly", str(m), str(n), "--method", kind], terms
+    p = draw(three_column_paths() if kind == "bijection" else any_paths())
+    word = paths.render_path(p)
+    if kind == "transpose":
+        return [kind, word], {"path": word,
+                              "transpose": paths.render_path(paths.transpose(p))}
+    image = bijection.involution(p)
+    return [kind, word], {
+        "path": word, "image": paths.render_path(image),
+        "triple": stats.stat_triple(p)._asdict(),
+        "image_triple": stats.stat_triple(image)._asdict()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_requests(), st.integers(1, 40))
+def test_json_output_is_canonical_and_holds_the_library_data(request, chars):
+    argv, expected = request
+    # chunks of a few rows, so that small outputs span many of them
+    with mock.patch.object(chunks, "CHARS", chars):
+        code, out, err = run_captured(*argv, "--format", "json")
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert out == json.dumps(obj, sort_keys=True) + "\n"
+    assert obj == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "4", "6"], ["enumerate", "0", "5"], ["omega", "3", "6", "8"],
+    ["rankword", "30"], ["poly", "4", "7", "--method", "closed"],
+], ids=" ".join)
+def test_a_failing_request_writes_nothing_to_stdout(capsys, argv):
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("bounds", [
     ["--max-n", "-5", "--max-mn", "-1"], ["--max-n", "0"], ["--max-mn", "1"],
 ])
@@ -373,17 +485,22 @@ def test_verify_accepts_the_smallest_bounds(capsys):
     assert out.splitlines()[-1] == "16 passed, 0 failed"
 
 
-def run_until_the_reader_leaves(argv, keep):
-    """Run the CLI in a child process, read keep(stdout), then close the pipe."""
+def child_env():
+    """The environment of a child process that runs this checkout's CLI."""
     # stdout block-buffered, as it is for a pipe by default, so a short
     # output reaches the pipe only when it is flushed
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    return env
+
+
+def run_until_the_reader_leaves(argv, keep):
+    """Run the CLI in a child process, read keep(stdout), then close the pipe."""
     child = subprocess.Popen(
         [sys.executable, "-m", "qtcatalan", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=child_env(),
     )
     head = keep(child.stdout)
     child.stdout.close()
@@ -402,12 +519,50 @@ def run_until_the_reader_leaves(argv, keep):
     # argparse prints the help and exits before any command runs
     (["--help"], lambda out: b"", b""),
     (["poly", "-h"], lambda out: b"", b""),
+    # the reader leaves in the middle of a streamed JSON record
+    (["rankword", "100001", "--format", "json"], lambda out: out.read(10),
+     b'{"entries"'),
+    (["enumerate", "3", "200", "--format", "json"], lambda out: out.read1(),
+     b'{"count": 6767, "m": 3, "n": 200, "paths": ["' + b"N" * 67 + b"E"),
 ])
 def test_a_closed_pipe_exits_141_quietly(argv, keep, head):
     code, got, err = run_until_the_reader_leaves(argv, keep)
     assert code == 141
     assert got.startswith(head)
     assert err == b""
+
+
+# Starts the command given in its argv and reports on stderr the command's
+# exit code and peak RSS (ru_maxrss, KiB on Linux).  A child started
+# straight from the test process would report the test process's peak too:
+# Linux carries the peak RSS of the memory an exec replaces into the
+# child's ru_maxrss, and subprocess starts children by vfork.
+LAUNCHER = """\
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_a_large_output_streams_in_bounded_memory():
+    # 167,167 paths of 1,003 steps and a newline each: about 168 MB of text
+    child = subprocess.Popen(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "qtcatalan",
+         "enumerate", "3", "1000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    )
+    size = 0
+    while chunk := child.stdout.read(1 << 20):
+        size += len(chunk)
+    child.stdout.close()
+    report = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 0
+    code, peak_kib = map(int, report.split())
+    assert (code, size) == (0, 167167 * 1004)
+    assert peak_kib < 64 * 1024
 
 
 @pytest.mark.parametrize("argv, code, head", [
@@ -556,7 +711,7 @@ def test_main_runs_the_handler_bound_at_the_call(capsys, monkeypatch):
 
     def fake(args):
         seen.append(args.path)
-        return 0, lambda: [], lambda: {}
+        return 0, lambda: [], lambda: []
 
     monkeypatch.setattr(cli, "cmd_transpose", fake)
     assert run(capsys, "transpose", "NE") == (0, "", "")
@@ -579,10 +734,8 @@ def test_a_handler_returns_its_output_and_prints_nothing(capsys, argv):
         args = cli.build_parser().parse_args([*argv, "--format", fmt])
         code, text, record = getattr(cli, f"cmd_{argv[0]}")(args)
         assert capsys.readouterr() == ("", "")
-        if fmt == "json":
-            form = json.dumps(record(), sort_keys=True) + "\n"
-        else:
-            form = "".join(f"{line}\n" for line in text())
+        form = "".join(record() if fmt == "json" else text())
+        assert capsys.readouterr() == ("", "")
         assert run(capsys, *argv, "--format", fmt) == (code, form, "")
 
 
