@@ -7,19 +7,18 @@ failed, 2 bad usage or invalid input, 141 the reader closed stdout early.
 
 A command NAME is a row (NAME, help, arguments) of COMMANDS and a
 handler cmd_NAME(args), which main looks up by name at each call.  A
-handler prints nothing: it returns (exit_code, text, record), two
-zero-argument builders that each yield the output, in text or as JSON,
-as str chunks, and main writes the chunks of the form --format chose as
-they come.  A handler runs every check and every computation that can
-raise before it returns, so the builders only format and a failing
-request writes nothing to stdout.
+handler prints nothing: it returns (exit_code, text, record).  text is
+the text output as a lazy iterable of str chunks; record is the JSON
+output as plain data, which _json writes.  A handler runs every check
+and every computation that can raise before it returns, so what is left
+only formats and a failing request writes nothing to stdout.
 
 Outputs that grow with n (a word's entries and rendering, a term list,
 a path list) are formatted a chunk of rows at a time (chunks.joined),
-so no layer holds the whole output.  Their JSON is written by hand: one
-fixed template per row kind, and the keys around the rows in the order
-and with the separators of json.dumps(obj, sort_keys=True).  A small
-record is one json.dumps(obj, sort_keys=True) chunk.
+so no layer holds the whole output.  In a record such a value is an
+iterator of its own JSON text, rows written from one fixed template per
+row kind.  _json is the one JSON writer: every record it writes is
+json.dumps(record, sort_keys=True) byte for byte.
 """
 
 from __future__ import annotations
@@ -30,46 +29,48 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 from . import bijection, paths, qtpoly, rankwords, stats, verify
 from .chunks import joined
 from .errors import UnsupportedM
 
-Output = tuple[int, Callable[[], Iterable[str]], Callable[[], Iterable[str]]]
+Output = tuple[int, Iterable[str], object]
 
 _ENTRY = '{"boxed": %s, "color": %d, "rank": %d}'
 _TERM = '{"c": %d, "q": %d, "t": %d}'
 _BOOL = ("false", "true")
 
 
-def _text(*lines: str) -> Callable[[], Iterable[str]]:
-    """A short text output: its lines as one chunk."""
-    return lambda: ["".join(f"{line}\n" for line in lines)]
+def _json(record: object) -> Iterator[str]:
+    """json.dumps(record, sort_keys=True) as chunks.
+
+    An iterator value is taken as its own JSON text and written as it comes.
+    """
+    if isinstance(record, dict):
+        yield "{"
+        for i, key in enumerate(sorted(record)):
+            yield f'{", " if i else ""}{json.dumps(key)}: '
+            yield from _json(record[key])
+        yield "}"
+    elif isinstance(record, Iterator):
+        yield from record
+    else:
+        yield json.dumps(record, sort_keys=True)
 
 
-def _record(obj: object) -> Callable[[], Iterable[str]]:
-    """A small JSON record as one chunk."""
-    return lambda: [json.dumps(obj, sort_keys=True) + "\n"]
+def _array(rows: Iterable[str]) -> Iterator[str]:
+    """The JSON array of rows, each the JSON text of one item."""
+    return chain("[", joined(rows, ", "), "]")
 
 
 def cmd_enumerate(args) -> Output:
     m, n = args.m, args.n
     count = paths.count_paths(m, n)  # checks the lattice: enumerate_paths is lazy
-
-    def words() -> Iterator[str]:
-        return map(paths.render_path, paths.enumerate_paths(m, n))
-
-    def text():
-        yield from joined(words(), "\n")
-        yield "\n"
-
-    def record():
-        yield f'{{"count": {count}, "m": {m}, "n": {n}, "paths": ['
-        yield from joined((f'"{word}"' for word in words()), ", ")
-        yield "]}\n"
-
-    return 0, text, record
+    words = map(paths.render_path, paths.enumerate_paths(m, n))  # main reads one form
+    record = {"count": count, "m": m, "n": n, "paths": _array(f'"{w}"' for w in words)}
+    return 0, chain(joined(words, "\n"), "\n"), record
 
 
 def cmd_stats(args) -> Output:
@@ -94,25 +95,17 @@ def cmd_stats(args) -> Output:
         obj["boxed"] = sorted(word.boxed)
         lines.append(f"skips: {obj['skips']}")
         lines.append(f"rank word: {obj['rank_word']}")
-    return 0, _text(*lines), _record(obj)
+    return 0, ["".join(f"{line}\n" for line in lines)], obj
 
 
-def _word_json(
-    word: rankwords.MarkedRankWord, head: str = "", middle: str = ""
-) -> Iterator[str]:
-    """The JSON record of a word: head, "entries", "n", middle, "word".
-
-    head and middle are the '"key": value, ' text of the keys that sort
-    before "entries" and between "n" and "word".
-    """
-    yield f'{{{head}"entries": ['
-    yield from joined(
-        (_ENTRY % (_BOOL[b], color, r) for r, color, b in rankwords._listing(word)),
-        ", ",
-    )
-    yield f'], "n": {word.n}, {middle}"word": "'
-    yield from rankwords._word_chunks(word)
-    yield '"}\n'
+def _word_record(word: rankwords.MarkedRankWord) -> dict[str, object]:
+    """The JSON record of a word: its entries, n and rendering."""
+    listing = rankwords._listing(word)
+    return {
+        "entries": _array(_ENTRY % (_BOOL[b], color, r) for r, color, b in listing),
+        "n": word.n,
+        "word": chain('"', rankwords._word_chunks(word), '"'),
+    }
 
 
 def cmd_rankword(args) -> Output:
@@ -121,27 +114,16 @@ def cmd_rankword(args) -> Output:
         word = rankwords.lattice_rank_word(int(args.target))
     else:
         word = rankwords.mark_from_path(paths.parse_path(args.target))
-
-    def text():
-        yield from rankwords._word_chunks(word)
-        yield "\n"
-
-    return 0, text, lambda: _word_json(word)
+    return 0, chain(rankwords._word_chunks(word), "\n"), _word_record(word)
 
 
 def cmd_omega(args) -> Output:
     a, s, d = args.area, args.skips, args.dinv
     word = rankwords.omega(a, s, d)
     path = paths.render_path(rankwords.path_from_word(word))
-
-    def text():
-        yield "word: "
-        yield from rankwords._word_chunks(word)
-        yield f"\npath: {path}\n"
-
-    return 0, text, lambda: _word_json(
-        word, f'"area": {a}, "dinv": {d}, ', f'"path": "{path}", "skips": {s}, '
-    )
+    text = chain(["word: "], rankwords._word_chunks(word), [f"\npath: {path}\n"])
+    record = {**_word_record(word), "area": a, "dinv": d, "path": path, "skips": s}
+    return 0, text, record
 
 
 def cmd_poly(args) -> Output:
@@ -151,19 +133,8 @@ def cmd_poly(args) -> Output:
         terms = qtpoly._closed_form_terms(args.n)  # one pass: main reads one form
     else:
         terms = qtpoly.catalan_bruteforce(args.m, args.n).terms()
-
-    def text():
-        yield from qtpoly._term_chunks(terms)
-        yield "\n"
-
-    return 0, text, lambda: _terms_json(terms)
-
-
-def _terms_json(terms: Iterable[tuple[int, int, int]]) -> Iterator[str]:
-    """The JSON record of a polynomial: the bare list of its terms."""
-    yield "["
-    yield from joined((_TERM % (c, dq, dt) for dq, dt, c in terms), ", ")
-    yield "]\n"
+    record = _array(_TERM % (c, dq, dt) for dq, dt, c in terms)
+    return 0, chain(qtpoly._term_chunks(terms), "\n"), record
 
 
 def cmd_bijection(args) -> Output:
@@ -177,18 +148,18 @@ def cmd_bijection(args) -> Output:
         "image": paths.render_path(image),
         "image_triple": u._asdict(),
     }
-    lines = [
-        f"image: {obj['image']}",
-        f"triple: area={t.area} skips={t.skips} dinv={t.dinv}",
-        f"image triple: area={u.area} skips={u.skips} dinv={u.dinv}",
-    ]
-    return 0, _text(*lines), _record(obj)
+    text = (
+        f"image: {obj['image']}\n"
+        f"triple: area={t.area} skips={t.skips} dinv={t.dinv}\n"
+        f"image triple: area={u.area} skips={u.skips} dinv={u.dinv}\n"
+    )
+    return 0, [text], obj
 
 
 def cmd_transpose(args) -> Output:
     p = paths.parse_path(args.path)
     word = paths.render_path(paths.transpose(p))
-    return 0, _text(word), _record({"path": args.path, "transpose": word})
+    return 0, [f"{word}\n"], {"path": args.path, "transpose": word}
 
 
 def cmd_verify(args) -> Output:
@@ -204,7 +175,7 @@ def cmd_verify(args) -> Output:
     lines.append(f"{passed} passed, {failed} failed")
     checks = [{**dataclasses.asdict(r), "ok": r.ok} for r in results]
     obj = {"passed": passed, "failed": failed, "checks": checks}
-    return 1 if failed else 0, _text(*lines), _record(obj)
+    return 1 if failed else 0, ["".join(f"{line}\n" for line in lines)], obj
 
 
 _M, _N = ("m", {"type": int}), ("n", {"type": int})
@@ -260,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         # found by name at each call: bench/tracing.py rebinds cli.cmd_* after import
         code, text, record = globals()[f"cmd_{args.command}"](args)
         write = sys.stdout.write
-        for chunk in (record if args.format == "json" else text)():
+        for chunk in chain(_json(record), "\n") if args.format == "json" else text:
             write(chunk)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

@@ -94,7 +94,8 @@ class MarkedRankWord:
     boxed: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "boxed", frozenset(self.boxed))
+        # index: a float rank raises TypeError, and the set holds plain ints
+        object.__setattr__(self, "boxed", frozenset(map(index, self.boxed)))
         _check_rows(self.n)
         stray = sorted(r for r in self.boxed if _color(r, self.n) is None)
         if stray:

@@ -322,9 +322,8 @@ def test_text_output_builds_no_json(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("built the JSON form for text output")
 
-    # the hand-written JSON of words and term lists, and every small record
-    monkeypatch.setattr(cli, "_word_json", refuse)
-    monkeypatch.setattr(cli, "_terms_json", refuse)
+    # the one JSON writer, and every value it writes through json.dumps
+    monkeypatch.setattr(cli, "_json", refuse)
     monkeypatch.setattr(cli.json, "dumps", refuse)
     for argv in (["poly", "3", "5"], ["poly", "3", "5", "--method", "closed"],
                  ["rankword", "8"], ["rankword", PI1_WORD], ["omega", "3", "2", "2"],
@@ -545,12 +544,20 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
 """
 
 
+# enumerate 3 1000: 167,167 paths of 1,003 steps, about 168 MB in either form
+LARGE_OUTPUT_SIZE = {
+    "text": 167167 * 1004,  # a newline after each path
+    "json": len('{"count": 167167, "m": 3, "n": 1000, "paths": []}\n')
+    + 167167 * 1005 + 167166 * 2,  # quoted, and ", " between them
+}
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
-def test_a_large_output_streams_in_bounded_memory():
-    # 167,167 paths of 1,003 steps and a newline each: about 168 MB of text
+@pytest.mark.parametrize("fmt", sorted(LARGE_OUTPUT_SIZE))
+def test_a_large_output_streams_in_bounded_memory(fmt):
     child = subprocess.Popen(
         [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "qtcatalan",
-         "enumerate", "3", "1000"],
+         "enumerate", "3", "1000", "--format", fmt],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
     )
     size = 0
@@ -561,7 +568,7 @@ def test_a_large_output_streams_in_bounded_memory():
     child.stderr.close()
     assert child.wait(timeout=120) == 0
     code, peak_kib = map(int, report.split())
-    assert (code, size) == (0, 167167 * 1004)
+    assert (code, size) == (0, LARGE_OUTPUT_SIZE[fmt])
     assert peak_kib < 64 * 1024
 
 
@@ -711,7 +718,7 @@ def test_main_runs_the_handler_bound_at_the_call(capsys, monkeypatch):
 
     def fake(args):
         seen.append(args.path)
-        return 0, lambda: [], lambda: []
+        return 0, [], {}
 
     monkeypatch.setattr(cli, "cmd_transpose", fake)
     assert run(capsys, "transpose", "NE") == (0, "", "")
@@ -734,7 +741,7 @@ def test_a_handler_returns_its_output_and_prints_nothing(capsys, argv):
         args = cli.build_parser().parse_args([*argv, "--format", fmt])
         code, text, record = getattr(cli, f"cmd_{argv[0]}")(args)
         assert capsys.readouterr() == ("", "")
-        form = "".join(record() if fmt == "json" else text())
+        form = "".join([*cli._json(record), "\n"] if fmt == "json" else text)
         assert capsys.readouterr() == ("", "")
         assert run(capsys, *argv, "--format", fmt) == (code, form, "")
 

@@ -175,11 +175,11 @@ def test_term_formatting_of_the_closed_form_terms():
         poly = catalan3_closed_form(n)
         assert qtpoly.render_terms(qtpoly._closed_form_terms(n)) == poly.render()
         # the CLI's JSON of the same terms, as json.dumps writes the library's
-        assert "".join(cli._terms_json(qtpoly._closed_form_terms(n))) == (
-            json.dumps(poly.json_terms(), sort_keys=True) + "\n"
-        )
+        args = cli.build_parser().parse_args(["poly", "3", str(n), "--method", "closed"])
+        _code, _text, record = cli.cmd_poly(args)
+        assert "".join(cli._json(record)) == json.dumps(poly.json_terms(), sort_keys=True)
     assert qtpoly.render_terms([]) == "0"
-    assert "".join(cli._terms_json([])) == "[]\n"
+    assert "".join(cli._json(cli._array([]))) == "[]"
 
 
 def test_closed_form_terms_check_n_at_the_call():

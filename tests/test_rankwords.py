@@ -100,6 +100,11 @@ def test_row_counts_must_be_integers():
         MarkedRankWord(5.0, frozenset())
     with pytest.raises(TypeError):
         omega(1.0, 0, 0)
+    # and so must boxed ranks, which the word then holds as plain ints
+    with pytest.raises(TypeError):
+        MarkedRankWord(8, frozenset({5.0}))
+    with pytest.raises(TypeError):
+        MarkedRankWord(8, frozenset({5.5}))
 
 
 def test_color_counts_and_right_block_structure():
