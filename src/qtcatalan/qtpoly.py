@@ -4,11 +4,14 @@ catalan_bruteforce sums q^dinv t^area over every (m,n)-Dyck path.  It
 builds no DyckPath: an iterative odometer chooses the heights from the
 last column down and carries the dinv and area of the columns set so
 far, because column a's dinv term (stats._column_dinv) reads only the
-heights from column a on and area is a sum over columns.  Each path then
-costs one column, O(m) steps, at the bottom of the walk.  For m = 3 the
-same polynomial has a closed form: q^(n-a-s-1) t^a summed over
-0 <= s <= floor(n/3) and s <= a <= n-2s-1.  The two routes stay separate
-(the walk reads no rank word) so each can check the other.
+heights from column a on and area is a sum over columns.  Beside the
+heights it keeps the first rise at or after each column (stats._rises),
+in O(1) per column set, so a column's dinv visits only the stretches
+that exist.  Each path then costs one column, O(min(m, n)) steps, at the
+bottom of the walk.  For m = 3 the same polynomial has a closed form:
+q^(n-a-s-1) t^a summed over 0 <= s <= floor(n/3) and s <= a <= n-2s-1.
+The two routes stay separate (the walk reads no rank word) so each can
+check the other.
 
 _closed_form_terms lists those terms already in graded-lex order (s
 ascending, then a ascending), and _term_chunks formats any ordered term
@@ -138,15 +141,17 @@ def catalan_bruteforce(m: int, n: int) -> QtPolynomial:
     floors = [paths.min_east_height(a, m, n) for a in range(1, m + 1)]
     legs = stats._dinv_legs(m, n)
     heights = [n] * m
+    nxt = [m - 1] * m  # stats._rises of the columns set so far
     # dinv and area of columns a..m-1; the last column, at height n, adds nothing
     dinv_from = [0] * m
     area_from = [0] * m
     counts: dict[tuple[int, int], int] = {}
     a = m - 1  # columns a..m-1 are set
     while True:
-        if a > 0:  # the next column down starts at its highest height
+        if a > 0:  # the next column down starts at its highest height: no rise
             a -= 1
             heights[a] = heights[a + 1]
+            nxt[a] = nxt[a + 1]
         else:  # a whole path: count it, then lower the first column above its floor
             key = (dinv_from[0], area_from[0])
             counts[key] = counts.get(key, 0) + 1
@@ -154,8 +159,9 @@ def catalan_bruteforce(m: int, n: int) -> QtPolynomial:
                 a += 1
             if a == m - 1:
                 return QtPolynomial(counts)
-            heights[a] -= 1
-        dinv_from[a] = dinv_from[a + 1] + stats._column_dinv(heights, a, legs)
+            heights[a] -= 1  # now below column a + 1: a rise
+            nxt[a] = a
+        dinv_from[a] = dinv_from[a + 1] + stats._column_dinv(heights, a, legs, nxt)
         area_from[a] = area_from[a + 1] + heights[a] - floors[a]
 
 

@@ -16,7 +16,9 @@ arm k the inequality solves to the leg interval
     k*n // m  <=  leg  <=  (n*(k+1) - 1) // m,
 
 so dinv adds up, per column, the overlap of each such stretch of legs
-with its interval: O(m) per column and O(m^2) per path, whatever n is.
+with its interval.  A stretch is empty unless its column rises, and a
+column has at most min(m - 1, n - y) rises after it, so this costs
+O(min(m, n)) per column and O(m*min(m, n)) per path, whatever n is.
 
 skips applies to three-column paths only: it is the number of maximal
 unboxed runs fenced by boxed entries in the marked rank word
@@ -69,31 +71,53 @@ def _dinv_legs(m: int, n: int) -> list[tuple[int, int]]:
     return [(k * n // m, (n * (k + 1) - 1) // m + 1) for k in range(m - 1)]
 
 
-def _column_dinv(heights, a: int, legs: list[tuple[int, int]]) -> int:
-    """dinv cells of column a (0-based); reads only heights[a:].
+def _rises(heights) -> list[int]:
+    """nxt[a], the first rise r >= a (heights[r] < heights[r + 1]); m - 1 if none.
+
+    Built from the last column down, O(m): nxt[a] is a itself when column
+    a rises, else nxt[a + 1].
+    """
+    last = len(heights) - 1
+    nxt = [last] * len(heights)
+    for a in range(last - 1, -1, -1):
+        nxt[a] = a if heights[a] < heights[a + 1] else nxt[a + 1]
+    return nxt
+
+
+def _column_dinv(heights, a: int, legs: list[tuple[int, int]], nxt) -> int:
+    """dinv cells of column a (0-based); reads only heights[a:] and nxt[a:].
 
     In column a the rows y_a < row <= y_{a+1} have arm 0, the rows
     y_{a+1} < row <= y_{a+2} arm 1, and so on, since y_m = n; a stretch
     with arm k holds the legs y_{a+k} - y_a .. y_{a+k+1} - y_a - 1, and
-    exactly those in legs[k] straddle.  Summing the overlaps costs O(m).
+    exactly those in legs[k] straddle.  Stretch k is empty unless column
+    a + k rises, so the sum of the overlaps visits only the rises r =
+    nxt[a], nxt[r + 1], ... (nxt as _rises builds it): at most
+    min(m - 1, n - y_a) of them.
     """
     y = heights[a]
+    last = len(heights) - 1
     total = 0
-    for (low, high), bottom, top in zip(legs, heights[a:], heights[a + 1:]):
-        lo, hi = bottom - y, top - y  # the stretch's legs, half-open
+    r = nxt[a]
+    while r < last:
+        low, high = legs[r - a]
+        lo, hi = heights[r] - y, heights[r + 1] - y  # the stretch's legs, half-open
         if lo < low:
             lo = low
         if hi > high:
             hi = high
         if lo < hi:
             total += hi - lo
+        r = nxt[r + 1]
     return total
 
 
 def dinv(p: DyckPath) -> int:
-    """Cells above the path satisfying the straddle inequality, O(m^2)."""
+    """Cells above the path satisfying the straddle inequality, O(m*min(m, n))."""
+    heights = p.east_heights
     legs = _dinv_legs(p.m, p.n)
-    return sum(_column_dinv(p.east_heights, a, legs) for a in range(p.m))
+    nxt = _rises(heights)
+    return sum(_column_dinv(heights, a, legs, nxt) for a in range(p.m))
 
 
 def skips(p: DyckPath) -> int:

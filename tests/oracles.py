@@ -6,7 +6,8 @@ cell from corner positions, dinv uses Fraction arithmetic over an
 explicit cell set, skips works by string surgery on the boxed flags, the
 rank word is sorted from the cell ranks instead of read off residues, a
 path's marking is the set of its cell ranks, omega walks that sorted
-word entry by entry, and transpose goes through the step word.
+word entry by entry, transpose goes through the step word, and the sweep
+map reorders the step word, so its area is a third route to dinv.
 """
 
 from fractions import Fraction
@@ -124,3 +125,23 @@ def transpose_by_word(p):
     parse_path validates the image, so a wrong word raises.
     """
     return parse_path(render_path(p)[::-1].translate(SWAP_NE))
+
+
+def sweep(p):
+    """The sweep map: p's steps read in increasing level m*y - n*x of their start.
+
+    x counts the E steps before a step and y the N steps.  For coprime m
+    and n the m + n start levels are distinct, and the image of an
+    (m,n)-Dyck path is one with area equal to the path's dinv
+    (Armstrong, Loehr and Warrington 2016; Gorsky and Mazin 2013).
+    parse_path validates the image.
+    """
+    x = y = 0
+    leveled = []
+    for ch in render_path(p):
+        leveled.append((p.m * y - p.n * x, ch))
+        if ch == "E":
+            x += 1
+        else:
+            y += 1
+    return parse_path("".join(ch for _, ch in sorted(leveled)))

@@ -131,6 +131,25 @@ def test_bruteforce_equals_the_oracle_sum():
             assert catalan_bruteforce(m, n) == QtPolynomial(counts), (m, n)
 
 
+def test_bruteforce_equals_the_sweep_sum():
+    # dinv as the area of the sweep map's image: a route to C_{m,n}(q,t)
+    # that reads no arm, leg or straddle interval
+    for total in range(2, 19):
+        for m in range(1, total):
+            n = total - m
+            if gcd(m, n) != 1:
+                continue
+            counts = {}
+            for p in enumerate_paths(m, n):
+                image = oracles.sweep(p)
+                key = (
+                    oracles.area_by_cells(m, n, image.east_heights),
+                    oracles.area_by_cells(m, n, p.east_heights),
+                )
+                counts[key] = counts.get(key, 0) + 1
+            assert catalan_bruteforce(m, n) == QtPolynomial(counts), (m, n)
+
+
 @given(st.integers(1, 9), st.integers(1, 9))
 def test_bruteforce_equals_the_sum_of_path_statistics(m, n):
     assume(gcd(m, n) == 1)

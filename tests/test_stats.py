@@ -77,6 +77,22 @@ def test_dinv_matches_fraction_oracle():
             assert dinv(p) == oracles.dinv_by_cells(m, n, p.east_heights)
 
 
+def test_the_sweep_map_carries_dinv_to_area():
+    # a third route to dinv, sharing nothing with the arm/leg intervals:
+    # the sweep map permutes each lattice, and its image's area, counted
+    # cell by cell, is the path's dinv
+    for total in range(2, 19):
+        for m in range(1, total):
+            n = total - m
+            if gcd(m, n) != 1:
+                continue
+            lattice = list(enumerate_paths(m, n))
+            images = [oracles.sweep(p) for p in lattice]
+            assert {q.east_heights for q in images} == {p.east_heights for p in lattice}
+            for p, q in zip(lattice, images):
+                assert oracles.area_by_cells(m, n, q.east_heights) == dinv(p), p
+
+
 def lifted_path(m, n, raw):
     """The path whose heights are the sorted raw heights lifted to the diagonal."""
     return make_path(
@@ -98,6 +114,9 @@ def dyck_paths(draw):
 @example(make_path(40, 1, [1] * 40))
 @example(lifted_path(39, 80, [0] * 39))  # the lowest path, most cells
 @example(lifted_path(40, 79, [0] * 40))
+@example(lifted_path(40, 3, [0] * 40))  # long runs of equal heights: few rises
+@example(lifted_path(39, 4, [2] * 39))
+@example(make_path(40, 79, [79] * 40))  # the highest path: no rise at all
 def test_dinv_counts_the_contributing_cells(p):
     assert dinv(p) == sum(contributes_to_dinv(p, x) for x in shape_cells(p))
 
