@@ -3,7 +3,10 @@
 Subcommands: enumerate, stats, rankword, omega, poly, bijection,
 transpose, verify.  Every command takes --format {text,json} and writes
 deterministic output.  Exit codes: 0 success, 1 a verify property
-failed, 2 bad usage or invalid input, 141 the reader closed stdout early.
+failed, 2 bad usage or invalid input, 3 an internal error (MemoryError,
+RecursionError or any other unexpected exception, named in one
+"error: internal: " line on stderr, with no traceback), 130 interrupted
+(128 + SIGINT), 141 the reader closed stdout early (128 + SIGPIPE).
 
 A command NAME is a row (NAME, help, arguments) of COMMANDS and a
 handler cmd_NAME(args), which main looks up by name at each call.  A
@@ -30,7 +33,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, starmap
 
 from . import bijection, paths, qtpoly, rankwords, stats, verify
 from .chunks import joined
@@ -38,9 +41,14 @@ from .errors import UnsupportedM
 
 Output = tuple[int, Iterable[str], object]
 
-_ENTRY = '{"boxed": %s, "color": %d, "rank": %d}'
-_TERM = '{"c": %d, "q": %d, "t": %d}'
 _BOOL = ("false", "true")
+# a word entry's JSON row, one template per (color, boxed)
+_ENTRY = {
+    (c, b): '{"boxed": %s, "color": %d, "rank": %%d}' % (_BOOL[b], c)
+    for c in (1, 2) for b in (False, True)
+}
+_TERM = '{"c": %d, "q": %d, "t": %d}'
+_UNIT_TERM = '{"c": 1, "q": %d, "t": %d}'  # every closed-form coefficient is 1
 
 
 def _json(record: object) -> Iterator[str]:
@@ -100,9 +108,8 @@ def cmd_stats(args) -> Output:
 
 def _word_record(word: rankwords.MarkedRankWord) -> dict[str, object]:
     """The JSON record of a word: its entries, n and rendering."""
-    listing = rankwords._listing(word)
     return {
-        "entries": _array(_ENTRY % (_BOOL[b], color, r) for r, color, b in listing),
+        "entries": _array(rankwords._formatted(word, _ENTRY)),
         "n": word.n,
         "word": chain('"', rankwords._word_chunks(word), '"'),
     }
@@ -130,11 +137,19 @@ def cmd_poly(args) -> Output:
     if args.method == "closed":
         if args.m != 3:
             raise UnsupportedM(f"the closed form needs m = 3, got m = {args.m}")
-        terms = qtpoly._closed_form_terms(args.n)  # one pass: main reads one form
+        rows = qtpoly._closed_form_rows(args.n)  # one pass: main reads one form
+        text = chain.from_iterable(starmap(qtpoly._row_text, rows))
+        json_rows = chain.from_iterable(starmap(_unit_terms, rows))
     else:
         terms = qtpoly.catalan_bruteforce(args.m, args.n).terms()
-    record = _array(_TERM % (c, dq, dt) for dq, dt, c in terms)
-    return 0, chain(qtpoly._term_chunks(terms), "\n"), record
+        text = starmap(qtpoly._render_term, terms)
+        json_rows = (_TERM % (c, dq, dt) for dq, dt, c in terms)
+    return 0, chain(qtpoly._sum_chunks(text), "\n"), _array(json_rows)
+
+
+def _unit_terms(qs: range, ts: range) -> Iterator[str]:
+    """The JSON rows of the terms q^dq t^dt of one closed-form row."""
+    return map(_UNIT_TERM.__mod__, zip(qs, ts))
 
 
 def cmd_bijection(args) -> Output:
@@ -242,6 +257,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        return 130  # 128 + SIGINT
+    except Exception as exc:  # a fault of the program, not of the request
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

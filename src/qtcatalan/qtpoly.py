@@ -13,10 +13,15 @@ q^(n-a-s-1) t^a summed over 0 <= s <= floor(n/3) and s <= a <= n-2s-1.
 The two routes stay separate (the walk reads no rank word) so each can
 check the other.
 
-_closed_form_terms lists those terms already in graded-lex order (s
-ascending, then a ascending), and _term_chunks formats any ordered term
-list a chunk of terms at a time, so the CLI writes the closed form
-straight from the generator: O(output) time, with no polynomial, no
+_closed_form_rows lists those terms already in graded-lex order, as
+rows: row s (s ascending) is its falling q-degrees n-2s-1, ..., s beside
+its rising t-degrees s, ..., n-2s-1, two ranges.  catalan3_closed_form
+builds its dict from the rows, and the CLI formats each row with one
+template mapped over the zipped ranges: "q^%d t^%d" in text, where
+_row_text leaves to _render_term only the few end terms of a row that
+have an exponent below 2, and one JSON row template.  _sum_chunks joins
+rendered terms a chunk at a time, so the CLI writes the closed form
+straight from the rows: O(output) time, with no polynomial, no
 validation, no sort and no whole output in memory.  render_terms joins
 those chunks; QtPolynomial.render formats the sorted terms() the same way.
 
@@ -27,7 +32,7 @@ raises CoefficientOverflow instead of silently degrading.
 
 from __future__ import annotations
 
-from itertools import starmap
+from itertools import chain, repeat, starmap
 from operator import index
 from typing import Iterable, Iterator, Mapping
 
@@ -123,16 +128,16 @@ def _render_term(dq: int, dt: int, c: int) -> str:
     return " ".join(factors)
 
 
-def _term_chunks(terms: Iterable[tuple[int, int, int]]) -> Iterator[str]:
-    """render_terms(terms) as chunks (chunks.joined); "0" when there are none."""
-    rendered = joined(starmap(_render_term, terms), " + ")
-    yield next(rendered, "0")
-    yield from rendered
+def _sum_chunks(rendered: Iterable[str]) -> Iterator[str]:
+    """" + ".join(rendered) as chunks (chunks.joined); "0" when there are none."""
+    chunks = joined(rendered, " + ")
+    yield next(chunks, "0")
+    yield from chunks
 
 
 def render_terms(terms: Iterable[tuple[int, int, int]]) -> str:
     """Human-readable sum of (dq, dt, c) terms in the given order; "0" when none."""
-    return "".join(_term_chunks(terms))
+    return "".join(_sum_chunks(starmap(_render_term, terms)))
 
 
 def catalan_bruteforce(m: int, n: int) -> QtPolynomial:
@@ -165,16 +170,34 @@ def catalan_bruteforce(m: int, n: int) -> QtPolynomial:
         area_from[a] = area_from[a + 1] + heights[a] - floors[a]
 
 
-def _closed_form_terms(n: int) -> Iterator[tuple[int, int, int]]:
-    """The terms (dq, dt, 1) of C_{3,n}(q,t), in graded-lex order.
+def _closed_form_rows(n: int) -> Iterator[tuple[range, range]]:
+    """The terms q^dq t^dt of C_{3,n}(q,t), in graded-lex order, as rows.
 
-    n is checked at the call.  Each (dinv, area) fixes s = n - 1 - area -
-    dinv, so every coefficient is 1; s ascending is total degree n - 1 - s
-    descending, and a ascending within it is q-degree descending.
+    n is checked at the call.  Row s pairs the q-degrees n-a-s-1 with the
+    t-degrees a = area for s <= a < n - 2s.  Each (dinv, area) fixes
+    s = n - 1 - area - dinv, so every coefficient is 1; s ascending is
+    total degree n - 1 - s descending, and a ascending within a row is
+    q-degree descending.
     """
     rankwords._check_rows(n)
     return (
-        (n - a - s - 1, a, 1) for s in range(n // 3 + 1) for a in range(s, n - 2 * s)
+        (range(n - 2 * s - 1, s - 1, -1), range(s, n - 2 * s))
+        for s in range(n // 3 + 1)
+    )
+
+
+def _row_text(qs: range, ts: range) -> Iterator[str]:
+    """The rendered terms of one row: q-degrees falling, t-degrees rising.
+
+    Only the terms at the two ends can have an exponent below 2; those go
+    through _render_term, and the rest share one template.
+    """
+    head = min(max(2 - ts[0], 0), len(ts))  # t-degree below 2
+    tail = max(head, len(qs) - max(2 - qs[-1], 0))  # q-degree below 2
+    return chain(
+        map(_render_term, qs[:head], ts[:head], repeat(1)),
+        map("q^%d t^%d".__mod__, zip(qs[head:tail], ts[head:tail])),
+        map(_render_term, qs[tail:], ts[tail:], repeat(1)),
     )
 
 
@@ -182,7 +205,8 @@ def catalan3_closed_form(n: int) -> QtPolynomial:
     """C_{3,n}(q,t) summed directly over the valid statistic triples."""
     poly = QtPolynomial()
     # distinct keys, exponents >= 0 and coefficients 1: nothing to re-check
-    poly._terms = {(dq, dt): c for dq, dt, c in _closed_form_terms(n)}
+    rows = _closed_form_rows(n)
+    poly._terms = dict.fromkeys(chain.from_iterable(starmap(zip, rows)), 1)
     return poly
 
 

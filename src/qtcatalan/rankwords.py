@@ -8,23 +8,33 @@ color-1 entries are the positive integers below 2n congruent to 2n mod 3
 and the color-2 entries those below n congruent to n mod 3; the two
 residues differ exactly when 3 does not divide n, which is why that case
 is required throughout.  Membership (validation, count_skips,
-boxed_counts, path_from_word) reads that residue rule, _color, one rank
-at a time.  Only _listing lists the word: entry by entry in rank order,
-straight from the two progressions, so render_word, MarkedRankWord.entries
-and the CLI's JSON, which all read it, cost O(n) with no _color call.
-_word_chunks renders the word a chunk of entries at a time: render_word
-joins the chunks, and the CLI writes them as they come.
+boxed_counts and path_from_word on an arbitrary marking) reads that
+residue rule, _color, one rank at a time.
 
 Marking (boxing) the ranks of the cells above a path yields the marked
 rank word of the path.  The n - y_a cells above column a have ranks
 falling by 3 from the top row, so the path (y1, y2, n) boxes the
 k = n - y1 largest color-1 ranks 2n-3, 2n-6, ... and the ell = n - y2
 largest color-2 ranks n-3, n-6, ...: a path's word is its counts
-(k, ell).  Marking, inversion and omega all read them through
-_top_ranks; the cell-by-cell definition is the reference, in verify
-and in tests/oracles.py.  Skips and the involution need no word: _skips
-reads skips off (k, ell) and _counts gives (k, ell) back from (s, d),
-both O(1); count_skips, over any marking, is the definition.
+(k, ell).  _top_ranks is the one factory of such boxed sets: a _TopRanks
+holds (n, k, ell) and answers membership, size, iteration and equality
+by arithmetic, so mark_from_path, omega, boxed_counts and path_from_word
+cost O(1) on the words they derive.  The cell-by-cell definition is the
+reference, in verify and in tests/oracles.py.  Skips and the involution
+need no word: _skips reads skips off (k, ell) and _counts gives (k, ell)
+back from (s, d), both O(1); count_skips, over the sorted boxed ranks of
+any marking, is the definition.
+
+A word is listed by runs (_runs): stretches of the rank axis, split at n,
+over which each color's boxing is constant.  Below n the colors
+alternate, with color 1 on the residue of 2n; from n up only color 1
+remains, every third rank.  A derived word has at most 4 runs, cut at
+its thresholds 2n - 3k and n - 3ell; any other word has one run per
+boxed rank and one per gap.  render_word, MarkedRankWord.entries and the
+CLI's JSON each map one template per (color, boxed) over a run's ranks
+(_formatted), so an entry costs no Python-level step.  _word_chunks
+renders the word a chunk of entries at a time: render_word joins the
+chunks, and the CLI writes them as they come.
 
 Validation runs once, at the boundary: MarkedRankWord(...) checks n and
 every boxed rank, while the words mark_from_path and omega build from
@@ -34,9 +44,11 @@ from _word.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
-from operator import index
-from typing import Iterator, NamedTuple
+from itertools import chain, cycle
+from operator import index, mod
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .chunks import joined
 from .errors import BadResidue, InvalidTriple, NotRealizable, UnsupportedM
@@ -86,8 +98,11 @@ class MarkedRankWord:
     Only n and the boxed rank set are stored; entry order and colors are
     fixed by n, so equality is structural.  Arbitrary boxed subsets are
     representable; only realizable ones convert back to a path.
-    Constructing one validates n and the boxed ranks; the words the
-    library derives from a path or a triple come unchecked from _word.
+    Constructing one validates n and the boxed ranks, and boxed is then a
+    frozenset of ints.  The words the library derives from a path or a
+    triple come unchecked from _word, and their boxed is a read-only set
+    of the same ranks (_TopRanks) that equals and hashes like that
+    frozenset.
     """
 
     n: int
@@ -104,13 +119,16 @@ class MarkedRankWord:
     @property
     def entries(self) -> tuple[RankEntry, ...]:
         """The n - 1 entries in increasing rank order."""
-        return tuple(map(RankEntry._make, _listing(self)))
+        return tuple(chain.from_iterable(
+            map(RankEntry, ranks, *(cycle(column) for column in zip(*kinds)))
+            for ranks, kinds in _runs(self)
+        ))
 
     def __len__(self) -> int:
         return self.n - 1
 
 
-def _word(n: int, boxed: frozenset[int]) -> MarkedRankWord:
+def _word(n: int, boxed: Set[int]) -> MarkedRankWord:
     """A MarkedRankWord from ranks valid by construction, with no validation."""
     w = object.__new__(MarkedRankWord)
     object.__setattr__(w, "n", n)
@@ -118,26 +136,102 @@ def _word(n: int, boxed: frozenset[int]) -> MarkedRankWord:
     return w
 
 
-def _listing(w: MarkedRankWord) -> Iterator[tuple[int, int, bool]]:
-    """(rank, color, boxed) of each entry of w, in increasing rank order.
+class _TopRanks(Set):
+    """The k largest color-1 ranks and the ell largest color-2 ranks, as a set.
 
-    Below n the word holds every rank not divisible by 3, the colors
+    Read-only and O(1) in memory: membership is the residue rule above the
+    two thresholds 2n - 3k and n - 3ell, and it equals and hashes like the
+    frozenset of the same ranks.
+    """
+
+    __slots__ = ("n", "k", "ell")
+
+    def __init__(self, n: int, k: int, ell: int) -> None:
+        self.n, self.k, self.ell = n, k, ell
+
+    def __contains__(self, r: object) -> bool:
+        if not isinstance(r, int):  # 5.0 is in {5}, as in the frozenset
+            return r in frozenset(self)
+        n = self.n
+        if 2 * n - 3 * self.k <= r < 2 * n and (2 * n - r) % 3 == 0:
+            return True
+        return n - 3 * self.ell <= r < n and (n - r) % 3 == 0
+
+    def __len__(self) -> int:
+        return self.k + self.ell
+
+    def __iter__(self) -> Iterator[int]:
+        n = self.n
+        return chain(
+            range(2 * n - 3, 2 * n - 3 - 3 * self.k, -3),
+            range(n - 3, n - 3 - 3 * self.ell, -3),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _TopRanks) and other.n == self.n:
+            # on one n, the lengths fix the two progressions
+            return self.k == other.k and self.ell == other.ell
+        if not isinstance(other, Set):
+            return NotImplemented
+        return len(self) == len(other) and all(map(other.__contains__, self))
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[int]) -> frozenset[int]:
+        return frozenset(it)  # the result of &, |, - and ^
+
+    def __repr__(self) -> str:
+        return repr(frozenset(self))
+
+
+def _top_ranks(n: int, k: int, ell: int) -> Set[int]:
+    """The k largest color-1 ranks and the ell largest color-2 ranks."""
+    return _TopRanks(n, k, ell)
+
+
+# a run's entries alternate between its kinds, each a (color, boxed) pair
+_Run = tuple[Iterable[int], tuple[tuple[int, bool], ...]]
+
+
+def _runs(w: MarkedRankWord) -> Iterator[_Run]:
+    """(ranks, kinds) of each run of w, in increasing rank order.
+
+    A run is a stretch of ranks on one side of n with one boxing per color.
+    Below n the stretch holds every rank not divisible by 3, the colors
     alternating with color 1 on the residue of 2n; from n up it holds only
     color 1, every third rank from the first one congruent to 2n.
     """
     n, boxed = w.n, w.boxed
-    one = 2 * n % 3
-    for r in range(1, n):
-        if r % 3:
-            yield r, 1 if r % 3 == one else 2, r in boxed
-    for r in range(n + n % 3, 2 * n, 3):
-        yield r, 1, r in boxed
+    if isinstance(boxed, _TopRanks):
+        one, two = 2 * n - 3 * boxed.k, n - 3 * boxed.ell
+        cuts = {one, two}
+
+        def flags(lo: int) -> tuple[bool, bool]:
+            return lo >= one, lo >= two
+    else:
+        cuts = {*boxed, *(r + 1 for r in boxed)}
+
+        def flags(lo: int) -> tuple[bool, bool]:
+            return (lo in boxed,) * 2
+    edges = sorted({1, n, 2 * n, *(c for c in cuts if 1 < c < 2 * n)})
+    for lo, hi in zip(edges, edges[1:]):
+        b1, b2 = flags(lo)
+        if hi <= n:
+            first = lo + (lo % 3 == 0)  # the first rank of the run
+            kinds = ((1, b1), (2, b2)) if _color(first, n) == 1 else ((2, b2), (1, b1))
+            yield filter((3).__rmod__, range(lo, hi)), kinds  # r % 3 != 0
+        else:
+            yield range(lo + (2 * n - lo) % 3, hi, 3), ((1, b1),)
 
 
-def _top_ranks(n: int, k: int, ell: int) -> frozenset[int]:
-    """The k largest color-1 ranks and the ell largest color-2 ranks."""
-    return frozenset(range(2 * n - 3, 2 * n - 3 - 3 * k, -3)).union(
-        range(n - 3, n - 3 - 3 * ell, -3)
+def _formatted(
+    w: MarkedRankWord, templates: Mapping[tuple[int, bool], str]
+) -> Iterator[str]:
+    """templates[color, boxed] % rank for each entry of w, in increasing rank order."""
+    return chain.from_iterable(
+        map(mod, cycle([templates[kind] for kind in kinds]), ranks)
+        for ranks, kinds in _runs(w)
     )
 
 
@@ -174,6 +268,8 @@ def count_skips(w: MarkedRankWord) -> int:
 
 def boxed_counts(w: MarkedRankWord) -> tuple[int, int]:
     """(number of boxed color-1 entries, number of boxed color-2 entries)."""
+    if isinstance(w.boxed, _TopRanks):
+        return w.boxed.k, w.boxed.ell
     k = sum(1 for r in w.boxed if _color(r, w.n) == 1)
     return k, len(w.boxed) - k
 
@@ -185,12 +281,13 @@ def path_from_word(w: MarkedRankWord) -> DyckPath:
     box at least as many color-1 entries as color-2 entries.
     """
     k, ell = boxed_counts(w)
-    misplaced = w.boxed.symmetric_difference(_top_ranks(w.n, k, ell))
-    for color in (1, 2):
-        if any(_color(r, w.n) == color for r in misplaced):
-            raise NotRealizable(
-                f"boxed color-{color} entries are not the largest ones"
-            )
+    if not isinstance(w.boxed, _TopRanks):
+        misplaced = w.boxed.symmetric_difference(_top_ranks(w.n, k, ell))
+        for color in (1, 2):
+            if any(_color(r, w.n) == color for r in misplaced):
+                raise NotRealizable(
+                    f"boxed color-{color} entries are not the largest ones"
+                )
     if k < ell:
         raise NotRealizable(
             f"needs at least as many boxed color-1 as color-2 entries ({k} < {ell})"
@@ -248,12 +345,14 @@ def omega(a: int, s: int, d: int) -> MarkedRankWord:
     return _word(n, _top_ranks(n, *_counts(n, s, d)))
 
 
+_TEXT = {
+    (1, False): "%d_1", (1, True): "[%d_1]", (2, False): "%d_2", (2, True): "[%d_2]"
+}
+
+
 def _word_chunks(w: MarkedRankWord) -> Iterator[str]:
     """render_word(w) as chunks (chunks.joined)."""
-    entries = (
-        f"[{r}_{color}]" if boxed else f"{r}_{color}" for r, color, boxed in _listing(w)
-    )
-    return joined(entries, " ")
+    return joined(_formatted(w, _TEXT), " ")
 
 
 def render_word(w: MarkedRankWord) -> str:

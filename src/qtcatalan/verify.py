@@ -258,6 +258,7 @@ def check_involution(max_n: int) -> CheckResult:
     """involution swaps area and dinv, fixes skips, and squares to the identity."""
     def fault(p):
         q = bijection.involution(p)
+        paths.make_path(q.m, q.n, q.east_heights)  # involution builds q unchecked
         if (q.m, q.n) != (3, p.n):
             return "image not a path"
         a, s, d = stats.stat_triple(p)

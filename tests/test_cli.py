@@ -257,6 +257,28 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("exc", [
+    MemoryError(), RecursionError("maximum recursion depth exceeded"),
+    KeyError("planted"), AssertionError("planted"),
+], ids=lambda exc: type(exc).__name__)
+def test_an_internal_error_exits_3_with_one_line(capsys, monkeypatch, exc):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_stats", broken)
+    code, out, err = run(capsys, "stats", PI2_WORD)
+    assert (code, out) == (3, "")
+    assert err == f"error: internal: {type(exc).__name__}: {exc}\n"
+
+
+def test_an_interrupted_run_exits_130_quietly(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_stats", interrupted)
+    assert run(capsys, "stats", PI2_WORD) == (130, "", "")
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["poly", "3", "5", "--method", "nonsense"])
@@ -337,6 +359,9 @@ def test_text_output_builds_no_json(capsys, monkeypatch):
 # sha256 of the text and JSON output of large words and closed forms, as
 # printed when they were listed through RankEntry tuples and a sorted
 # QtPolynomial
+# heights (25001, 28001, 30001): it boxes k = 5000 < n/3 color-1 ranks, so
+# its color-1 threshold 2n - 3k lies above n
+MARKED_30001 = "N" * 25001 + "E" + "N" * 3000 + "E" + "N" * 2000 + "E"
 LARGE_OUTPUT_SHA256 = {
     ("rankword", "100001"): (
         "0c8dbb36466db9881035508251b67a5d4b85670a57d9a24d7c5ef7878271c24b",
@@ -349,6 +374,20 @@ LARGE_OUTPUT_SHA256 = {
     ("poly", "3", "1001", "--method", "closed"): (
         "9836cad93694f90ef4a1c17b0bb7659c90c53699177822472026f7ef2e794d8e",
         "7a8a0b2656e1fb85ade542db8278dbe3cab442feaf9735c850952754e424c21f",
+    ),
+    ("rankword", MARKED_30001): (
+        "afd2c4719196958dc8a651f127f5233bc56c1ae258ddbb2c55f2de2a4c4d672e",
+        "2986bccd99fc1a2724c61d3db16e0646a99dc525fd2bfd999e852845932f7024",
+    ),
+    ("stats", MARKED_30001): (
+        "a9e0dbfcaafe48f51a760bed98f74722fa0de98f6486c32398ec68b2a7da756c",
+        "6d26a3485f5bcbb06cd0c976abc49914bd1ab51383e7c5dc9cd1bf3bd3580cbb",
+    ),
+    # d = 20000 < n/3 on n = 85001 rows: omega boxes k = 20000 color-1 ranks,
+    # so its color-1 threshold lies above n and its color-2 threshold below
+    ("omega", "60000", "5000", "20000"): (
+        "ca53fadfa31031b51f828c0c5feb05c25f43ef79f6b136e0b1eb64c6f7959264",
+        "e0f79b804349b06189490743e2b844e16ebb6fae93dc8e0ceb02a1ac17bbe8c8",
     ),
 }
 
@@ -570,6 +609,27 @@ def test_a_large_output_streams_in_bounded_memory(fmt):
     code, peak_kib = map(int, report.split())
     assert (code, size) == (0, LARGE_OUTPUT_SIZE[fmt])
     assert peak_kib < 64 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_a_rebuilt_word_holds_no_set_of_its_ranks():
+    # the word of (300000, 100000, 300000) boxes 500,000 of its 700,000
+    # ranks; held as a set of ints, they peaked at about 103 MB
+    child = subprocess.Popen(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "qtcatalan",
+         "omega", "300000", "100000", "300000", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    )
+    head = child.stdout.read(12)
+    while child.stdout.read(1 << 20):
+        pass
+    child.stdout.close()
+    report = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 0
+    code, peak_kib = map(int, report.split())
+    assert (code, head) == (0, b'{"area": 300')
+    assert peak_kib < 50 * 1024
 
 
 @pytest.mark.parametrize("argv, code, head", [

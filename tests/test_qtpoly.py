@@ -179,12 +179,30 @@ def test_closed_form_rejects_multiples_of_three():
         catalan3_closed_form(6)
 
 
+def closed_form_terms(n):
+    """The terms (dq, dt, 1) of C_{3,n}(q,t), row after row of _closed_form_rows."""
+    rows = qtpoly._closed_form_rows(n)
+    return [(dq, dt, 1) for qs, ts in rows for dq, dt in zip(qs, ts)]
+
+
 def test_closed_form_terms_come_in_graded_lex_order():
     # the same terms as the sorted polynomial, in its order, for every n < 400
     for n in range(1, 400):
         if n % 3 == 0:
             continue
-        assert list(qtpoly._closed_form_terms(n)) == catalan3_closed_form(n).terms(), n
+        terms = closed_form_terms(n)
+        assert terms == catalan3_closed_form(n).terms(), n
+        # row s holds q^(n-a-s-1) t^a for s <= a < n - 2s, s ascending
+        assert terms == [(n - a - s - 1, a, 1)
+                         for s in range(n // 3 + 1) for a in range(s, n - 2 * s)], n
+
+
+def cmd_poly_closed(n, fmt):
+    """What main writes for `poly 3 n --method closed` in the given format."""
+    args = cli.build_parser().parse_args(
+        ["poly", "3", str(n), "--method", "closed", "--format", fmt])
+    _code, text, record = cli.cmd_poly(args)
+    return "".join([*cli._json(record), "\n"] if fmt == "json" else text)
 
 
 def test_term_formatting_of_the_closed_form_terms():
@@ -192,22 +210,37 @@ def test_term_formatting_of_the_closed_form_terms():
         if n % 3 == 0:
             continue
         poly = catalan3_closed_form(n)
-        assert qtpoly.render_terms(qtpoly._closed_form_terms(n)) == poly.render()
+        assert cmd_poly_closed(n, "text") == poly.render() + "\n"
         # the CLI's JSON of the same terms, as json.dumps writes the library's
-        args = cli.build_parser().parse_args(["poly", "3", str(n), "--method", "closed"])
-        _code, _text, record = cli.cmd_poly(args)
-        assert "".join(cli._json(record)) == json.dumps(poly.json_terms(), sort_keys=True)
+        want = json.dumps(poly.json_terms(), sort_keys=True) + "\n"
+        assert cmd_poly_closed(n, "json") == want
     assert qtpoly.render_terms([]) == "0"
     assert "".join(cli._json(cli._array([]))) == "[]"
 
 
+def test_closed_form_rows_format_as_their_terms_do():
+    # a row maps one template over its middle terms and leaves the end terms,
+    # with an exponent below 2, to _render_term
+    for n in range(1, 201):
+        if n % 3 == 0:
+            continue
+        for qs, ts in qtpoly._closed_form_rows(n):
+            terms = list(zip(qs, ts))
+            assert list(qtpoly._row_text(qs, ts)) == [
+                qtpoly._render_term(dq, dt, 1) for dq, dt in terms
+            ], (n, ts[0])
+            assert list(cli._unit_terms(qs, ts)) == [
+                cli._TERM % (1, dq, dt) for dq, dt in terms
+            ], (n, ts[0])
+
+
 def test_closed_form_terms_check_n_at_the_call():
     with pytest.raises(ValueError, match="n must be positive"):
-        qtpoly._closed_form_terms(0)
+        qtpoly._closed_form_rows(0)
     with pytest.raises(BadResidue, match="n must not be a multiple of 3, got 6"):
-        qtpoly._closed_form_terms(6)
+        qtpoly._closed_form_rows(6)
     with pytest.raises(TypeError):
-        qtpoly._closed_form_terms(4.0)
+        qtpoly._closed_form_rows(4.0)
 
 
 def test_closed_form_equals_bruteforce():

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from qtcatalan import rankwords
+from qtcatalan import cli, rankwords
 from qtcatalan import (
     BadResidue,
     InvalidTriple,
     MarkedRankWord,
     NotRealizable,
+    RankEntry,
     UnsupportedM,
     boxed_counts,
     count_skips,
@@ -72,6 +73,10 @@ def test_entries_match_the_sorted_cell_ranks():
         assert entry_pairs(lattice_rank_word(n)) == oracles.rank_word_by_sorting(n)
 
 
+# each entry as "rank color boxed", so a listing can be read back
+KIND_TEMPLATES = {(c, b): f"%d {c} {b:d}" for c in (1, 2) for b in (False, True)}
+
+
 def test_listing_reads_the_sorted_cell_ranks_and_any_marking():
     rng = random.Random(3)
     for n in range(1, 100):
@@ -82,9 +87,12 @@ def test_listing_reads_the_sorted_cell_ranks_and_any_marking():
         markings = [frozenset(), frozenset(ranks)]
         markings += [frozenset(rng.sample(ranks, rng.randint(0, len(ranks)))) for _ in range(4)]
         for boxed in markings:
-            listed = list(rankwords._listing(MarkedRankWord(n, boxed)))
+            w = MarkedRankWord(n, boxed)
+            listed = [tuple(map(int, entry.split()))
+                      for entry in rankwords._formatted(w, KIND_TEMPLATES)]
             assert [(r, color) for r, color, _ in listed] == word
             assert [b for _, _, b in listed] == [r in boxed for r in ranks]
+            assert w.entries == tuple(RankEntry(r, c, bool(b)) for r, c, b in listed)
 
 
 def test_lattice_rank_word_rejects_multiples_of_three():
@@ -148,6 +156,54 @@ def test_mark_from_path_boxes_the_cell_ranks_of_every_path():
             word = mark_from_path(p)
             assert word.boxed == oracles.marking_by_cells(n, p.east_heights)
             _assert_genuine(word)
+
+
+def word_forms(w):
+    """Everything the library reads off a word, its path or its NotRealizable."""
+    try:
+        path = path_from_word(w)
+    except NotRealizable as exc:
+        path = str(exc)
+    record = "".join(cli._json(cli._word_record(w)))
+    return (render_word(w), w.entries, boxed_counts(w), count_skips(w), record, path,
+            sorted(w.boxed), len(w.boxed))
+
+
+def test_a_derived_word_is_the_word_of_the_same_ranks():
+    # the boxed set of a derived word is its counts (k, ell); k up to the
+    # number of color-1 ranks puts the threshold 2n - 3k on each side of n
+    for n in range(1, 41):
+        if n % 3 == 0:
+            continue
+        word = oracles.rank_word_by_sorting(n)
+        ones, twos = ([r for r, color in reversed(word) if color == c] for c in (1, 2))
+        for k in range(len(ones) + 1):
+            for ell in range(len(twos) + 1):
+                derived = rankwords._word(n, rankwords._top_ranks(n, k, ell))
+                plain = MarkedRankWord(n, frozenset(ones[:k] + twos[:ell]))
+                assert derived == plain and plain == derived, (n, k, ell)
+                assert derived.boxed == plain.boxed and plain.boxed == derived.boxed
+                assert hash(derived) == hash(plain), (n, k, ell)
+                assert hash(derived.boxed) == hash(plain.boxed), (n, k, ell)
+                assert word_forms(derived) == word_forms(plain), (n, k, ell)
+                if k < ell:
+                    with pytest.raises(NotRealizable):
+                        path_from_word(derived)
+                other = rankwords._top_ranks(n, k + 1, ell)
+                assert derived.boxed != other and other != plain.boxed
+
+
+def test_derived_boxed_sets_compare_as_sets():
+    # across row counts, different counts can box the same ranks: {1} is
+    # the top color-2 rank of 4 rows and the top color-1 rank of 2 rows
+    assert rankwords._top_ranks(4, 0, 1) == rankwords._top_ranks(2, 1, 0) == {1}
+    assert rankwords._top_ranks(4, 0, 0) == rankwords._top_ranks(5, 0, 0) == set()
+    assert rankwords._top_ranks(5, 1, 0) != rankwords._top_ranks(4, 1, 0)
+    boxed = mark_from_path(PI1).boxed  # {2, 5, 10, 13}
+    assert 13 in boxed and 5 in boxed and 7 not in boxed and 16 not in boxed
+    assert 13.0 in boxed and "13" not in boxed
+    assert boxed | {7} == {2, 5, 7, 10, 13} and isinstance(boxed - {2}, frozenset)
+    assert boxed <= {2, 5, 10, 13} and {2, 5, 10, 13} >= boxed
 
 
 def test_mark_from_path_needs_three_columns():
