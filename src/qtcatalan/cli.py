@@ -41,14 +41,20 @@ from .errors import UnsupportedM
 
 Output = tuple[int, Iterable[str], object]
 
-_BOOL = ("false", "true")
+
+def _template(row: dict) -> str:
+    """json.dumps(row, sort_keys=True), each "%d" value a %d slot."""
+    return json.dumps(row, sort_keys=True).replace('"%d"', "%d")
+
+
 # a word entry's JSON row, one template per (color, boxed)
 _ENTRY = {
-    (c, b): '{"boxed": %s, "color": %d, "rank": %%d}' % (_BOOL[b], c)
+    (c, b): _template({"boxed": b, "color": c, "rank": "%d"})
     for c in (1, 2) for b in (False, True)
 }
-_TERM = '{"c": %d, "q": %d, "t": %d}'
-_UNIT_TERM = '{"c": 1, "q": %d, "t": %d}'  # every closed-form coefficient is 1
+_TERM = _template({"c": "%d", "q": "%d", "t": "%d"})
+# every closed-form coefficient is 1
+_UNIT_TERM = _template({"c": 1, "q": "%d", "t": "%d"})
 
 
 def _json(record: object) -> Iterator[str]:
@@ -128,7 +134,7 @@ def cmd_omega(args) -> Output:
     a, s, d = args.area, args.skips, args.dinv
     word = rankwords.omega(a, s, d)
     path = paths.render_path(rankwords.path_from_word(word))
-    text = chain(["word: "], rankwords._word_chunks(word), [f"\npath: {path}\n"])
+    text = chain(["word: "], rankwords._word_chunks(word), ["\npath: ", path, "\n"])
     record = {**_word_record(word), "area": a, "dinv": d, "path": path, "skips": s}
     return 0, text, record
 

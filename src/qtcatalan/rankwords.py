@@ -3,43 +3,37 @@
 Cell (a,b) of the n-row, three-column lattice carries the rank
 R(a,b) = -a*n + 3*(b-1).  Listing the positive ranks in increasing order,
 colored 1 for the first column and 2 for the second (the third column is
-all negative), gives the rank word of the lattice.  Equivalently, the
-color-1 entries are the positive integers below 2n congruent to 2n mod 3
-and the color-2 entries those below n congruent to n mod 3; the two
-residues differ exactly when 3 does not divide n, which is why that case
-is required throughout.  Membership (validation, count_skips,
-boxed_counts and path_from_word on an arbitrary marking) reads that
-residue rule, _color, one rank at a time.
+all negative), gives the rank word of the lattice.
 
-Marking (boxing) the ranks of the cells above a path yields the marked
-rank word of the path.  The n - y_a cells above column a have ranks
-falling by 3 from the top row, so the path (y1, y2, n) boxes the
-k = n - y1 largest color-1 ranks 2n-3, 2n-6, ... and the ell = n - y2
-largest color-2 ranks n-3, n-6, ...: a path's word is its counts
-(k, ell).  _top_ranks is the one factory of such boxed sets: a _TopRanks
-holds (n, k, ell) and answers membership, size, iteration and equality
-by arithmetic, so mark_from_path, omega, boxed_counts and path_from_word
-cost O(1) on the words they derive.  The cell-by-cell definition is the
-reference, in verify and in tests/oracles.py.  Skips and the involution
-need no word: _skips reads skips off (k, ell) and _counts gives (k, ell)
-back from (s, d), both O(1); count_skips, over the sorted boxed ranks of
-any marking, is the definition.
+Residues: the color-1 entries are the positive integers below 2n
+congruent to 2n mod 3 and the color-2 entries those below n congruent to
+n mod 3.  The two residues differ exactly when 3 does not divide n, which
+is why that case is required throughout.  _color is that rule, and every
+membership test reads it.
 
-A word is listed by runs (_runs): stretches of the rank axis, split at n,
-over which each color's boxing is constant.  Below n the colors
-alternate, with color 1 on the residue of 2n; from n up only color 1
-remains, every third rank.  A derived word has at most 4 runs, cut at
-its thresholds 2n - 3k and n - 3ell; any other word has one run per
-boxed rank and one per gap.  render_word, MarkedRankWord.entries and the
-CLI's JSON each map one template per (color, boxed) over a run's ranks
-(_formatted), so an entry costs no Python-level step.  _word_chunks
-renders the word a chunk of entries at a time: render_word joins the
-chunks, and the CLI writes them as they come.
+Counts: marking (boxing) the ranks of the cells above a path yields its
+marked rank word.  The n - y_a cells above column a have ranks falling by
+3 from the top row, so the path (y1, y2, n) boxes the k = n - y1 largest
+color-1 ranks 2n-3, 2n-6, ... and the ell = n - y2 largest color-2 ranks
+n-3, n-6, ...: a realizable word is its counts (k, ell), the thresholds
+2n - 3k and n - 3ell.  The words the library derives (_derived, for
+mark_from_path and omega) hold such a set as a _TopRanks, O(1) in memory,
+and boxed_counts is the one reader of how a boxed set is stored.  Skips
+and the involution need no word: _skips reads skips off (k, ell) and
+_counts gives (k, ell) back from (s, d), both O(1); count_skips, over the
+sorted boxed ranks of any marking, is the definition.  The cell-by-cell
+definition of the marking is the reference, in verify and in
+tests/oracles.py.
+
+Runs: a word is listed by runs (_runs), stretches of ranks on one side of
+n over which each color's boxing is constant: at most 4 when the word
+boxes each color's top ranks.  render_word, MarkedRankWord.entries and
+the CLI's JSON each map one template per (color, boxed) over a run's
+ranks (_formatted), so an entry costs no Python-level step, and
+_word_chunks renders the word a chunk of entries at a time.
 
 Validation runs once, at the boundary: MarkedRankWord(...) checks n and
-every boxed rank, while the words mark_from_path and omega build from
-_top_ranks, whose ranks are word ranks by construction, come unchecked
-from _word.
+every boxed rank; a derived word's ranks are word ranks by construction.
 """
 
 from __future__ import annotations
@@ -99,10 +93,8 @@ class MarkedRankWord:
     fixed by n, so equality is structural.  Arbitrary boxed subsets are
     representable; only realizable ones convert back to a path.
     Constructing one validates n and the boxed ranks, and boxed is then a
-    frozenset of ints.  The words the library derives from a path or a
-    triple come unchecked from _word, and their boxed is a read-only set
-    of the same ranks (_TopRanks) that equals and hashes like that
-    frozenset.
+    frozenset of ints.  A derived word's boxed is a read-only set of the
+    same ranks (_TopRanks) that equals and hashes like that frozenset.
     """
 
     n: int
@@ -128,14 +120,6 @@ class MarkedRankWord:
         return self.n - 1
 
 
-def _word(n: int, boxed: Set[int]) -> MarkedRankWord:
-    """A MarkedRankWord from ranks valid by construction, with no validation."""
-    w = object.__new__(MarkedRankWord)
-    object.__setattr__(w, "n", n)
-    object.__setattr__(w, "boxed", boxed)
-    return w
-
-
 class _TopRanks(Set):
     """The k largest color-1 ranks and the ell largest color-2 ranks, as a set.
 
@@ -152,10 +136,10 @@ class _TopRanks(Set):
     def __contains__(self, r: object) -> bool:
         if not isinstance(r, int):  # 5.0 is in {5}, as in the frozenset
             return r in frozenset(self)
-        n = self.n
-        if 2 * n - 3 * self.k <= r < 2 * n and (2 * n - r) % 3 == 0:
-            return True
-        return n - 3 * self.ell <= r < n and (n - r) % 3 == 0
+        color = _color(r, self.n)
+        if color == 1:
+            return r >= 2 * self.n - 3 * self.k
+        return color == 2 and r >= self.n - 3 * self.ell
 
     def __len__(self) -> int:
         return self.k + self.ell
@@ -190,6 +174,14 @@ def _top_ranks(n: int, k: int, ell: int) -> Set[int]:
     return _TopRanks(n, k, ell)
 
 
+def _derived(n: int, k: int, ell: int) -> MarkedRankWord:
+    """The word boxing the top k color-1 and ell color-2 ranks, unvalidated."""
+    w = object.__new__(MarkedRankWord)
+    object.__setattr__(w, "n", n)
+    object.__setattr__(w, "boxed", _top_ranks(n, k, ell))
+    return w
+
+
 # a run's entries alternate between its kinds, each a (color, boxed) pair
 _Run = tuple[Iterable[int], tuple[tuple[int, bool], ...]]
 
@@ -197,26 +189,23 @@ _Run = tuple[Iterable[int], tuple[tuple[int, bool], ...]]
 def _runs(w: MarkedRankWord) -> Iterator[_Run]:
     """(ranks, kinds) of each run of w, in increasing rank order.
 
-    A run is a stretch of ranks on one side of n with one boxing per color.
-    Below n the stretch holds every rank not divisible by 3, the colors
-    alternating with color 1 on the residue of 2n; from n up it holds only
-    color 1, every third rank from the first one congruent to 2n.
+    A run is a stretch of ranks on one side of n with one boxing per color,
+    read off the color's first rank from the run's start up.  Below n the
+    stretch holds every rank not divisible by 3, the colors alternating
+    with color 1 on the residue of 2n; from n up it holds only color 1,
+    every third rank from the first one congruent to 2n.  The runs are cut
+    at the thresholds 2n - 3k and n - 3ell when w boxes each color's top
+    ranks, and at each boxed rank and its successor otherwise.
     """
     n, boxed = w.n, w.boxed
-    if isinstance(boxed, _TopRanks):
-        one, two = 2 * n - 3 * boxed.k, n - 3 * boxed.ell
-        cuts = {one, two}
-
-        def flags(lo: int) -> tuple[bool, bool]:
-            return lo >= one, lo >= two
+    k, ell = boxed_counts(w)
+    if boxed == _TopRanks(n, k, ell):
+        cuts = {2 * n - 3 * k, n - 3 * ell}
     else:
         cuts = {*boxed, *(r + 1 for r in boxed)}
-
-        def flags(lo: int) -> tuple[bool, bool]:
-            return (lo in boxed,) * 2
     edges = sorted({1, n, 2 * n, *(c for c in cuts if 1 < c < 2 * n)})
     for lo, hi in zip(edges, edges[1:]):
-        b1, b2 = flags(lo)
+        b1, b2 = lo + (2 * n - lo) % 3 in boxed, lo + (n - lo) % 3 in boxed
         if hi <= n:
             first = lo + (lo % 3 == 0)  # the first rank of the run
             kinds = ((1, b1), (2, b2)) if _color(first, n) == 1 else ((2, b2), (1, b1))
@@ -249,7 +238,7 @@ def mark_from_path(p: DyckPath) -> MarkedRankWord:
     if p.m != 3:
         raise UnsupportedM(f"rank words are defined for m = 3, not m = {p.m}")
     y1, y2, _ = p.east_heights
-    return _word(p.n, _top_ranks(p.n, p.n - y1, p.n - y2))
+    return _derived(p.n, p.n - y1, p.n - y2)
 
 
 def count_skips(w: MarkedRankWord) -> int:
@@ -281,8 +270,9 @@ def path_from_word(w: MarkedRankWord) -> DyckPath:
     box at least as many color-1 entries as color-2 entries.
     """
     k, ell = boxed_counts(w)
-    if not isinstance(w.boxed, _TopRanks):
-        misplaced = w.boxed.symmetric_difference(_top_ranks(w.n, k, ell))
+    top = _top_ranks(w.n, k, ell)
+    if w.boxed != top:
+        misplaced = w.boxed ^ top
         for color in (1, 2):
             if any(_color(r, w.n) == color for r in misplaced):
                 raise NotRealizable(
@@ -342,7 +332,7 @@ def omega(a: int, s: int, d: int) -> MarkedRankWord:
     if not is_valid_triple(a, s, d):
         raise InvalidTriple(f"no path has area={a}, skips={s}, dinv={d}")
     n = a + s + d + 1
-    return _word(n, _top_ranks(n, *_counts(n, s, d)))
+    return _derived(n, *_counts(n, s, d))
 
 
 _TEXT = {

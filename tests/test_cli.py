@@ -363,6 +363,11 @@ def test_text_output_builds_no_json(capsys, monkeypatch):
 # its color-1 threshold 2n - 3k lies above n
 MARKED_30001 = "N" * 25001 + "E" + "N" * 3000 + "E" + "N" * 2000 + "E"
 LARGE_OUTPUT_SHA256 = {
+    # the lattice word of n = 1 (mod 3) rows; 100001 below is n = 2 (mod 3)
+    ("rankword", "100000"): (
+        "47508efe5a353ca1699cf79df36ceea8de9fccccabfc64e3faed529c85de77bb",
+        "c2bce77c3577bc7609990b04bccf0440cd0971b7b2b95cbafcfca9206b44abc9",
+    ),
     ("rankword", "100001"): (
         "0c8dbb36466db9881035508251b67a5d4b85670a57d9a24d7c5ef7878271c24b",
         "91d1562e858334a7c910313cd57023d777f456bff258190090860396b5343bf9",

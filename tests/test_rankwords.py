@@ -179,8 +179,9 @@ def test_a_derived_word_is_the_word_of_the_same_ranks():
         ones, twos = ([r for r, color in reversed(word) if color == c] for c in (1, 2))
         for k in range(len(ones) + 1):
             for ell in range(len(twos) + 1):
-                derived = rankwords._word(n, rankwords._top_ranks(n, k, ell))
+                derived = rankwords._derived(n, k, ell)
                 plain = MarkedRankWord(n, frozenset(ones[:k] + twos[:ell]))
+                assert len(list(rankwords._runs(plain))) <= 4, (n, k, ell)
                 assert derived == plain and plain == derived, (n, k, ell)
                 assert derived.boxed == plain.boxed and plain.boxed == derived.boxed
                 assert hash(derived) == hash(plain), (n, k, ell)

@@ -104,6 +104,21 @@ def test_a_cell_fitting_no_class_is_named(monkeypatch):
     assert result.counterexample.endswith("labels not exclusive")
 
 
+def test_a_second_column_cell_that_does_not_contribute_is_named(monkeypatch):
+    real_classify = stats.classify_nondinv_cell
+
+    def long_leg_in_column_two(p, x):
+        if x.column == 2:
+            return stats.CellClass.ARM0_LONG_LEG
+        return real_classify(p, x)
+
+    monkeypatch.setattr(stats, "classify_nondinv_cell", long_leg_in_column_two)
+    result = verify.check_cell_classification(8)
+    assert result.counterexample == (
+        "n=4 (2, 3, 4): cell (2, 4): second column must contribute"
+    )
+
+
 def test_a_dinv_off_by_one_is_named(monkeypatch):
     real_dinv = stats.dinv
     monkeypatch.setattr(stats, "dinv", lambda p: real_dinv(p) + 1)
@@ -151,6 +166,25 @@ def test_a_transpose_image_below_the_diagonal_is_named(monkeypatch):
     assert (result.checked, result.counterexample) == (
         1, "(1,1) (1,): raised BelowDiagonal: east step 1 at height 0 dips "
         "below the diagonal (needs >= 1)",
+    )
+
+
+def test_a_statistic_the_transpose_does_not_keep_is_named(monkeypatch):
+    # dinv one too high on the lattices with more columns than rows
+    real_dinv = stats.dinv
+    monkeypatch.setattr(stats, "dinv", lambda p: real_dinv(p) + (p.m > p.n))
+    result = verify.check_transpose(6)
+    assert (result.checked, result.counterexample) == (
+        2, "(1,2) (2,): statistics changed"
+    )
+
+
+def test_word_statistics_that_disagree_with_the_triple_are_named(monkeypatch):
+    real_count_skips = rankwords.count_skips
+    monkeypatch.setattr(rankwords, "count_skips", lambda w: real_count_skips(w) + 1)
+    result = verify.check_triple_reconstruction(8)
+    assert (result.checked, result.counterexample) == (
+        1, "n=1 (1, 1, 1): word statistics disagree"
     )
 
 
