@@ -133,8 +133,10 @@ def cmd_rankword(args) -> Output:
 def cmd_omega(args) -> Output:
     a, s, d = args.area, args.skips, args.dinv
     word = rankwords.omega(a, s, d)
-    path = paths.render_path(rankwords.path_from_word(word))
-    text = chain(["word: "], rankwords._word_chunks(word), ["\npath: ", path, "\n"])
+    p = rankwords.path_from_word(word)
+    steps = paths._step_chunks(p)  # main reads one form; a step word needs no escape
+    text = chain(["word: "], rankwords._word_chunks(word), ["\npath: "], steps, ["\n"])
+    path = chain('"', paths._step_chunks(p), '"')
     record = {**_word_record(word), "area": a, "dinv": d, "path": path, "skips": s}
     return 0, text, record
 

@@ -19,11 +19,14 @@ transpose returns, are built unchecked by _built.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import comb, gcd
 from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
+from .chunks import CHARS
 from .errors import (
     BadCharacter,
     BelowDiagonal,
@@ -121,15 +124,30 @@ def parse_path(word: str) -> DyckPath:
     return DyckPath(len(heights), north, tuple(heights))
 
 
-def render_path(p: DyckPath) -> str:
-    """Serialize to the step word; inverse of parse_path."""
-    parts = []
+def _step_chunks(p: DyckPath) -> Iterator[str]:
+    """render_path(p) as chunks of at most chunks.CHARS characters.
+
+    Column a adds y_a - y_{a-1} north steps and one east step; a run of
+    north steps longer than a chunk is cut too.
+    """
+    parts: list[str] = []
+    room = CHARS  # what the chunk in parts can still take
     prev = 0
     for y in p.east_heights:
-        parts.append("N" * (y - prev))
-        parts.append("E")
+        north = y - prev
         prev = y
-    return "".join(parts)
+        while north >= room:  # the steps left do not fit beside their "E"
+            parts.append("N" * room)
+            yield "".join(parts)
+            parts, north, room = [], north - room, CHARS
+        parts.append("N" * north + "E")
+        room -= north + 1
+    yield "".join(parts)
+
+
+def render_path(p: DyckPath) -> str:
+    """Serialize to the step word; inverse of parse_path."""
+    return "".join(_step_chunks(p))
 
 
 def count_paths(m: int, n: int) -> int:
@@ -164,32 +182,48 @@ def cells_above(p: DyckPath) -> tuple[int, ...]:
 
 def shape_cells(p: DyckPath) -> tuple[Cell, ...]:
     """Every cell above the path, column by column, lowest row first."""
+    top = p.n + 1
     return tuple(
-        Cell(a, b)
-        for a, y in enumerate(p.east_heights, start=1)
-        for b in range(y + 1, p.n + 1)
+        chain.from_iterable(
+            # tuple.__new__ builds each Cell in C, with no call per cell
+            map(tuple.__new__, repeat(Cell), zip(repeat(a), range(y + 1, top)))
+            for a, y in enumerate(p.east_heights, start=1)
+        )
     )
 
 
-def _as_shape_cell(p: DyckPath, x) -> Cell:
+def _as_shape_cell(p: DyckPath, x) -> tuple[int, int]:
+    """x as (column, row), once it is checked to be a cell above the path."""
     column, row = x
     if not (1 <= column <= p.m and 1 <= row <= p.n):
         raise CellNotAboveThePath(f"cell ({column}, {row}) is outside the lattice")
     if row <= p.east_heights[column - 1]:
         raise CellNotAboveThePath(f"cell ({column}, {row}) lies below the path")
-    return Cell(column, row)
+    return column, row
+
+
+def _arm(heights, column: int, row: int) -> int:
+    """arm of the cell (column, row) above the path of these heights; unchecked.
+
+    The heights after the column weakly increase, so the ones below the
+    row are a prefix of them, found by bisection.
+    """
+    return bisect_left(heights, row, column) - column
+
+
+def _leg(heights, column: int, row: int) -> int:
+    """leg of the cell (column, row) above the path of these heights; unchecked."""
+    return row - 1 - heights[column - 1]
 
 
 def arm(p: DyckPath, x) -> int:
     """Cells above the path strictly east of x in its row."""
-    x = _as_shape_cell(p, x)
-    return sum(1 for y in p.east_heights[x.column:] if y < x.row)
+    return _arm(p.east_heights, *_as_shape_cell(p, x))
 
 
 def leg(p: DyckPath, x) -> int:
     """Cells above the path strictly south of x in its column."""
-    x = _as_shape_cell(p, x)
-    return x.row - 1 - p.east_heights[x.column - 1]
+    return _leg(p.east_heights, *_as_shape_cell(p, x))
 
 
 def transpose(p: DyckPath) -> DyckPath:

@@ -5,11 +5,12 @@ builds no DyckPath: an iterative odometer chooses the heights from the
 last column down and carries the dinv and area of the columns set so
 far, because column a's dinv term (stats._column_dinv) reads only the
 heights from column a on and area is a sum over columns.  Beside the
-heights it keeps the first rise at or after each column (stats._rises),
-in O(1) per column set, so a column's dinv visits only the stretches
-that exist.  Each path then costs one column, O(min(m, n)) steps, at the
-bottom of the walk.  For m = 3 the same polynomial has a closed form:
-q^(n-a-s-1) t^a summed over 0 <= s <= floor(n/3) and s <= a <= n-2s-1.
+heights it keeps the first rise at or after each column (the list
+stats._column_dinv reads as nxt), in O(1) per column set, so a column's
+dinv visits only the stretches that exist.  Each path then costs one
+column, O(min(m, n)) steps, at the bottom of the walk.  For m = 3 the
+same polynomial has a closed form: q^(n-a-s-1) t^a summed over
+0 <= s <= floor(n/3) and s <= a <= n-2s-1.
 The two routes stay separate (the walk reads no rank word) so each can
 check the other.
 
@@ -146,7 +147,7 @@ def catalan_bruteforce(m: int, n: int) -> QtPolynomial:
     floors = [paths.min_east_height(a, m, n) for a in range(1, m + 1)]
     legs = stats._dinv_legs(m, n)
     heights = [n] * m
-    nxt = [m - 1] * m  # stats._rises of the columns set so far
+    nxt = [m - 1] * m  # the first rise at or after each column set so far
     # dinv and area of columns a..m-1; the last column, at height n, adds nothing
     dinv_from = [0] * m
     area_from = [0] * m

@@ -34,7 +34,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import UnsupportedM
-from .paths import DyckPath, arm, leg, min_east_height
+from .paths import DyckPath, _arm, _as_shape_cell, _leg, arm, leg
 from .rankwords import _skips
 
 
@@ -45,11 +45,13 @@ class StatTriple(NamedTuple):
 
 
 def area(p: DyckPath) -> int:
-    """Full cells between the path and the diagonal."""
-    return sum(
-        y - min_east_height(a, p.m, p.n)
-        for a, y in enumerate(p.east_heights, start=1)
-    )
+    """Full cells between the path and the diagonal.
+
+    That is the sum over columns of y_a - ceil(a*n/m), and for coprime
+    (m, n) the ceilings sum to (m - 1)(n + 1)/2 + n, a whole number.
+    """
+    m, n = p.m, p.n
+    return sum(p.east_heights) - (m - 1) * (n + 1) // 2 - n
 
 
 def _straddles(ar: int, lg: int, m: int, n: int) -> bool:
@@ -71,29 +73,18 @@ def _dinv_legs(m: int, n: int) -> list[tuple[int, int]]:
     return [(k * n // m, (n * (k + 1) - 1) // m + 1) for k in range(m - 1)]
 
 
-def _rises(heights) -> list[int]:
-    """nxt[a], the first rise r >= a (heights[r] < heights[r + 1]); m - 1 if none.
-
-    Built from the last column down, O(m): nxt[a] is a itself when column
-    a rises, else nxt[a + 1].
-    """
-    last = len(heights) - 1
-    nxt = [last] * len(heights)
-    for a in range(last - 1, -1, -1):
-        nxt[a] = a if heights[a] < heights[a + 1] else nxt[a + 1]
-    return nxt
-
-
 def _column_dinv(heights, a: int, legs: list[tuple[int, int]], nxt) -> int:
     """dinv cells of column a (0-based); reads only heights[a:] and nxt[a:].
+
+    nxt[r] is the first rise at or after column r (heights[r] <
+    heights[r + 1]), or m - 1 if there is none.
 
     In column a the rows y_a < row <= y_{a+1} have arm 0, the rows
     y_{a+1} < row <= y_{a+2} arm 1, and so on, since y_m = n; a stretch
     with arm k holds the legs y_{a+k} - y_a .. y_{a+k+1} - y_a - 1, and
     exactly those in legs[k] straddle.  Stretch k is empty unless column
     a + k rises, so the sum of the overlaps visits only the rises r =
-    nxt[a], nxt[r + 1], ... (nxt as _rises builds it): at most
-    min(m - 1, n - y_a) of them.
+    nxt[a], nxt[r + 1], ...: at most min(m - 1, n - y_a) of them.
     """
     y = heights[a]
     last = len(heights) - 1
@@ -113,11 +104,20 @@ def _column_dinv(heights, a: int, legs: list[tuple[int, int]], nxt) -> int:
 
 
 def dinv(p: DyckPath) -> int:
-    """Cells above the path satisfying the straddle inequality, O(m*min(m, n))."""
+    """Cells above the path satisfying the straddle inequality, O(m*min(m, n)).
+
+    One loop from column m - 2 down records each column's first rise and
+    adds its cells; the last column, at height n, has none.
+    """
     heights = p.east_heights
     legs = _dinv_legs(p.m, p.n)
-    nxt = _rises(heights)
-    return sum(_column_dinv(heights, a, legs, nxt) for a in range(p.m))
+    last = p.m - 1
+    nxt = [last] * p.m
+    total = 0
+    for a in range(last - 1, -1, -1):
+        nxt[a] = a if heights[a] < heights[a + 1] else nxt[a + 1]
+        total += _column_dinv(heights, a, legs, nxt)
+    return total
 
 
 def skips(p: DyckPath) -> int:
@@ -140,6 +140,21 @@ class CellClass(Enum):
     ARM0_LONG_LEG = "arm0-long-leg"  # arm = 0 and leg > n/3
 
 
+def _cell_label(ar: int, lg: int, n: int) -> CellClass:
+    """The one label of a cell with arm ar and leg lg above a (3,n)-path.
+
+    Raises AssertionError unless exactly one label fits.
+    """
+    short_leg = ar == 1 and 3 * (lg + 1) < n
+    long_leg = ar == 0 and 3 * lg > n
+    fits = _straddles(ar, lg, 3, n) + short_leg + long_leg
+    if fits != 1:
+        raise AssertionError(f"arm {ar} and leg {lg} fit {fits} classes, not one")
+    if short_leg:
+        return CellClass.ARM1_SHORT_LEG
+    return CellClass.ARM0_LONG_LEG if long_leg else CellClass.CONTRIBUTES
+
+
 def classify_nondinv_cell(p: DyckPath, x) -> CellClass:
     """Label one cell above a three-column path.
 
@@ -151,16 +166,6 @@ def classify_nondinv_cell(p: DyckPath, x) -> CellClass:
     """
     if p.m != 3:
         raise UnsupportedM(f"cell classification needs m = 3, not m = {p.m}")
-    ar, lg = arm(p, x), leg(p, x)
-    fits = [
-        label
-        for label, holds in (
-            (CellClass.CONTRIBUTES, _straddles(ar, lg, p.m, p.n)),
-            (CellClass.ARM1_SHORT_LEG, ar == 1 and 3 * (lg + 1) < p.n),
-            (CellClass.ARM0_LONG_LEG, ar == 0 and 3 * lg > p.n),
-        )
-        if holds
-    ]
-    if len(fits) != 1:
-        raise AssertionError(f"cell {tuple(x)} fits {len(fits)} classes, not one")
-    return fits[0]
+    column, row = _as_shape_cell(p, x)
+    heights = p.east_heights
+    return _cell_label(_arm(heights, column, row), _leg(heights, column, row), p.n)

@@ -145,18 +145,24 @@ def check_rank_positivity(max_n: int) -> CheckResult:
 
 def check_cell_classification(max_n: int) -> CheckResult:
     """Each above-path cell gets one label; the label counts match skips and dinv."""
+    arm, leg, label_of = paths._arm, paths._leg, stats._cell_label
+    contributes_label = stats.CellClass.CONTRIBUTES
+
     def fault(p):
+        heights, n = p.east_heights, p.n
         fenced = contributing = 0
-        for x in paths.shape_cells(p):
-            try:
-                label = stats.classify_nondinv_cell(p, x)
-            except AssertionError:
-                return f"cell {tuple(x)}: labels not exclusive"
-            contributes = label is stats.CellClass.CONTRIBUTES
-            if x.column == 2 and not contributes:
-                return f"cell {tuple(x)}: second column must contribute"
-            fenced += not contributes
-            contributing += contributes
+        for column, y in enumerate(heights, start=1):
+            for row in range(y + 1, n + 1):  # the cells above the path
+                try:
+                    ar, lg = arm(heights, column, row), leg(heights, column, row)
+                    label = label_of(ar, lg, n)
+                except AssertionError:
+                    return f"cell {(column, row)}: labels not exclusive"
+                contributes = label is contributes_label
+                if column == 2 and not contributes:
+                    return f"cell {(column, row)}: second column must contribute"
+                fenced += not contributes
+                contributing += contributes
         if fenced != stats.skips(p):
             return f"{fenced} fenced cells, skips {stats.skips(p)}"
         d = stats.dinv(p)

@@ -8,11 +8,13 @@ from qtcatalan import (
     CellClass,
     StatTriple,
     UnsupportedM,
+    arm,
     area,
     classify_nondinv_cell,
     contributes_to_dinv,
     dinv,
     enumerate_paths,
+    leg,
     make_path,
     mark_from_path,
     min_east_height,
@@ -21,6 +23,7 @@ from qtcatalan import (
     stat_triple,
     transpose,
 )
+from qtcatalan import stats
 
 import oracles
 
@@ -46,9 +49,15 @@ def test_area_maximum_is_half_the_lattice():
 
 
 def test_area_matches_cell_oracle():
-    for m, n in [(2, 5), (3, 4), (3, 5), (4, 7), (5, 3), (7, 2)]:
+    # area is a sum of heights minus a constant of the lattice: check the
+    # constant on every lattice with m + n <= 16, both orientations, and on
+    # the edge lattices m = 1 and n = 1
+    lattices = [
+        (m, t - m) for t in range(2, 17) for m in range(1, t) if gcd(m, t - m) == 1
+    ]
+    for m, n in lattices + [(1100, 1), (1, 1100)]:
         for p in enumerate_paths(m, n):
-            assert area(p) == oracles.area_by_cells(m, n, p.east_heights)
+            assert area(p) == oracles.area_by_cells(m, n, p.east_heights), p
 
 
 def test_area_equals_unboxed_entry_count_for_three_columns():
@@ -203,6 +212,18 @@ def test_classification_is_exclusive_and_counts_skips():
                 assert contributes_to_dinv(p, x) == (label is CellClass.CONTRIBUTES)
                 fenced += label is not CellClass.CONTRIBUTES
             assert fenced == skips(p)
+
+
+def test_classification_agrees_with_its_label_of_arm_and_leg():
+    # the verify check labels cells by stats._cell_label on (arm, leg, n)
+    for n in range(1, 17):
+        if n % 3 == 0:
+            continue
+        for p in enumerate_paths(3, n):
+            for x in shape_cells(p):
+                assert type(x) is Cell and x == (x.column, x.row)
+                want = stats._cell_label(arm(p, x), leg(p, x), n)
+                assert classify_nondinv_cell(p, x) is want
 
 
 def test_classification_needs_three_columns():

@@ -23,8 +23,7 @@ PLANTED_FAULTS = {
         rankwords, "rank", lambda real: lambda a, b, n: real(a, b, n) - 3
     ),
     "cell-classification": (
-        stats, "classify_nondinv_cell",
-        lambda real: lambda p, x: stats.CellClass.CONTRIBUTES,
+        stats, "_cell_label", lambda real: lambda ar, lg, n: stats.CellClass.CONTRIBUTES
     ),
     "stat-identity": (stats, "area", lambda real: lambda p: real(p) + 1),
     "stat-inequalities": (stats, "skips", lambda real: lambda p: real(p) - 1),
@@ -99,20 +98,19 @@ def test_each_check_catches_a_planted_fault(monkeypatch, name, check, scope):
 
 
 def test_a_cell_fitting_no_class_is_named(monkeypatch):
-    monkeypatch.setattr(stats, "arm", lambda p, x: 2)
+    monkeypatch.setattr(paths, "_arm", lambda heights, column, row: 2)
     result = verify.check_cell_classification(8)
     assert result.counterexample.endswith("labels not exclusive")
 
 
 def test_a_second_column_cell_that_does_not_contribute_is_named(monkeypatch):
-    real_classify = stats.classify_nondinv_cell
+    real_arm = paths._arm
 
-    def long_leg_in_column_two(p, x):
-        if x.column == 2:
-            return stats.CellClass.ARM0_LONG_LEG
-        return real_classify(p, x)
+    def arm_one_in_column_two(heights, column, row):
+        # (2, 4) above (2, 3, 4) then has arm 1 and leg 0 < 4/3 - 1: a short leg
+        return 1 if column == 2 else real_arm(heights, column, row)
 
-    monkeypatch.setattr(stats, "classify_nondinv_cell", long_leg_in_column_two)
+    monkeypatch.setattr(paths, "_arm", arm_one_in_column_two)
     result = verify.check_cell_classification(8)
     assert result.counterexample == (
         "n=4 (2, 3, 4): cell (2, 4): second column must contribute"
