@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, repeat
 from math import comb, gcd
 from operator import index
 from typing import Iterable, Iterator, NamedTuple
@@ -147,7 +146,13 @@ def _step_chunks(p: DyckPath) -> Iterator[str]:
 
 def render_path(p: DyckPath) -> str:
     """Serialize to the step word; inverse of parse_path."""
-    return "".join(_step_chunks(p))
+    parts = []
+    prev = 0
+    for y in p.east_heights:
+        parts.append("N" * (y - prev))
+        parts.append("E")
+        prev = y
+    return "".join(parts)
 
 
 def count_paths(m: int, n: int) -> int:
@@ -182,14 +187,12 @@ def cells_above(p: DyckPath) -> tuple[int, ...]:
 
 def shape_cells(p: DyckPath) -> tuple[Cell, ...]:
     """Every cell above the path, column by column, lowest row first."""
-    top = p.n + 1
-    return tuple(
-        chain.from_iterable(
-            # tuple.__new__ builds each Cell in C, with no call per cell
-            map(tuple.__new__, repeat(Cell), zip(repeat(a), range(y + 1, top)))
-            for a, y in enumerate(p.east_heights, start=1)
-        )
-    )
+    return tuple(Cell(a, b) for a, b in _cell_pairs(p.east_heights, p.n))
+
+
+def _cell_pairs(heights, n: int) -> list[tuple[int, int]]:
+    """shape_cells of the path of these heights, as (column, row) pairs."""
+    return [(a, b) for a, y in enumerate(heights, start=1) for b in range(y + 1, n + 1)]
 
 
 def _as_shape_cell(p: DyckPath, x) -> tuple[int, int]:

@@ -151,18 +151,17 @@ def check_cell_classification(max_n: int) -> CheckResult:
     def fault(p):
         heights, n = p.east_heights, p.n
         fenced = contributing = 0
-        for column, y in enumerate(heights, start=1):
-            for row in range(y + 1, n + 1):  # the cells above the path
-                try:
-                    ar, lg = arm(heights, column, row), leg(heights, column, row)
-                    label = label_of(ar, lg, n)
-                except AssertionError:
-                    return f"cell {(column, row)}: labels not exclusive"
-                contributes = label is contributes_label
-                if column == 2 and not contributes:
-                    return f"cell {(column, row)}: second column must contribute"
-                fenced += not contributes
-                contributing += contributes
+        for column, row in paths._cell_pairs(heights, n):
+            try:
+                ar, lg = arm(heights, column, row), leg(heights, column, row)
+                label = label_of(ar, lg, n)
+            except AssertionError:
+                return f"cell {(column, row)}: labels not exclusive"
+            contributes = label is contributes_label
+            if column == 2 and not contributes:
+                return f"cell {(column, row)}: second column must contribute"
+            fenced += not contributes
+            contributing += contributes
         if fenced != stats.skips(p):
             return f"{fenced} fenced cells, skips {stats.skips(p)}"
         d = stats.dinv(p)

@@ -119,7 +119,7 @@ def test_step_chunks_cut_every_word_and_every_north_run(monkeypatch):
             chunks = list(paths_module._step_chunks(p))
             assert all(0 < len(c) <= 4 for c in chunks)
             assert all(len(c) == 4 for c in chunks[:-1])
-            assert parse_path("".join(chunks)) == p
+            assert "".join(chunks) == render_path(p)
 
 
 def test_a_long_north_run_is_cut_into_chunks():
@@ -223,6 +223,7 @@ def test_arm_and_leg_count_the_cells_east_and_south():
             for p in enumerate_paths(m, total - m):
                 cells = set(shape_cells(p))
                 for x in cells:
+                    assert type(x) is Cell and x == (x.column, x.row)
                     east = sum(1 for c, r in cells if r == x.row and c > x.column)
                     south = sum(1 for c, r in cells if c == x.column and r < x.row)
                     assert (arm(p, x), leg(p, x)) == (east, south)

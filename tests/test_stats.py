@@ -8,13 +8,11 @@ from qtcatalan import (
     CellClass,
     StatTriple,
     UnsupportedM,
-    arm,
     area,
     classify_nondinv_cell,
     contributes_to_dinv,
     dinv,
     enumerate_paths,
-    leg,
     make_path,
     mark_from_path,
     min_east_height,
@@ -23,7 +21,6 @@ from qtcatalan import (
     stat_triple,
     transpose,
 )
-from qtcatalan import stats
 
 import oracles
 
@@ -212,18 +209,6 @@ def test_classification_is_exclusive_and_counts_skips():
                 assert contributes_to_dinv(p, x) == (label is CellClass.CONTRIBUTES)
                 fenced += label is not CellClass.CONTRIBUTES
             assert fenced == skips(p)
-
-
-def test_classification_agrees_with_its_label_of_arm_and_leg():
-    # the verify check labels cells by stats._cell_label on (arm, leg, n)
-    for n in range(1, 17):
-        if n % 3 == 0:
-            continue
-        for p in enumerate_paths(3, n):
-            for x in shape_cells(p):
-                assert type(x) is Cell and x == (x.column, x.row)
-                want = stats._cell_label(arm(p, x), leg(p, x), n)
-                assert classify_nondinv_cell(p, x) is want
 
 
 def test_classification_needs_three_columns():
