@@ -3,28 +3,94 @@
 A rank word has n - 1 entries, C_{3,n}(q,t) about n^2/6 terms and the
 (m,n)-lattice count_paths(m, n) paths of m + n steps, so the CLI writes
 these outputs a chunk at a time and no layer holds the whole output.
+rows writes progressions, a word's runs and the closed form's rows, from
+a table of decimal strings; joined writes the rest (enumerate's paths,
+brute-force terms), and linked strings streams together.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 CHARS = 1 << 17  # the length a chunk aims at
+_BASE = 1000  # the decimal table holds str(0.._BASE - 1)
 
 
 def joined(items: Iterable[str], sep: str) -> Iterator[str]:
     """sep.join(items) as chunks of about CHARS characters; none for no items.
 
     Each chunk takes as many items as would have made the one before it
-    CHARS long, so a word's entries or a polynomial's terms, a few
-    characters each, and a lattice's paths, m + n steps each, all come in
-    chunks of about that length.  A chunk holds at least one item.
+    CHARS long, so a polynomial's terms, a few characters each, and a
+    lattice's paths, m + n steps each, both come in chunks of about that
+    length.  A chunk holds at least one item.
     """
     items = iter(items)
-    rows, lead = 1, ""
-    while block := list(islice(items, rows)):
+    count, lead = 1, ""
+    while block := list(islice(items, count)):
         chunk = lead + sep.join(block)
         yield chunk
-        rows = max(1, rows * CHARS // max(len(chunk), 1))
+        count = max(1, count * CHARS // max(len(chunk), 1))
         lead = sep
+
+
+@functools.cache
+def _digits() -> tuple[list[str], list[str]]:
+    """str(i), and i zero-padded to three digits, for i < _BASE; built on first use."""
+    return [str(i) for i in range(_BASE)], [f"{i:03d}" for i in range(_BASE)]
+
+
+def rows(template: str, columns: Sequence[range], sep: str) -> Iterator[str]:
+    """sep.join(template % row for row in zip(*columns)) as chunks; none for no rows.
+
+    template holds one "%d" per column; the columns are ranges of one
+    length with nonnegative members, of either sign of step.  A chunk is a
+    block of rows, one list filled by extended-slice assignment and joined
+    once: the literal pieces repeated and, per column, a slice of the
+    decimal table, after the column's high part x // _BASE when nonzero.  A
+    block ends where a high part changes or at about CHARS characters (read
+    at the call), and holds at least one row.
+    """
+    pieces = template.split("%d")
+    plain, padded = _digits()
+    width = 2 * len(columns)  # a number and the literal after it, per column
+    after = pieces[1:]  # the literal after each column; the last one runs on
+    after[-1] += sep + pieces[0]  # to the next row's start
+    lead, done, count = pieces[0], 0, len(columns[0])
+    while done < count:
+        # a row at most: the template with 3 digits per "%d", sep and the high parts
+        take, size, parts = count - done, len(template) + len(sep) + len(columns), []
+        for column in columns:
+            high, low = divmod(column[done], _BASE)
+            step = column.step
+            # the rows before the column leaves its high part
+            left = (_BASE - 1 - low) // step if step > 0 else low // -step
+            take = min(take, left + 1)
+            high = str(high) if high else ""
+            size += len(high)
+            parts.append((high, low, step))
+        take = min(take, max(1, CHARS // size))
+        block = [None] * (width * take + 1)
+        block[0] = lead + parts[0][0]
+        for j, (high, low, step) in enumerate(parts):
+            stop = low + step * take
+            block[2 * j + 1::width] = (padded if high else plain)[
+                low:stop if stop >= 0 else None:step]
+            block[2 * j + 2::width] = [after[j] + parts[(j + 1) % len(parts)][0]] * take
+        block[-1] = pieces[-1]
+        yield "".join(block)
+        done += take
+        lead = sep + pieces[0]
+
+
+def linked(streams: Iterable[Iterable[str]], sep: str) -> Iterator[str]:
+    """The chunks of each stream in turn, sep between two streams that write any."""
+    lead = ""
+    for stream in streams:
+        chunks = iter(stream)
+        for first in chunks:
+            yield lead
+            yield first
+            yield from chunks
+            lead = sep

@@ -16,12 +16,13 @@ output as plain data, which _json writes.  A handler runs every check
 and every computation that can raise before it returns, so what is left
 only formats and a failing request writes nothing to stdout.
 
-Outputs that grow with n (a word's entries and rendering, a term list,
-a path list) are formatted a chunk of rows at a time (chunks.joined),
-so no layer holds the whole output.  In a record such a value is an
-iterator of its own JSON text, rows written from one fixed template per
-row kind.  _json is the one JSON writer: every record it writes is
-json.dumps(record, sort_keys=True) byte for byte.
+Outputs that grow with n (a word's entries, rendering and boxed ranks, a
+term list, a path list) are written a chunk of rows at a time, a word's
+runs and the closed form's rows by chunks.rows and the rest by
+chunks.joined, so no layer holds the whole output.  In a record such a
+value is an iterator of its own JSON text, rows written from one fixed
+template per row kind.  _json is the one JSON writer: every record it
+writes is json.dumps(record, sort_keys=True) byte for byte.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from collections.abc import Iterable, Iterator
 from itertools import chain, starmap
 
 from . import bijection, paths, qtpoly, rankwords, stats, verify
-from .chunks import joined
+from .chunks import joined, linked, rows
 from .errors import UnsupportedM
 
 Output = tuple[int, Iterable[str], object]
@@ -52,6 +53,8 @@ _ENTRY = {
     (c, b): _template({"boxed": b, "color": c, "rank": "%d"})
     for c in (1, 2) for b in (False, True)
 }
+# a boxed rank of a word's sorted boxed list; unboxed entries are left out
+_BOXED = {(1, True): "%d", (2, True): "%d"}
 _TERM = _template({"c": "%d", "q": "%d", "t": "%d"})
 # every closed-form coefficient is 1
 _UNIT_TERM = _template({"c": 1, "q": "%d", "t": "%d"})
@@ -89,33 +92,23 @@ def cmd_enumerate(args) -> Output:
 
 def cmd_stats(args) -> Output:
     p = paths.parse_path(args.path)
-    obj = {
-        "path": args.path,
-        "m": p.m,
-        "n": p.n,
-        "area": stats.area(p),
-        "dinv": stats.dinv(p),
-    }
-    lines = [
-        f"m: {p.m}",
-        f"n: {p.n}",
-        f"area: {obj['area']}",
-        f"dinv: {obj['dinv']}",
-    ]
+    area, dinv = stats.area(p), stats.dinv(p)
+    obj = {"path": args.path, "m": p.m, "n": p.n, "area": area, "dinv": dinv}
+    text = [f"m: {p.m}\nn: {p.n}\narea: {area}\ndinv: {dinv}\n"]
     if p.m == 3:
         word = rankwords.mark_from_path(p)
-        obj["skips"] = stats.skips(p)
-        obj["rank_word"] = rankwords.render_word(word)
-        obj["boxed"] = sorted(word.boxed)
-        lines.append(f"skips: {obj['skips']}")
-        lines.append(f"rank word: {obj['rank_word']}")
-    return 0, ["".join(f"{line}\n" for line in lines)], obj
+        obj["skips"] = skips = stats.skips(p)
+        obj["rank_word"] = chain('"', rankwords._word_chunks(word), '"')
+        obj["boxed"] = chain("[", rankwords._formatted(word, _BOXED, ", "), "]")
+        rendered = rankwords._word_chunks(word)
+        text = chain(text, [f"skips: {skips}\nrank word: "], rendered, "\n")
+    return 0, text, obj
 
 
 def _word_record(word: rankwords.MarkedRankWord) -> dict[str, object]:
     """The JSON record of a word: its entries, n and rendering."""
     return {
-        "entries": _array(rankwords._formatted(word, _ENTRY)),
+        "entries": chain("[", rankwords._formatted(word, _ENTRY, ", "), "]"),
         "n": word.n,
         "word": chain('"', rankwords._word_chunks(word), '"'),
     }
@@ -145,19 +138,14 @@ def cmd_poly(args) -> Output:
     if args.method == "closed":
         if args.m != 3:
             raise UnsupportedM(f"the closed form needs m = 3, got m = {args.m}")
-        rows = qtpoly._closed_form_rows(args.n)  # one pass: main reads one form
-        text = chain.from_iterable(starmap(qtpoly._row_text, rows))
-        json_rows = chain.from_iterable(starmap(_unit_terms, rows))
-    else:
-        terms = qtpoly.catalan_bruteforce(args.m, args.n).terms()
-        text = starmap(qtpoly._render_term, terms)
-        json_rows = (_TERM % (c, dq, dt) for dq, dt, c in terms)
-    return 0, chain(qtpoly._sum_chunks(text), "\n"), _array(json_rows)
-
-
-def _unit_terms(qs: range, ts: range) -> Iterator[str]:
-    """The JSON rows of the terms q^dq t^dt of one closed-form row."""
-    return map(_UNIT_TERM.__mod__, zip(qs, ts))
+        closed_rows = qtpoly._closed_form_rows(args.n)  # one pass: main reads one form
+        text = linked(chain.from_iterable(starmap(qtpoly._row_text, closed_rows)), " + ")
+        json_rows = linked((rows(_UNIT_TERM, row, ", ") for row in closed_rows), ", ")
+        return 0, chain(text, "\n"), chain("[", json_rows, "]")
+    terms = qtpoly.catalan_bruteforce(args.m, args.n).terms()
+    text = joined(starmap(qtpoly._render_term, terms), " + ")  # never empty: a lattice has paths
+    json_rows = (_TERM % (c, dq, dt) for dq, dt, c in terms)
+    return 0, chain(text, "\n"), _array(json_rows)
 
 
 def cmd_bijection(args) -> Output:

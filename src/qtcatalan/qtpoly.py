@@ -17,14 +17,13 @@ check the other.
 _closed_form_rows lists those terms already in graded-lex order, as
 rows: row s (s ascending) is its falling q-degrees n-2s-1, ..., s beside
 its rising t-degrees s, ..., n-2s-1, two ranges.  catalan3_closed_form
-builds its dict from the rows, and the CLI formats each row with one
-template mapped over the zipped ranges: "q^%d t^%d" in text, where
-_row_text leaves to _render_term only the few end terms of a row that
-have an exponent below 2, and one JSON row template.  _sum_chunks joins
-rendered terms a chunk at a time, so the CLI writes the closed form
-straight from the rows: O(output) time, with no polynomial, no
-validation, no sort and no whole output in memory.  render_terms joins
-those chunks; QtPolynomial.render formats the sorted terms() the same way.
+builds its dict from the rows, and the CLI writes each row as the two
+progressions it is (chunks.rows): "q^%d t^%d" in text, where _row_text
+leaves to _render_term only the few end terms of a row that have an
+exponent below 2, and one JSON row template.  So the CLI writes the
+closed form straight from the rows: O(output) time, with no polynomial,
+no validation, no sort, no int-to-str conversion and no whole output in
+memory.  QtPolynomial.render formats the sorted terms() the same way.
 
 Coefficients and evaluation results are capped at 2^63 - 1 so that JSON
 output stays exact for consumers with 64-bit integers; exceeding the cap
@@ -37,7 +36,7 @@ from itertools import chain, repeat, starmap
 from operator import index
 from typing import Iterable, Iterator, Mapping
 
-from .chunks import joined
+from .chunks import joined, rows
 from .errors import CoefficientOverflow
 from . import paths, rankwords, stats
 
@@ -129,16 +128,9 @@ def _render_term(dq: int, dt: int, c: int) -> str:
     return " ".join(factors)
 
 
-def _sum_chunks(rendered: Iterable[str]) -> Iterator[str]:
-    """" + ".join(rendered) as chunks (chunks.joined); "0" when there are none."""
-    chunks = joined(rendered, " + ")
-    yield next(chunks, "0")
-    yield from chunks
-
-
 def render_terms(terms: Iterable[tuple[int, int, int]]) -> str:
     """Human-readable sum of (dq, dt, c) terms in the given order; "0" when none."""
-    return "".join(_sum_chunks(starmap(_render_term, terms)))
+    return " + ".join(starmap(_render_term, terms)) or "0"
 
 
 def catalan_bruteforce(m: int, n: int) -> QtPolynomial:
@@ -187,18 +179,18 @@ def _closed_form_rows(n: int) -> Iterator[tuple[range, range]]:
     )
 
 
-def _row_text(qs: range, ts: range) -> Iterator[str]:
-    """The rendered terms of one row: q-degrees falling, t-degrees rising.
+def _row_text(qs: range, ts: range) -> tuple[Iterator[str], ...]:
+    """The rendered terms of one row as streams, for chunks.linked to join by " + ".
 
     Only the terms at the two ends can have an exponent below 2; those go
     through _render_term, and the rest share one template.
     """
     head = min(max(2 - ts[0], 0), len(ts))  # t-degree below 2
     tail = max(head, len(qs) - max(2 - qs[-1], 0))  # q-degree below 2
-    return chain(
-        map(_render_term, qs[:head], ts[:head], repeat(1)),
-        map("q^%d t^%d".__mod__, zip(qs[head:tail], ts[head:tail])),
-        map(_render_term, qs[tail:], ts[tail:], repeat(1)),
+    return (
+        joined(map(_render_term, qs[:head], ts[:head], repeat(1)), " + "),
+        rows("q^%d t^%d", (qs[head:tail], ts[head:tail]), " + "),
+        joined(map(_render_term, qs[tail:], ts[tail:], repeat(1)), " + "),
     )
 
 

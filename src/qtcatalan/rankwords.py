@@ -27,10 +27,10 @@ tests/oracles.py.
 
 Runs: a word is listed by runs (_runs), stretches of ranks on one side of
 n over which each color's boxing is constant: at most 4 when the word
-boxes each color's top ranks.  render_word, MarkedRankWord.entries and
-the CLI's JSON each map one template per (color, boxed) over a run's
-ranks (_formatted), so an entry costs no Python-level step, and
-_word_chunks renders the word a chunk of entries at a time.
+boxes each color's top ranks.  A run's ranks are progressions of step 3,
+a column per color, which MarkedRankWord.entries reads and _formatted
+writes (chunks.rows), with one template per (color, boxed), for
+render_word and the CLI, so an entry costs no Python-level step.
 
 Validation runs once, at the boundary: MarkedRankWord(...) checks n and
 every boxed rank; a derived word's ranks are word ranks by construction.
@@ -40,11 +40,11 @@ from __future__ import annotations
 
 from collections.abc import Set
 from dataclasses import dataclass
-from itertools import chain, cycle
-from operator import index, mod
+from itertools import chain, repeat
+from operator import index
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .chunks import joined
+from .chunks import linked, rows
 from .errors import BadResidue, InvalidTriple, NotRealizable, UnsupportedM
 from .paths import DyckPath
 
@@ -111,10 +111,11 @@ class MarkedRankWord:
     @property
     def entries(self) -> tuple[RankEntry, ...]:
         """The n - 1 entries in increasing rank order."""
-        return tuple(chain.from_iterable(
-            map(RankEntry, ranks, *(cycle(column) for column in zip(*kinds)))
-            for ranks, kinds in _runs(self)
-        ))
+        return tuple(chain.from_iterable(chain.from_iterable(
+            zip(*(map(RankEntry, column, repeat(c), repeat(b))
+                  for column, (c, b) in zip(columns, kinds)))
+            for columns, kinds in chain.from_iterable(_runs(self))
+        )))
 
     def __len__(self) -> int:
         return self.n - 1
@@ -182,20 +183,21 @@ def _derived(n: int, k: int, ell: int) -> MarkedRankWord:
     return w
 
 
-# a run's entries alternate between its kinds, each a (color, boxed) pair
-_Run = tuple[Iterable[int], tuple[tuple[int, bool], ...]]
+# rows of one rank per column, and the kind, (color, boxed), of each column
+_Progression = tuple[tuple[range, ...], tuple[tuple[int, bool], ...]]
 
 
-def _runs(w: MarkedRankWord) -> Iterator[_Run]:
-    """(ranks, kinds) of each run of w, in increasing rank order.
+def _runs(w: MarkedRankWord) -> Iterator[tuple[_Progression, ...]]:
+    """The progressions of each run of w, in increasing rank order.
 
     A run is a stretch of ranks on one side of n with one boxing per color,
     read off the color's first rank from the run's start up.  Below n the
     stretch holds every rank not divisible by 3, the colors alternating
-    with color 1 on the residue of 2n; from n up it holds only color 1,
-    every third rank from the first one congruent to 2n.  The runs are cut
-    at the thresholds 2n - 3k and n - 3ell when w boxes each color's top
-    ranks, and at each boxed rank and its successor otherwise.
+    with color 1 on the residue of 2n: rows of two, then at most one; from
+    n up it holds only color 1, every third rank from the first one
+    congruent to 2n.  The runs are cut at the thresholds 2n - 3k and
+    n - 3ell when w boxes each color's top ranks, and at each boxed rank
+    and its successor otherwise.
     """
     n, boxed = w.n, w.boxed
     k, ell = boxed_counts(w)
@@ -209,19 +211,27 @@ def _runs(w: MarkedRankWord) -> Iterator[_Run]:
         if hi <= n:
             first = lo + (lo % 3 == 0)  # the first rank of the run
             kinds = ((1, b1), (2, b2)) if _color(first, n) == 1 else ((2, b2), (1, b1))
-            yield filter((3).__rmod__, range(lo, hi)), kinds  # r % 3 != 0
+            # the second rank is the next one not divisible by 3
+            firsts, seconds = range(first, hi, 3), range(first + 1 + first % 3 // 2, hi, 3)
+            pairs = len(seconds)
+            yield ((firsts[:pairs], seconds), kinds), ((firsts[pairs:],), kinds[:1])
         else:
-            yield range(lo + (2 * n - lo) % 3, hi, 3), ((1, b1),)
+            yield ((range(lo + (2 * n - lo) % 3, hi, 3),), ((1, b1),)),
 
 
 def _formatted(
-    w: MarkedRankWord, templates: Mapping[tuple[int, bool], str]
+    w: MarkedRankWord, templates: Mapping[tuple[int, bool], str], sep: str
 ) -> Iterator[str]:
-    """templates[color, boxed] % rank for each entry of w, in increasing rank order."""
-    return chain.from_iterable(
-        map(mod, cycle([templates[kind] for kind in kinds]), ranks)
-        for ranks, kinds in _runs(w)
-    )
+    """sep.join of templates[color, boxed] % rank over w's entries, as chunks.
+
+    The entries go in increasing rank order, leaving out any whose kind
+    templates lacks.
+    """
+    progressions = (
+        [(c, templates[kind]) for c, kind in zip(columns, kinds) if kind in templates]
+        for columns, kinds in chain.from_iterable(_runs(w)) if columns[0])
+    return linked((rows(sep.join(t for _, t in kept), [c for c, _ in kept], sep)
+                   for kept in progressions if kept), sep)
 
 
 def lattice_rank_word(n: int) -> MarkedRankWord:
@@ -341,8 +351,8 @@ _TEXT = {
 
 
 def _word_chunks(w: MarkedRankWord) -> Iterator[str]:
-    """render_word(w) as chunks (chunks.joined)."""
-    return joined(_formatted(w, _TEXT), " ")
+    """render_word(w) as chunks (chunks.rows)."""
+    return _formatted(w, _TEXT, " ")
 
 
 def render_word(w: MarkedRankWord) -> str:

@@ -637,6 +637,35 @@ def test_a_rebuilt_word_holds_no_set_of_its_ranks():
     assert peak_kib < 50 * 1024
 
 
+class LongestWrite:
+    """A stdout that keeps the length of its longest write and of all of them."""
+
+    def __init__(self):
+        self.longest = self.total = 0
+
+    def write(self, s):
+        self.longest = max(self.longest, len(s))
+        self.total += len(s)
+        return len(s)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["omega", "300000", "100000", "300000"], ["poly", "3", "1001", "--method", "closed"],
+], ids=" ".join)
+def test_no_write_holds_more_than_two_chunks(monkeypatch, argv, fmt):
+    # a progression is written a block of rows at a time, never whole: the
+    # word's run above n alone is about 1.3 MB of text
+    spy = LongestWrite()
+    monkeypatch.setattr(sys, "stdout", spy)
+    assert main([*argv, "--format", fmt]) == 0
+    assert spy.total > 8 * chunks.CHARS
+    assert spy.longest <= 2 * chunks.CHARS
+
+
 @pytest.mark.parametrize("argv, code, head", [
     (["--help"], 0, b"usage: qtcatalan "),
     (["poly", "-h"], 0, b"usage: qtcatalan poly "),

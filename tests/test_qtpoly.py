@@ -1,12 +1,13 @@
 import json
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 import oracles
 from qtcatalan import paths as paths_module
-from qtcatalan import cli, qtpoly
+from qtcatalan import chunks, cli, qtpoly
 from qtcatalan import (
     COEFFICIENT_LIMIT,
     BadResidue,
@@ -206,7 +207,7 @@ def cmd_poly_closed(n, fmt):
 
 
 def test_term_formatting_of_the_closed_form_terms():
-    for n in [*range(1, 100), 398, 399]:
+    for n in [*range(1, 100), 398, 399, 1001]:
         if n % 3 == 0:
             continue
         poly = catalan3_closed_form(n)
@@ -219,19 +220,21 @@ def test_term_formatting_of_the_closed_form_terms():
 
 
 def test_closed_form_rows_format_as_their_terms_do():
-    # a row maps one template over its middle terms and leaves the end terms,
-    # with an exponent below 2, to _render_term
-    for n in range(1, 201):
+    # a row writes its middle terms as one progression and leaves the end
+    # terms, with an exponent below 2, to _render_term; chunks of a few
+    # terms, so that a row spans many of them
+    for n in [*range(1, 201), 1000, 1001]:
         if n % 3 == 0:
             continue
         for qs, ts in qtpoly._closed_form_rows(n):
             terms = list(zip(qs, ts))
-            assert list(qtpoly._row_text(qs, ts)) == [
-                qtpoly._render_term(dq, dt, 1) for dq, dt in terms
-            ], (n, ts[0])
-            assert list(cli._unit_terms(qs, ts)) == [
-                cli._TERM % (1, dq, dt) for dq, dt in terms
-            ], (n, ts[0])
+            with mock.patch.object(chunks, "CHARS", n % 40 + 1):
+                text = "".join(chunks.linked(qtpoly._row_text(qs, ts), " + "))
+                json_row = "".join(chunks.rows(cli._UNIT_TERM, (qs, ts), ", "))
+            assert text == " + ".join(
+                qtpoly._render_term(dq, dt, 1) for dq, dt in terms), (n, ts[0])
+            assert json_row == ", ".join(
+                cli._TERM % (1, dq, dt) for dq, dt in terms), (n, ts[0])
 
 
 def test_closed_form_terms_check_n_at_the_call():

@@ -1,8 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
 
-from qtcatalan import cli, rankwords
+from qtcatalan import chunks, cli, rankwords
 from qtcatalan import (
     BadResidue,
     InvalidTriple,
@@ -75,6 +76,7 @@ def test_entries_match_the_sorted_cell_ranks():
 
 # each entry as "rank color boxed", so a listing can be read back
 KIND_TEMPLATES = {(c, b): f"%d {c} {b:d}" for c in (1, 2) for b in (False, True)}
+BOXED_TEMPLATES = {(1, True): "%d", (2, True): "%d"}
 
 
 def test_listing_reads_the_sorted_cell_ranks_and_any_marking():
@@ -88,11 +90,16 @@ def test_listing_reads_the_sorted_cell_ranks_and_any_marking():
         markings += [frozenset(rng.sample(ranks, rng.randint(0, len(ranks)))) for _ in range(4)]
         for boxed in markings:
             w = MarkedRankWord(n, boxed)
-            listed = [tuple(map(int, entry.split()))
-                      for entry in rankwords._formatted(w, KIND_TEMPLATES)]
+            # chunks of a few entries, so that the runs span many of them
+            with mock.patch.object(chunks, "CHARS", rng.randint(1, 40)):
+                text = "".join(rankwords._formatted(w, KIND_TEMPLATES, ";"))
+                only_boxed = "".join(rankwords._formatted(w, BOXED_TEMPLATES, ", "))
+            listed = [tuple(map(int, entry.split())) for entry in text.split(";") if entry]
             assert [(r, color) for r, color, _ in listed] == word
             assert [b for _, _, b in listed] == [r in boxed for r in ranks]
             assert w.entries == tuple(RankEntry(r, c, bool(b)) for r, c, b in listed)
+            # a kind without a template is left out: the boxed ranks, sorted
+            assert only_boxed == ", ".join(map(str, sorted(boxed)))
 
 
 def test_lattice_rank_word_rejects_multiples_of_three():
