@@ -5,11 +5,13 @@ gcd(m,n) = 1, and stays weakly above the rectangle diagonal y = (n/m)x.
 Coprimality keeps every interior lattice point off the diagonal, so
 "weakly above" is the exact ceiling condition y_a >= ceil(a*n/m) on the
 height y_a of the a-th east step.  The height list (y_1, ..., y_m) is the
-canonical representation; the {N,E} step word is only a serialization.
+canonical representation; the {N,E} step word is only a serialization,
+read by string methods: y_a counts the N's in the runs before the a-th E.
 Note y_m = n always: the final east step runs along the top edge.
 
 Cells are addressed (column, row), both 1-based, rows numbered bottom to
-top, so cell (1,1) rests on the origin.
+top, so cell (1,1) rests on the origin.  Walks over the cells above a path
+take the integer pairs of _cell_pairs; Cell is for callers of shape_cells.
 
 Validation runs once, at the boundary: the public constructors (DyckPath,
 make_path, parse_path) check every column, while the paths the library
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, gcd
 from operator import index
 from typing import Iterable, Iterator, NamedTuple
@@ -111,16 +114,12 @@ def make_path(m: int, n: int, east_heights: Iterable[int]) -> DyckPath:
 
 def parse_path(word: str) -> DyckPath:
     """Read a step word over {N, E}, e.g. "NNENNEE" for the (3,4)-path (2,4,4)."""
-    heights = []
-    north = 0
-    for ch in word:
-        if ch == "N":
-            north += 1
-        elif ch == "E":
-            heights.append(north)
-        else:
-            raise BadCharacter(f"step words use only N and E, found {ch!r}")
-    return DyckPath(len(heights), north, tuple(heights))
+    north = word.count("N")
+    if north + word.count("E") != len(word):
+        stray = word.lstrip("NE")[0]  # the first character that is neither
+        raise BadCharacter(f"step words use only N and E, found {stray!r}")
+    heights = tuple(accumulate(map(len, word.split("E")[:-1])))
+    return DyckPath(len(heights), north, heights)
 
 
 def _step_chunks(p: DyckPath) -> Iterator[str]:

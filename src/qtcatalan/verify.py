@@ -136,10 +136,10 @@ def check_poly_mn_symmetry(max_mn: int) -> CheckResult:
 def check_rank_positivity(max_n: int) -> CheckResult:
     """Every cell above a (3,n)-path has positive rank."""
     def fault(p):
-        for x in paths.shape_cells(p):
-            r = rankwords.rank(x.column, x.row, p.n)
+        for column, row in paths._cell_pairs(p.east_heights, p.n):
+            r = rankwords.rank(column, row, p.n)
             if r <= 0:
-                return f"cell {tuple(x)} has rank {r}"
+                return f"cell {(column, row)} has rank {r}"
     return _scan("rank-positivity", _three_column_paths(max_n), fault, size=_cell_count)
 
 
@@ -206,7 +206,8 @@ def check_word_roundtrip(max_n: int) -> CheckResult:
     """mark_from_path boxes the cell ranks, and path_from_word inverts it."""
     def fault(p):
         word = rankwords.mark_from_path(p)
-        cells = {rankwords.rank(x.column, x.row, p.n) for x in paths.shape_cells(p)}
+        pairs = paths._cell_pairs(p.east_heights, p.n)
+        cells = {rankwords.rank(column, row, p.n) for column, row in pairs}
         if word.boxed != cells:
             return "boxed ranks are not the cell ranks"
         if rankwords.path_from_word(word) != p:

@@ -6,13 +6,15 @@ cell from corner positions, dinv uses Fraction arithmetic over an
 explicit cell set, skips works by string surgery on the boxed flags, the
 rank word is sorted from the cell ranks instead of read off residues, a
 path's marking is the set of its cell ranks, omega walks that sorted
-word entry by entry, transpose goes through the step word, and the sweep
-map reorders the step word, so its area is a third route to dinv.
+word entry by entry, transpose goes through the step word, the sweep
+map reorders the step word, so its area is a third route to dinv, and a
+step word is read one character at a time.
 """
 
 from fractions import Fraction
 from itertools import combinations, groupby
 
+from qtcatalan.errors import BadCharacter
 from qtcatalan.paths import parse_path, render_path
 
 SWAP_NE = str.maketrans("NE", "EN")
@@ -39,6 +41,23 @@ def paths_by_filter(m, n):
         if ok:
             words.append("".join(word))
     return words
+
+
+def heights_by_scan(word):
+    """(m, n, east heights) of a step word, read one character at a time.
+
+    Raises BadCharacter on the first character other than N and E.
+    """
+    heights = []
+    north = 0
+    for ch in word:
+        if ch == "N":
+            north += 1
+        elif ch == "E":
+            heights.append(north)
+        else:
+            raise BadCharacter(f"step words use only N and E, found {ch!r}")
+    return len(heights), north, tuple(heights)
 
 
 def area_by_cells(m, n, east_heights):

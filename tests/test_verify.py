@@ -97,6 +97,25 @@ def test_each_check_catches_a_planted_fault(monkeypatch, name, check, scope):
     assert 0 < result.checked
 
 
+def test_verify_builds_no_cell(monkeypatch):
+    # every cell check walks (column, row) integers, not Cell tuples
+    def no_cell(column, row):
+        raise AssertionError("verify built a Cell")
+
+    monkeypatch.setattr(paths, "Cell", no_cell)
+    for r in verify.run_all(max_n=16, max_mn=10):
+        assert r.ok, f"{r.name}: {r.counterexample}"
+
+
+def test_a_nonpositive_rank_is_named(monkeypatch):
+    module, attr, plant = PLANTED_FAULTS["rank-positivity"]
+    monkeypatch.setattr(module, attr, plant(getattr(module, attr)))
+    result = verify.check_rank_positivity(8)
+    assert (result.checked, result.counterexample) == (
+        1, "n=2 (1, 2, 2): cell (1, 2) has rank -2"
+    )
+
+
 def test_a_cell_fitting_no_class_is_named(monkeypatch):
     monkeypatch.setattr(paths, "_arm", lambda heights, column, row: 2)
     result = verify.check_cell_classification(8)
