@@ -340,6 +340,78 @@ def test_verify_reports_a_perturbed_statistic(capsys, monkeypatch):
     assert "counterexample" in out
 
 
+# `qtcatalan verify --max-n 5 --max-mn 5 --format json`, byte for byte: each
+# check's record holds its fields and ok, a failed one its counterexample
+VERIFY_5_JSON = (
+    '{"checks": ['
+    '{"checked": 9, "counterexample": null, "name": "path-count", "ok": true}, '
+    '{"checked": 11, "counterexample": null, '
+    '"name": "serialization-roundtrip", "ok": true}, '
+    '{"checked": 11, "counterexample": null, "name": "shape-monotone", "ok": true}, '
+    '{"checked": 11, "counterexample": null, '
+    '"name": "transpose-involution", "ok": true}, '
+    '{"checked": 5, "counterexample": null, "name": "poly-mn-symmetry", "ok": true}, '
+    '{"checked": 24, "counterexample": null, "name": "rank-positivity", "ok": true}, '
+    '{"checked": 24, "counterexample": null, '
+    '"name": "cell-classification", "ok": true}, '
+    '{"checked": 15, "counterexample": null, "name": "stat-identity", "ok": true}, '
+    '{"checked": 15, "counterexample": null, '
+    '"name": "stat-inequalities", "ok": true}, '
+    '{"checked": 15, "counterexample": null, '
+    '"name": "triple-uniqueness", "ok": true}, '
+    '{"checked": 15, "counterexample": null, "name": "word-roundtrip", "ok": true}, '
+    '{"checked": 15, "counterexample": null, '
+    '"name": "triple-reconstruction", "ok": true}, '
+    '{"checked": 15, "counterexample": null, '
+    '"name": "triple-realizability", "ok": true}, '
+    '{"checked": 4, "counterexample": null, "name": "closed-form", "ok": true}, '
+    '{"checked": 4, "counterexample": null, "name": "qt-symmetry", "ok": true}, '
+    '{"checked": 15, "counterexample": null, "name": "involution", "ok": true}], '
+    '"failed": 0, "passed": 16}\n'
+)
+VERIFY_5_JSON_DINV_PLUS_ONE = (
+    '{"checks": ['
+    '{"checked": 9, "counterexample": null, "name": "path-count", "ok": true}, '
+    '{"checked": 11, "counterexample": null, '
+    '"name": "serialization-roundtrip", "ok": true}, '
+    '{"checked": 11, "counterexample": null, "name": "shape-monotone", "ok": true}, '
+    '{"checked": 11, "counterexample": null, '
+    '"name": "transpose-involution", "ok": true}, '
+    '{"checked": 5, "counterexample": null, "name": "poly-mn-symmetry", "ok": true}, '
+    '{"checked": 24, "counterexample": null, "name": "rank-positivity", "ok": true}, '
+    '{"checked": 0, "counterexample": "n=1 (1, 1, 1): 0 contributing cells, dinv 1", '
+    '"name": "cell-classification", "ok": false}, '
+    '{"checked": 1, "counterexample": "n=1 (1, 1, 1): 0+0+1 != 0", '
+    '"name": "stat-identity", "ok": false}, '
+    '{"checked": 1, "counterexample": "n=1 (1, 1, 1): triple (0,0,1)", '
+    '"name": "stat-inequalities", "ok": false}, '
+    '{"checked": 15, "counterexample": null, '
+    '"name": "triple-uniqueness", "ok": true}, '
+    '{"checked": 15, "counterexample": null, "name": "word-roundtrip", "ok": true}, '
+    '{"checked": 1, "counterexample": "n=1 (1, 1, 1): omega(0,0,1) differs", '
+    '"name": "triple-reconstruction", "ok": false}, '
+    '{"checked": 1, "counterexample": "n=1: mismatch at (0, 0, 0)", '
+    '"name": "triple-realizability", "ok": false}, '
+    '{"checked": 4, "counterexample": null, "name": "closed-form", "ok": true}, '
+    '{"checked": 4, "counterexample": null, "name": "qt-symmetry", "ok": true}, '
+    '{"checked": 1, "counterexample": "n=1 (1, 1, 1): triple not swapped", '
+    '"name": "involution", "ok": false}], '
+    '"failed": 6, "passed": 10}\n'
+)
+
+
+def test_verify_json_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "5", "--max-mn", "5", "--format", "json")
+    assert (code, out) == (0, "".join(VERIFY_5_JSON))
+
+
+def test_verify_json_of_failed_checks_is_pinned(capsys, monkeypatch):
+    real_dinv = stats.dinv
+    monkeypatch.setattr(stats, "dinv", lambda p: real_dinv(p) + 1)
+    code, out, _ = run(capsys, "verify", "--max-n", "5", "--max-mn", "5", "--format", "json")
+    assert (code, out) == (1, "".join(VERIFY_5_JSON_DINV_PLUS_ONE))
+
+
 def test_text_output_builds_no_json(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("built the JSON form for text output")
