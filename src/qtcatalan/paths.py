@@ -22,7 +22,6 @@ transpose returns, are built unchecked by _built.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, gcd
 from operator import index
@@ -59,36 +58,34 @@ def min_east_height(a: int, m: int, n: int) -> int:
     return -(-a * n // m)
 
 
-@dataclass(frozen=True)
 class DyckPath:
     """An (m,n)-Dyck path stored as its east-step heights.
 
     east_heights[a-1] is the number of north steps taken before the a-th
     east step.  Constructing one validates every column; the library
     builds the paths it derives, valid by construction, through _built.
+    A path is an immutable value: equal to and hashed as its fields.
     """
 
+    __slots__ = __match_args__ = ("m", "n", "east_heights")
     m: int
     n: int
     east_heights: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "east_heights", tuple(self.east_heights))
-        _check_lattice(self.m, self.n)
-        if len(self.east_heights) != self.m:
-            raise ValueError(
-                f"expected {self.m} east heights, got {len(self.east_heights)}"
-            )
+    def __init__(self, m: int, n: int, east_heights: Iterable[int]) -> None:
+        east_heights = tuple(east_heights)
+        _check_lattice(m, n)
+        if len(east_heights) != m:
+            raise ValueError(f"expected {m} east heights, got {len(east_heights)}")
         # one pass; the first bad column names the error.  index makes y an
         # integer (a float raises TypeError), so y is below the floor
         # ceil(a*n/m) exactly when m*y < a*n
-        m, n = self.m, self.n
         prev = 0
-        for a, y in enumerate(self.east_heights, start=1):
+        for a, y in enumerate(east_heights, start=1):
             y = index(y)
             if y < prev or y > n:
                 raise NotMonotone(
-                    f"heights must weakly increase within 0..{n}: {self.east_heights}"
+                    f"heights must weakly increase within 0..{n}: {east_heights}"
                 )
             if m * y < a * n:
                 raise BelowDiagonal(
@@ -96,14 +93,43 @@ class DyckPath:
                     f"(needs >= {min_east_height(a, m, n)})"
                 )
             prev = y
+        _set_m(self, m)
+        _set_n(self, n)
+        _set_heights(self, east_heights)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.n, self.east_heights) == (other.m, other.n, other.east_heights)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.n, self.east_heights))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(m={self.m!r}, n={self.n!r}, "
+                f"east_heights={self.east_heights!r})")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the default copy and unpickle assign each slot, which __setattr__ refuses
+        return type(self), (self.m, self.n, self.east_heights)
+
+
+# each slot's setter, which passes by the __setattr__ that refuses assignment
+_set_m, _set_n, _set_heights = (getattr(DyckPath, f).__set__ for f in DyckPath.__slots__)
 
 
 def _built(m: int, n: int, heights: tuple[int, ...]) -> DyckPath:
     """A DyckPath from data valid by construction, with no validation."""
     p = object.__new__(DyckPath)
-    object.__setattr__(p, "m", m)
-    object.__setattr__(p, "n", n)
-    object.__setattr__(p, "east_heights", heights)
+    _set_m(p, m)
+    _set_n(p, n)
+    _set_heights(p, heights)
     return p
 
 

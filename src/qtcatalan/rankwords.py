@@ -39,7 +39,6 @@ every boxed rank; a derived word's ranks are word ranks by construction.
 from __future__ import annotations
 
 from collections.abc import Set
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import index
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -85,7 +84,6 @@ def _check_rows(n: int) -> None:
         raise BadResidue(f"n must not be a multiple of 3, got {n}")
 
 
-@dataclass(frozen=True)
 class MarkedRankWord:
     """A rank word with a subset of entries boxed.
 
@@ -95,18 +93,46 @@ class MarkedRankWord:
     Constructing one validates n and the boxed ranks, and boxed is then a
     frozenset of ints.  A derived word's boxed is a read-only set of the
     same ranks (_TopRanks) that equals and hashes like that frozenset.
+    A word is an immutable value: equal to and hashed as its fields.
     """
 
+    __slots__ = __match_args__ = ("n", "boxed")
     n: int
-    boxed: frozenset[int]
+    boxed: Set[int]
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, boxed: Iterable[int]) -> None:
         # index: a float rank raises TypeError, and the set holds plain ints
-        object.__setattr__(self, "boxed", frozenset(map(index, self.boxed)))
-        _check_rows(self.n)
-        stray = sorted(r for r in self.boxed if _color(r, self.n) is None)
+        boxed = frozenset(map(index, boxed))
+        _check_rows(n)
+        stray = sorted(r for r in boxed if _color(r, n) is None)
         if stray:
-            raise ValueError(f"not ranks of the {self.n}-row lattice: {stray}")
+            raise ValueError(f"not ranks of the {n}-row lattice: {stray}")
+        _set_n(self, n)
+        _set_boxed(self, boxed)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.boxed) == (other.n, other.boxed)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.boxed))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, boxed={self.boxed!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the default copy and unpickle assign each slot, which __setattr__
+        # refuses; a derived word is rebuilt from its two counts
+        if isinstance(self.boxed, _TopRanks):
+            return _derived, (self.n, self.boxed.k, self.boxed.ell)
+        return type(self), (self.n, self.boxed)
 
     @property
     def entries(self) -> tuple[RankEntry, ...]:
@@ -175,11 +201,15 @@ def _top_ranks(n: int, k: int, ell: int) -> Set[int]:
     return _TopRanks(n, k, ell)
 
 
+# each slot's setter, which passes by the __setattr__ that refuses assignment
+_set_n, _set_boxed = (getattr(MarkedRankWord, f).__set__ for f in MarkedRankWord.__slots__)
+
+
 def _derived(n: int, k: int, ell: int) -> MarkedRankWord:
     """The word boxing the top k color-1 and ell color-2 ranks, unvalidated."""
     w = object.__new__(MarkedRankWord)
-    object.__setattr__(w, "n", n)
-    object.__setattr__(w, "boxed", _top_ranks(n, k, ell))
+    _set_n(w, n)
+    _set_boxed(w, _top_ranks(n, k, ell))
     return w
 
 

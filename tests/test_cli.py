@@ -402,14 +402,14 @@ VERIFY_5_JSON_DINV_PLUS_ONE = (
 
 def test_verify_json_is_pinned(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "5", "--max-mn", "5", "--format", "json")
-    assert (code, out) == (0, "".join(VERIFY_5_JSON))
+    assert (code, out) == (0, VERIFY_5_JSON)
 
 
 def test_verify_json_of_failed_checks_is_pinned(capsys, monkeypatch):
     real_dinv = stats.dinv
     monkeypatch.setattr(stats, "dinv", lambda p: real_dinv(p) + 1)
     code, out, _ = run(capsys, "verify", "--max-n", "5", "--max-mn", "5", "--format", "json")
-    assert (code, out) == (1, "".join(VERIFY_5_JSON_DINV_PLUS_ONE))
+    assert (code, out) == (1, VERIFY_5_JSON_DINV_PLUS_ONE)
 
 
 def test_text_output_builds_no_json(capsys, monkeypatch):
@@ -622,6 +622,30 @@ def run_until_the_reader_leaves(argv, keep):
     err = child.stderr.read()
     child.stderr.close()
     return child.wait(timeout=120), head, err
+
+
+def loaded_modules(code):
+    """The modules a fresh interpreter has loaded once it has run code."""
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True, text=True, env=child_env(), timeout=120, check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_importing_the_cli_loads_neither_verify_nor_dataclasses():
+    bare, started = loaded_modules("pass"), loaded_modules("import qtcatalan.cli")
+    assert "qtcatalan.cli" in started
+    assert "qtcatalan.verify" not in started  # cmd_verify imports it
+    # an interpreter's site may load dataclasses; the package adds no import of it
+    assert "dataclasses" not in started - bare
+
+
+def test_verify_imports_its_checks_in_a_fresh_process():
+    argv = ["verify", "--max-n", "5", "--max-mn", "5", "--format", "json"]
+    done = subprocess.run([sys.executable, "-m", "qtcatalan", *argv], capture_output=True,
+                          text=True, env=child_env(), timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, VERIFY_5_JSON, "")
 
 
 @pytest.mark.parametrize("argv, keep, head", [

@@ -35,7 +35,7 @@ COPIES = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
     **{f"pickle {proto}": lambda v, proto=proto: pickle.loads(pickle.dumps(v, proto))
-       for proto in range(2, pickle.HIGHEST_PROTOCOL + 1)},
+       for proto in range(pickle.HIGHEST_PROTOCOL + 1)},
 }
 
 
