@@ -15,14 +15,16 @@ take the integer pairs of _cell_pairs; Cell is for callers of shape_cells.
 
 Validation runs once, at the boundary: the public constructors (DyckPath,
 make_path, parse_path) check every column, while the paths the library
-derives from a genuine path or lattice, which enumerate_paths yields and
-transpose returns, are built unchecked by _built.
+derives from a genuine path or lattice are built unchecked: transpose's
+image by _built, and the paths enumerate_paths yields by _built_block, a
+block of them at a time.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate
+from collections import deque
+from itertools import accumulate, islice, repeat
 from math import comb, gcd
 from operator import index
 from typing import Iterable, Iterator, NamedTuple
@@ -35,6 +37,9 @@ from .errors import (
     NotCoprime,
     NotMonotone,
 )
+
+
+_TABLE = 1 << 12  # suffixes in enumerate_paths' table, and paths per block
 
 
 class Cell(NamedTuple):
@@ -63,7 +68,8 @@ class DyckPath:
 
     east_heights[a-1] is the number of north steps taken before the a-th
     east step.  Constructing one validates every column; the library
-    builds the paths it derives, valid by construction, through _built.
+    builds the paths it derives, valid by construction, through _built
+    and _built_block.
     A path is an immutable value: equal to and hashed as its fields.
     """
 
@@ -133,6 +139,15 @@ def _built(m: int, n: int, heights: tuple[int, ...]) -> DyckPath:
     return p
 
 
+def _built_block(m: int, n: int, block: list[tuple[int, ...]]) -> list[DyckPath]:
+    """_built(m, n, heights) for each heights in block, by C-level maps."""
+    ps = list(map(object.__new__, repeat(DyckPath, len(block))))
+    deque(map(_set_m, ps, repeat(m)), 0)
+    deque(map(_set_n, ps, repeat(n)), 0)
+    deque(map(_set_heights, ps, block), 0)
+    return ps
+
+
 def make_path(m: int, n: int, east_heights: Iterable[int]) -> DyckPath:
     """Validate and build a path from its east-step heights."""
     return DyckPath(m, n, tuple(east_heights))
@@ -187,21 +202,58 @@ def count_paths(m: int, n: int) -> int:
 
 
 def enumerate_paths(m: int, n: int) -> Iterator[DyckPath]:
-    """Yield every (m,n)-Dyck path once, in lexicographic height order."""
+    """Yield every (m,n)-Dyck path once, in lexicographic height order.
+
+    Each path is a prefix of its first columns plus a suffix from a table
+    of every suffix of the last columns, in lex order.  The columns whose
+    floor is n are always n; the table grows leftwards from them, one
+    column at a time, while it stays within _TABLE suffixes.  Its first
+    column's heights run from low to n, and starts[y - low] is the first
+    suffix whose height is at least y, so the suffixes that may follow a
+    column at height y are a slice of the table.  An odometer walks the
+    prefix columns but the last, whose heights are looped within, and the
+    paths are built in blocks of about _TABLE, so memory does not grow
+    with n or with the number of paths.
+    """
     _check_lattice(m, n)
     floors = [min_east_height(a, m, n) for a in range(1, m + 1)]
-    heights = list(floors)  # the lowest path; floors weakly increase
+    k = bisect_left(floors, n)  # the first column of the table
+    table = [(n,) * (m - k)]
+    low, starts = n, [0]
+    while k:
+        below = floors[k - 1]
+        size = len(table)
+        if (low - below) * size + sum(size - s for s in starts) > _TABLE:
+            break
+        grown: list[tuple[int, ...]] = []
+        grown_starts = []
+        for y in range(below, n + 1):
+            grown_starts.append(len(grown))
+            grown += map((y,).__add__, islice(table, starts[y - low] if y > low else 0, None))
+        table, low, starts, k = grown, below, grown_starts, k - 1
+    if not k:
+        yield from _built_block(m, n, table)
+        return
+    heights = floors[:k - 1]  # the prefix odometer, without column k - 1
+    lowest = floors[k - 1]
+    batch: list[tuple[int, ...]] = []
     while True:
-        yield _built(m, n, tuple(heights))
-        # odometer step: raise the last height below n (the final height
-        # is always n) and drop every height after it to its lowest value
-        a = m - 2
+        head = tuple(heights)
+        for y in range(max(heights[-1], lowest) if heights else lowest, n + 1):
+            batch += map((*head, y).__add__, islice(table, starts[y - low] if y > low else 0, None))
+            if len(batch) >= _TABLE:
+                yield from _built_block(m, n, batch)
+                batch = []
+        # odometer step: raise the last prefix height below n and drop every
+        # prefix height after it to its lowest value
+        a = k - 2
         while a >= 0 and heights[a] == n:
             a -= 1
         if a < 0:
+            yield from _built_block(m, n, batch)
             return
         heights[a] += 1
-        for b in range(a + 1, m):
+        for b in range(a + 1, k - 1):
             heights[b] = max(heights[b - 1], floors[b])
 
 

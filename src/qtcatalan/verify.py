@@ -89,17 +89,19 @@ def _scan(name: str, objects, fault, where=_PATH3, size=None) -> CheckResult:
 
     fault(obj) describes what is wrong with obj, or returns None; the
     counterexample is where.format(obj) followed by that problem.  size(obj)
-    is what obj adds to the count (one object by default).
+    is what obj adds to the count (one object by default); the object a
+    counterexample names adds at least one, even when its size is 0.
     """
     checked = 0
     for obj in objects:
-        checked += 1 if size is None else size(obj)
+        adds = 1 if size is None else size(obj)
+        checked += adds
         try:
             problem = fault(obj)
         except ValueError as exc:
             problem = f"raised {type(exc).__name__}: {exc}"
         if problem is not None:
-            return CheckResult(name, checked, f"{where.format(obj)}: {problem}")
+            return CheckResult(name, checked + (adds == 0), f"{where.format(obj)}: {problem}")
     return CheckResult(name, checked)
 
 

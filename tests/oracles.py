@@ -8,7 +8,8 @@ rank word is sorted from the cell ranks instead of read off residues, a
 path's marking is the set of its cell ranks, omega walks that sorted
 word entry by entry, transpose goes through the step word, the sweep
 map reorders the step word, so its area is a third route to dinv, and a
-step word is read one character at a time.
+step word is read one character at a time.  heights_by_odometer lists a
+lattice's paths one height tuple at a time, in lexicographic order.
 """
 
 from fractions import Fraction
@@ -41,6 +42,26 @@ def paths_by_filter(m, n):
         if ok:
             words.append("".join(word))
     return words
+
+
+def heights_by_odometer(m, n):
+    """Every (m,n)-path's heights, in lexicographic order, one at a time.
+
+    From the lowest path, raise the last height below n (the final height
+    is always n) and drop every height after it to its lowest value.
+    """
+    floors = [-(-a * n // m) for a in range(1, m + 1)]
+    heights = list(floors)  # the lowest path; floors weakly increase
+    while True:
+        yield tuple(heights)
+        a = m - 2
+        while a >= 0 and heights[a] == n:
+            a -= 1
+        if a < 0:
+            return
+        heights[a] += 1
+        for b in range(a + 1, m):
+            heights[b] = max(heights[b - 1], floors[b])
 
 
 def heights_by_scan(word):

@@ -379,7 +379,7 @@ VERIFY_5_JSON_DINV_PLUS_ONE = (
     '"name": "transpose-involution", "ok": true}, '
     '{"checked": 5, "counterexample": null, "name": "poly-mn-symmetry", "ok": true}, '
     '{"checked": 24, "counterexample": null, "name": "rank-positivity", "ok": true}, '
-    '{"checked": 0, "counterexample": "n=1 (1, 1, 1): 0 contributing cells, dinv 1", '
+    '{"checked": 1, "counterexample": "n=1 (1, 1, 1): 0 contributing cells, dinv 1", '
     '"name": "cell-classification", "ok": false}, '
     '{"checked": 1, "counterexample": "n=1 (1, 1, 1): 0+0+1 != 0", '
     '"name": "stat-identity", "ok": false}, '

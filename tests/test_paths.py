@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -177,6 +178,51 @@ def test_enumeration_rejects_a_lattice_before_computing_any_height(monkeypatch):
     for m, n in ((4, 6), (5, 0), (3, -4)):
         with pytest.raises(ValueError):
             next(enumerate_paths(m, n))
+
+
+def test_enumeration_yields_the_odometer_heights_in_order():
+    # (6,23) has more paths than the suffix table takes, and (7,30) runs
+    # the prefix odometer over several columns
+    for m, n in [*_coprime_pairs(22), (1100, 1), (1, 50), (2, 1001), (6, 23), (7, 30)]:
+        got = [p.east_heights for p in enumerate_paths(m, n)]
+        assert got == list(oracles.heights_by_odometer(m, n)), (m, n)
+
+
+@pytest.mark.parametrize("table", [1, 2, 7])
+def test_enumeration_is_the_odometer_with_a_small_suffix_table(monkeypatch, table):
+    # a table this small is cut after a column or two, so the prefix
+    # odometer runs and a block is flushed after a few paths on every lattice
+    monkeypatch.setattr(paths_module, "_TABLE", table)
+    for m, n in _coprime_pairs(22):
+        got = [(p.m, p.n, p.east_heights) for p in enumerate_paths(m, n)]
+        assert got == [(m, n, h) for h in oracles.heights_by_odometer(m, n)]
+
+
+@pytest.mark.parametrize("m, n", [(2, 10**9 + 1), (3, 3 * 10**8 + 1)])
+def test_the_first_path_of_a_tall_lattice_takes_one_block_of_memory(m, n):
+    # a list or index sized by n would take gigabytes; one block of about
+    # _TABLE height tuples and paths takes well under 1 MB
+    tracemalloc.start()
+    try:
+        p = next(enumerate_paths(m, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.east_heights == tuple(-(-a * n // m) for a in range(1, m + 1))
+    assert peak < 2_000_000
+
+
+def test_streaming_a_lattice_keeps_memory_bounded():
+    # all 278,256 (7,30)-paths, one at a time, peaked at 1.4 MB on CPython
+    # 3.11; the bound leaves headroom, and a list of the paths takes 45 MB
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_paths(7, 30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == count_paths(7, 30)
+    assert peak < 3_000_000
 
 
 def test_cells_above_counts():

@@ -141,6 +141,8 @@ def test_a_dinv_off_by_one_is_named(monkeypatch):
     monkeypatch.setattr(stats, "dinv", lambda p: real_dinv(p) + 1)
     result = verify.check_cell_classification(8)
     assert not result.ok
+    # the path has no cell above it, yet the check counts the path it names
+    assert result.checked == 1
     assert result.counterexample.startswith("n=1 (1, 1, 1)")
     assert result.counterexample.endswith("0 contributing cells, dinv 1")
 
