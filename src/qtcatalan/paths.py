@@ -39,7 +39,7 @@ from .errors import (
 )
 
 
-_TABLE = 1 << 12  # suffixes in enumerate_paths' table, and paths per block
+_HEIGHTS = 1 << 13  # heights in one block of enumerate_paths' paths
 
 
 class Cell(NamedTuple):
@@ -207,23 +207,29 @@ def enumerate_paths(m: int, n: int) -> Iterator[DyckPath]:
     Each path is a prefix of its first columns plus a suffix from a table
     of every suffix of the last columns, in lex order.  The columns whose
     floor is n are always n; the table grows leftwards from them, one
-    column at a time, while it stays within _TABLE suffixes.  Its first
-    column's heights run from low to n, and starts[y - low] is the first
-    suffix whose height is at least y, so the suffixes that may follow a
-    column at height y are a slice of the table.  An odometer walks the
-    prefix columns but the last, whose heights are looped within, and the
-    paths are built in blocks of about _TABLE, so memory does not grow
-    with n or with the number of paths.
+    column at a time, up to column 2 and while it holds at most block
+    suffixes.  Its first column's heights run from low to n, and
+    starts[y - low] is the first suffix whose height is at least y, so the
+    suffixes that may follow a column at height y are a slice of the
+    table.  An odometer walks the prefix columns but the last, whose
+    heights are looped within, and the paths are built in blocks of about
+    block = _HEIGHTS // m.  So the table holds at most _HEIGHTS heights and
+    a block under 2 * _HEIGHTS (two paths, once one path is longer): past
+    the O(m) of the floors and the odometer, memory grows with neither n
+    nor the number of paths.  The table pays where the last columns admit
+    many suffixes (tall or balanced lattices); on a wide one with small n
+    it holds few, and each path costs an odometer step and an O(m) copy.
     """
     _check_lattice(m, n)
     floors = [min_east_height(a, m, n) for a in range(1, m + 1)]
-    k = bisect_left(floors, n)  # the first column of the table
+    block = max(1, _HEIGHTS // m)  # paths per block, and suffixes in the table
+    k = max(1, bisect_left(floors, n))  # the first column of the table
     table = [(n,) * (m - k)]
     low, starts = n, [0]
-    while k:
+    while k > 1:
         below = floors[k - 1]
         size = len(table)
-        if (low - below) * size + sum(size - s for s in starts) > _TABLE:
+        if (low - below) * size + sum(size - s for s in starts) > block:
             break
         grown: list[tuple[int, ...]] = []
         grown_starts = []
@@ -231,9 +237,6 @@ def enumerate_paths(m: int, n: int) -> Iterator[DyckPath]:
             grown_starts.append(len(grown))
             grown += map((y,).__add__, islice(table, starts[y - low] if y > low else 0, None))
         table, low, starts, k = grown, below, grown_starts, k - 1
-    if not k:
-        yield from _built_block(m, n, table)
-        return
     heights = floors[:k - 1]  # the prefix odometer, without column k - 1
     lowest = floors[k - 1]
     batch: list[tuple[int, ...]] = []
@@ -241,7 +244,7 @@ def enumerate_paths(m: int, n: int) -> Iterator[DyckPath]:
         head = tuple(heights)
         for y in range(max(heights[-1], lowest) if heights else lowest, n + 1):
             batch += map((*head, y).__add__, islice(table, starts[y - low] if y > low else 0, None))
-            if len(batch) >= _TABLE:
+            if len(batch) >= block:
                 yield from _built_block(m, n, batch)
                 batch = []
         # odometer step: raise the last prefix height below n and drop every

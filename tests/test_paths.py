@@ -181,27 +181,34 @@ def test_enumeration_rejects_a_lattice_before_computing_any_height(monkeypatch):
 
 
 def test_enumeration_yields_the_odometer_heights_in_order():
-    # (6,23) has more paths than the suffix table takes, and (7,30) runs
-    # the prefix odometer over several columns
-    for m, n in [*_coprime_pairs(22), (1100, 1), (1, 50), (2, 1001), (6, 23), (7, 30)]:
+    # (6,23) has more paths than one block takes, (7,30) runs the prefix
+    # odometer over several columns, and on the wide (1099,2) and (2001,2)
+    # a block holds a few paths and the table a few suffixes
+    lattices = [*_coprime_pairs(22), (1100, 1), (1, 50), (2, 1001), (6, 23), (7, 30),
+                (1099, 2), (2001, 2)]
+    for m, n in lattices:
         got = [p.east_heights for p in enumerate_paths(m, n)]
         assert got == list(oracles.heights_by_odometer(m, n)), (m, n)
 
 
-@pytest.mark.parametrize("table", [1, 2, 7])
-def test_enumeration_is_the_odometer_with_a_small_suffix_table(monkeypatch, table):
-    # a table this small is cut after a column or two, so the prefix
-    # odometer runs and a block is flushed after a few paths on every lattice
-    monkeypatch.setattr(paths_module, "_TABLE", table)
+@pytest.mark.parametrize("heights", [1, 8, 30, 100])
+def test_enumeration_is_the_odometer_with_small_blocks(monkeypatch, heights):
+    # with blocks this small the table is cut after a column or two (with 1
+    # and 8 it hardly grows), so the prefix odometer runs and a block is
+    # flushed after a few paths on most lattices
+    monkeypatch.setattr(paths_module, "_HEIGHTS", heights)
     for m, n in _coprime_pairs(22):
         got = [(p.m, p.n, p.east_heights) for p in enumerate_paths(m, n)]
         assert got == [(m, n, h) for h in oracles.heights_by_odometer(m, n)]
 
 
-@pytest.mark.parametrize("m, n", [(2, 10**9 + 1), (3, 3 * 10**8 + 1)])
-def test_the_first_path_of_a_tall_lattice_takes_one_block_of_memory(m, n):
-    # a list or index sized by n would take gigabytes; one block of about
-    # _TABLE height tuples and paths takes well under 1 MB
+@pytest.mark.parametrize(
+    "m, n", [(2, 10**9 + 1), (3, 3 * 10**8 + 1), (1099, 2), (10001, 2), (10001, 10000)]
+)
+def test_the_first_path_of_a_tall_or_wide_lattice_takes_one_block_of_memory(m, n):
+    # a list or index sized by n would take gigabytes, and a table or block
+    # of thousands of paths of m heights hundreds of MB; one block of about
+    # _HEIGHTS heights, with its tuples and paths, peaked at 0.1-0.8 MB
     tracemalloc.start()
     try:
         p = next(enumerate_paths(m, n))
@@ -213,8 +220,8 @@ def test_the_first_path_of_a_tall_lattice_takes_one_block_of_memory(m, n):
 
 
 def test_streaming_a_lattice_keeps_memory_bounded():
-    # all 278,256 (7,30)-paths, one at a time, peaked at 1.4 MB on CPython
-    # 3.11; the bound leaves headroom, and a list of the paths takes 45 MB
+    # all 278,256 (7,30)-paths, one at a time, peaked at 0.1-0.3 MB on
+    # CPython 3.11; the bound leaves headroom, and a list of the paths takes 45 MB
     tracemalloc.start()
     try:
         count = sum(1 for _ in enumerate_paths(7, 30))
@@ -222,7 +229,7 @@ def test_streaming_a_lattice_keeps_memory_bounded():
     finally:
         tracemalloc.stop()
     assert count == count_paths(7, 30)
-    assert peak < 3_000_000
+    assert peak < 1_000_000
 
 
 def test_cells_above_counts():
