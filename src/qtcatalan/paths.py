@@ -219,6 +219,9 @@ def enumerate_paths(m: int, n: int) -> Iterator[DyckPath]:
     nor the number of paths.  The table pays where the last columns admit
     many suffixes (tall or balanced lattices); on a wide one with small n
     it holds few, and each path costs an odometer step and an O(m) copy.
+    A step finds the last prefix column below n and the columns to reset
+    by bisection and resets them with two slice copies, so its Python
+    work is O(1) and the rest is copied in C.
     """
     _check_lattice(m, n)
     floors = [min_east_height(a, m, n) for a in range(1, m + 1)]
@@ -247,17 +250,17 @@ def enumerate_paths(m: int, n: int) -> Iterator[DyckPath]:
             if len(batch) >= block:
                 yield from _built_block(m, n, batch)
                 batch = []
-        # odometer step: raise the last prefix height below n and drop every
-        # prefix height after it to its lowest value
-        a = k - 2
-        while a >= 0 and heights[a] == n:
-            a -= 1
+        # odometer step: raise the last prefix height below n to h and drop
+        # every prefix height after it to its lowest value, max(h, floor):
+        # h up to the first floor at least h, the floors from there
+        a = bisect_left(heights, n) - 1
         if a < 0:
             yield from _built_block(m, n, batch)
             return
-        heights[a] += 1
-        for b in range(a + 1, k - 1):
-            heights[b] = max(heights[b - 1], floors[b])
+        h = heights[a] + 1
+        j = bisect_left(floors, h, a + 1, k - 1)
+        heights[a:j] = [h] * (j - a)
+        heights[j:k - 1] = floors[j:k - 1]
 
 
 def cells_above(p: DyckPath) -> tuple[int, ...]:

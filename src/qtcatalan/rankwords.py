@@ -9,7 +9,9 @@ Residues: the color-1 entries are the positive integers below 2n
 congruent to 2n mod 3 and the color-2 entries those below n congruent to
 n mod 3.  The two residues differ exactly when 3 does not divide n, which
 is why that case is required throughout.  _color is that rule, and every
-membership test reads it.
+membership test reads it.  _position reads the same rule as an entry's
+place in the word: below n every rank not divisible by 3 is an entry, and
+from n up every third rank is one.
 
 Counts: marking (boxing) the ranks of the cells above a path yields its
 marked rank word.  The n - y_a cells above column a have ranks falling by
@@ -21,9 +23,9 @@ mark_from_path and omega) hold such a set as a _TopRanks, O(1) in memory,
 and boxed_counts is the one reader of how a boxed set is stored.  Skips
 and the involution need no word: _skips reads skips off (k, ell) and
 _counts gives (k, ell) back from (s, d), both O(1); count_skips, over the
-sorted boxed ranks of any marking, is the definition.  The cell-by-cell
-definition of the marking is the reference, in verify and in
-tests/oracles.py.
+word positions of the sorted boxed ranks of any marking, is the
+definition.  The cell-by-cell definition of the marking is the reference,
+in verify and in tests/oracles.py.
 
 Runs: a word is listed by runs (_runs), stretches of ranks on one side of
 n over which each color's boxing is constant: at most 4 when the word
@@ -70,6 +72,18 @@ def _color(r: int, n: int) -> int | None:
     if 0 < r < n and (n - r) % 3 == 0:
         return 2
     return None
+
+
+def _position(r: int, n: int) -> int:
+    """1-based place of rank r in the n-row rank word; r must be a word rank.
+
+    Below n the entries are the ranks not divisible by 3, so r - r // 3 of
+    them are at most r.  The first rank above n is the one congruent to 2n,
+    n + n % 3, at place n - (n - 1) // 3, and each later entry is 3 higher.
+    """
+    if r < n:
+        return r - r // 3
+    return n - (n - 1) // 3 + (r - n) // 3
 
 
 def _check_rows(n: int) -> None:
@@ -282,17 +296,14 @@ def mark_from_path(p: DyckPath) -> MarkedRankWord:
 
 
 def count_skips(w: MarkedRankWord) -> int:
-    """Skips by definition: gaps between boxed ranks that hold a word rank.
+    """Skips by definition: maximal unboxed runs fenced by boxed entries.
 
-    Each such gap is one maximal unboxed run fenced by boxed entries.  Color
-    1 takes every third number below 2n, so a gap is searched in <= 3 steps.
+    Such a run lies between two consecutive boxed entries exactly when they
+    are not neighbours in the word, so the count is of consecutive boxed
+    ranks whose word positions differ by more than 1; no gap is scanned.
     """
-    marks = sorted(w.boxed)
-    return sum(
-        1
-        for lo, hi in zip(marks, marks[1:])
-        if any(_color(r, w.n) for r in range(lo + 1, hi))
-    )
+    places = list(map(_position, sorted(w.boxed), repeat(w.n)))
+    return sum(b - a > 1 for a, b in zip(places, places[1:]))
 
 
 def boxed_counts(w: MarkedRankWord) -> tuple[int, int]:

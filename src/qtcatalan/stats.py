@@ -16,9 +16,13 @@ arm k the inequality solves to the leg interval
     k*n // m  <=  leg  <=  (n*(k+1) - 1) // m,
 
 so dinv adds up, per column, the overlap of each such stretch of legs
-with its interval.  A stretch is empty unless its column rises, and a
-column has at most min(m - 1, n - y) rises after it, so this costs
-O(min(m, n)) per column and O(m*min(m, n)) per path, whatever n is.
+with its interval.  The intervals depend on the lattice alone, not on
+the path: _dinv_legs builds their table once per (m, n) and keeps it for
+the most recent lattices, and dinv and qtpoly.catalan_bruteforce both
+read it through the one kernel, _column_dinv.  A stretch is empty unless
+its column rises, and a column has at most min(m - 1, n - y) rises after
+it, so this costs O(min(m, n)) per column and O(m*min(m, n)) per path,
+whatever n is.
 
 skips applies to three-column paths only: it is the number of maximal
 unboxed runs fenced by boxed entries in the marked rank word
@@ -31,6 +35,7 @@ cell failing the straddle inequality pairs off with exactly one skip.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import UnsupportedM
@@ -68,12 +73,16 @@ def contributes_to_dinv(p: DyckPath, x) -> bool:
     return _straddles(arm(p, x), leg(p, x), p.m, p.n)
 
 
-def _dinv_legs(m: int, n: int) -> list[tuple[int, int]]:
-    """Straddling legs at each arm k < m - 1, as the half-open range [low, high)."""
-    return [(k * n // m, (n * (k + 1) - 1) // m + 1) for k in range(m - 1)]
+@lru_cache(maxsize=256)
+def _dinv_legs(m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Straddling legs at each arm k < m - 1, as the half-open range [low, high).
+
+    Built once per (m, n), and kept for the most recent lattices.
+    """
+    return tuple((k * n // m, (n * (k + 1) - 1) // m + 1) for k in range(m - 1))
 
 
-def _column_dinv(heights, a: int, legs: list[tuple[int, int]], nxt) -> int:
+def _column_dinv(heights, a: int, legs: tuple[tuple[int, int], ...], nxt) -> int:
     """dinv cells of column a (0-based); reads only heights[a:] and nxt[a:].
 
     nxt[r] is the first rise at or after column r (heights[r] <

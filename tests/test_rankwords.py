@@ -241,7 +241,8 @@ def test_count_skips_worked_examples():
 def test_count_skips_matches_run_oracle_on_all_markings():
     from itertools import combinations
 
-    for n in (4, 5, 7, 8):
+    # both residues of n, the one- and two-entry words among them
+    for n in (1, 2, 4, 5, 7, 8, 10, 11):
         ranks = [e.rank for e in lattice_rank_word(n).entries]
         for size in range(len(ranks) + 1):
             for subset in combinations(ranks, size):

@@ -21,6 +21,7 @@ from qtcatalan import (
     stat_triple,
     transpose,
 )
+from qtcatalan.stats import _dinv_legs
 
 import oracles
 
@@ -81,6 +82,21 @@ def test_dinv_matches_fraction_oracle():
     for m, n in pairs:
         for p in enumerate_paths(m, n):
             assert dinv(p) == oracles.dinv_by_cells(m, n, p.east_heights)
+
+
+def test_dinv_reads_each_lattice_its_own_leg_table_from_a_warm_cache():
+    # lattices interleaved in one process, each orientation of a pair, and
+    # the first lattice again once its table is cached
+    _dinv_legs.cache_clear()
+    for m, n in [(7, 12), (12, 7), (3, 31), (31, 3), (7, 12)]:
+        for p in enumerate_paths(m, n):
+            assert dinv(p) == oracles.dinv_by_cells(m, n, p.east_heights), p
+    assert _dinv_legs.cache_info().hits > 0
+
+
+def test_the_leg_table_is_an_immutable_tuple_in_a_bounded_cache():
+    assert isinstance(_dinv_legs(7, 12), tuple)
+    assert _dinv_legs.cache_info().maxsize is not None
 
 
 def test_the_sweep_map_carries_dinv_to_area():

@@ -207,6 +207,19 @@ def test_word_statistics_that_disagree_with_the_triple_are_named(monkeypatch):
     )
 
 
+def test_a_word_position_off_by_one_above_n_is_named(monkeypatch):
+    # count_skips reads each boxed rank's place in the word; one place too
+    # many above n opens a gap between two neighbouring boxed entries
+    real_position = rankwords._position
+    monkeypatch.setattr(
+        rankwords, "_position", lambda r, n: real_position(r, n) + (r > n)
+    )
+    result = verify.check_triple_reconstruction(31)
+    assert (result.checked, result.counterexample) == (
+        4, "n=4 (2, 3, 4): word statistics disagree"
+    )
+
+
 def test_word_roundtrip_names_marked_ranks_outside_the_lattice(monkeypatch):
     # mark_from_path builds its word unchecked, so ranks that are not word
     # ranks reach the comparison with the cell ranks instead of raising
