@@ -317,10 +317,16 @@ def transpose(p: DyckPath) -> DyckPath:
 
     The c-th north step of the reversed, swapped word is followed by the
     y_{m-c+1} - y_{m-c} east steps of column m-c+1 (y_0 = 0), so the image
-    has that many east steps at height c, for c = 1..m.
+    has that many east steps at height c, for c = 1..m.  One loop from the
+    first column lists them with c counting down from m, and one reversal
+    puts them in order: O(m) Python steps, and the n heights filled in C.
     """
-    ys = p.east_heights
     heights: list[int] = []
-    for c, (top, below) in enumerate(zip(ys[::-1], ys[-2::-1] + (0,)), start=1):
-        heights += [c] * (top - below)
+    c = p.m
+    below = 0
+    for y in p.east_heights:
+        heights += [c] * (y - below)
+        c -= 1
+        below = y
+    heights.reverse()
     return _built(p.n, p.m, tuple(heights))

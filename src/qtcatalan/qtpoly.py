@@ -1,16 +1,20 @@
 """Exact sparse polynomials in q and t, and two routes to C_{m,n}(q,t).
 
-catalan_bruteforce sums q^dinv t^area over every (m,n)-Dyck path.  It
+catalan_bruteforce sums q^dinv t^area over every (m,n)-Dyck path.
+transpose keeps both statistics, so C_{m,n} = C_{n,m}, and it walks the
+orientation with fewer columns, _walk(min(m, n), max(m, n)).  The walk
 builds no DyckPath: an iterative odometer chooses the heights from the
 last column down and carries the dinv and area of the columns set so
 far, because column a's dinv term (stats._column_dinv) reads only the
 heights from column a on and area is a sum over columns.  Beside the
 heights it keeps the first rise at or after each column (the list
 stats._column_dinv reads as nxt), in O(1) per column set, so a column's
-dinv visits only the stretches that exist.  Each path then costs one
-column, O(min(m, n)) steps, at the bottom of the walk.  For m = 3 the
-same polynomial has a closed form: q^(n-a-s-1) t^a summed over
-0 <= s <= floor(n/3) and s <= a <= n-2s-1.
+dinv visits only the stretches that exist.  Once columns 1..m-1 are set,
+one loop runs the bottom column from the height of column 1 (no rise)
+down to its floor (a rise), so each path costs one call of that kernel,
+O(min(m, n)) steps, and one count.  For m = 3 the same polynomial has a
+closed form: q^(n-a-s-1) t^a summed over 0 <= s <= floor(n/3) and
+s <= a <= n-2s-1.
 The two routes stay separate (the walk reads no rank word) so each can
 check the other.
 
@@ -134,32 +138,52 @@ def render_terms(terms: Iterable[tuple[int, int, int]]) -> str:
 
 
 def catalan_bruteforce(m: int, n: int) -> QtPolynomial:
-    """Sum q^dinv t^area over all (m,n)-Dyck paths, by the suffix-first walk."""
+    """Sum q^dinv t^area over all (m,n)-Dyck paths.
+
+    transpose keeps area and dinv, so C_{m,n} = C_{n,m}: this walks the
+    orientation with fewer columns.
+    """
     paths._check_lattice(m, n)
+    return _walk(min(m, n), max(m, n))
+
+
+def _walk(m: int, n: int) -> QtPolynomial:
+    """The suffix-first walk over the (m,n)-paths; (m, n) is checked at the call."""
+    if m == 1:  # the one path (n,): no cell above it, none below
+        return QtPolynomial({(0, 0): 1})
     floors = [paths.min_east_height(a, m, n) for a in range(1, m + 1)]
     legs = stats._dinv_legs(m, n)
+    column_dinv = stats._column_dinv
     heights = [n] * m
     nxt = [m - 1] * m  # the first rise at or after each column set so far
     # dinv and area of columns a..m-1; the last column, at height n, adds nothing
     dinv_from = [0] * m
     area_from = [0] * m
     counts: dict[tuple[int, int], int] = {}
+    get = counts.get
+    bottom = floors[0]
     a = m - 1  # columns a..m-1 are set
     while True:
-        if a > 0:  # the next column down starts at its highest height: no rise
+        if a > 1:  # the next column down starts at its highest height: no rise
             a -= 1
             heights[a] = heights[a + 1]
             nxt[a] = nxt[a + 1]
-        else:  # a whole path: count it, then lower the first column above its floor
-            key = (dinv_from[0], area_from[0])
-            counts[key] = counts.get(key, 0) + 1
+        else:  # columns 1..m-1 are set: count the bottom column at each height
+            dinv1, area1 = dinv_from[1], area_from[1] - bottom
+            nxt[0] = nxt[1]  # level with column 1 at first
+            for y in range(heights[1], bottom - 1, -1):
+                heights[0] = y
+                key = (dinv1 + column_dinv(heights, 0, legs, nxt), area1 + y)
+                counts[key] = get(key, 0) + 1
+                nxt[0] = 0  # below column 1 from the next height on: a rise
+            # then lower the first of columns 1..m-2 above its floor
             while a < m - 1 and heights[a] == floors[a]:
                 a += 1
             if a == m - 1:
                 return QtPolynomial(counts)
             heights[a] -= 1  # now below column a + 1: a rise
             nxt[a] = a
-        dinv_from[a] = dinv_from[a + 1] + stats._column_dinv(heights, a, legs, nxt)
+        dinv_from[a] = dinv_from[a + 1] + column_dinv(heights, a, legs, nxt)
         area_from[a] = area_from[a + 1] + heights[a] - floors[a]
 
 

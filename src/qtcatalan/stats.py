@@ -18,7 +18,7 @@ arm k the inequality solves to the leg interval
 so dinv adds up, per column, the overlap of each such stretch of legs
 with its interval.  The intervals depend on the lattice alone, not on
 the path: _dinv_legs builds their table once per (m, n) and keeps it for
-the most recent lattices, and dinv and qtpoly.catalan_bruteforce both
+the most recent lattices, and dinv and qtpoly._walk (the brute force) both
 read it through the one kernel, _column_dinv.  A stretch is empty unless
 its column rises, and a column has at most min(m - 1, n - y) rises after
 it, so this costs O(min(m, n)) per column and O(m*min(m, n)) per path,

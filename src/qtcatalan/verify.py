@@ -145,10 +145,14 @@ def check_transpose(max_mn: int) -> CheckResult:
 
 
 def check_poly_mn_symmetry(max_mn: int) -> CheckResult:
-    """catalan_bruteforce(m,n) = catalan_bruteforce(n,m)."""
+    """C_{m,n}(q,t) = C_{n,m}(q,t), by the walk over each orientation.
+
+    catalan_bruteforce walks only the side with fewer columns, so the
+    check calls the walk itself: two walks, not one walk twice.
+    """
     def fault(pair):
         m, n = pair
-        if qtpoly.catalan_bruteforce(m, n) != qtpoly.catalan_bruteforce(n, m):
+        if qtpoly._walk(m, n) != qtpoly._walk(n, m):
             return "C_{m,n} != C_{n,m}"
     pairs = ((m, n) for m, n in _coprime_pairs(max_mn) if m <= n)
     return _scan("poly-mn-symmetry", pairs, fault, _PAIR)

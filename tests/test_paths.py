@@ -331,7 +331,10 @@ def test_transpose_matches_the_word_route_on_a_long_path():
     y1 = rng.randint(-(-n // 3), n)
     y2 = rng.randint(max(y1, -(-2 * n // 3)), n)
     p = make_path(3, n, [y1, y2, n])
-    assert transpose(p) == oracles.transpose_by_word(p)
+    wide = oracles.transpose_by_word(p)
+    assert transpose(p) == wide
+    # and its image, a (30001,3)-path: the loop takes one step per column
+    assert transpose(wide) == oracles.transpose_by_word(wide) == p
 
 
 def test_unchecked_paths_are_genuine_paths():

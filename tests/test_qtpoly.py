@@ -87,6 +87,23 @@ def test_json_terms_follow_render_order():
 def test_bruteforce_single_column_is_constant_one():
     for n in (1, 4, 7):
         assert catalan_bruteforce(1, n) == QtPolynomial({(0, 0): 1})
+        assert catalan_bruteforce(n, 1) == QtPolynomial({(0, 0): 1})
+    # the walk is an iterative odometer: 1100 columns need no recursion
+    assert qtpoly._walk(1100, 1) == QtPolynomial({(0, 0): 1})
+
+
+def test_bruteforce_walks_the_side_with_fewer_columns(monkeypatch):
+    walked = []
+    real_walk = qtpoly._walk
+
+    def recorded(m, n):
+        walked.append((m, n))
+        return real_walk(m, n)
+
+    monkeypatch.setattr(qtpoly, "_walk", recorded)
+    for m, n in ((7, 12), (12, 7), (1, 5), (5, 1), (2, 3), (3, 2)):
+        assert catalan_bruteforce(m, n) == real_walk(m, n)
+    assert walked == [(7, 12), (7, 12), (1, 5), (1, 5), (2, 3), (2, 3)]
 
 
 def test_bruteforce_3_4_equals_the_classical_polynomial():
@@ -129,7 +146,11 @@ def test_bruteforce_equals_the_oracle_sum():
                 h = _heights(word)
                 key = (oracles.dinv_by_cells(m, n, h), oracles.area_by_cells(m, n, h))
                 counts[key] = counts.get(key, 0) + 1
-            assert catalan_bruteforce(m, n) == QtPolynomial(counts), (m, n)
+            want = QtPolynomial(counts)
+            # catalan_bruteforce walks the side with fewer columns, and
+            # _walk(m, n) this orientation: the loop visits both
+            assert qtpoly._walk(m, n) == want, (m, n)
+            assert catalan_bruteforce(m, n) == want, (m, n)
 
 
 def test_bruteforce_equals_the_sweep_sum():
@@ -148,7 +169,9 @@ def test_bruteforce_equals_the_sweep_sum():
                     oracles.area_by_cells(m, n, p.east_heights),
                 )
                 counts[key] = counts.get(key, 0) + 1
-            assert catalan_bruteforce(m, n) == QtPolynomial(counts), (m, n)
+            want = QtPolynomial(counts)
+            assert qtpoly._walk(m, n) == want, (m, n)
+            assert catalan_bruteforce(m, n) == want, (m, n)
 
 
 @given(st.integers(1, 9), st.integers(1, 9))
@@ -270,8 +293,9 @@ def test_qt_symmetry_predicate():
 
 
 def test_mn_symmetry_of_bruteforce():
-    for m, n in [(2, 5), (3, 4), (3, 5), (4, 7)]:
-        assert catalan_bruteforce(m, n) == catalan_bruteforce(n, m)
+    # two walks, one over each orientation
+    for m, n in [(1, 4), (2, 5), (3, 4), (3, 5), (4, 7)]:
+        assert qtpoly._walk(m, n) == qtpoly._walk(n, m)
 
 
 def test_coefficient_overflow_is_detected():

@@ -15,8 +15,9 @@ PLANTED_FAULTS = {
     ),
     "shape-monotone": (paths, "cells_above", lambda real: lambda p: real(p)[::-1]),
     "transpose-involution": (paths, "transpose", lambda real: lambda p: p),
+    # the check calls the walk over each orientation, not catalan_bruteforce
     "poly-mn-symmetry": (
-        qtpoly, "catalan_bruteforce",
+        qtpoly, "_walk",
         lambda real: lambda m, n: real(m, n) + QtPolynomial({(m, 0): 1}),
     ),
     "rank-positivity": (
@@ -196,6 +197,18 @@ def test_a_statistic_the_transpose_does_not_keep_is_named(monkeypatch):
     assert (result.checked, result.counterexample) == (
         2, "(1,2) (2,): statistics changed"
     )
+
+
+def test_a_walk_wrong_only_with_more_columns_than_rows_is_named(monkeypatch):
+    # catalan_bruteforce never walks that orientation; the check walks both
+    real_walk = qtpoly._walk
+    monkeypatch.setattr(
+        qtpoly, "_walk",
+        lambda m, n: real_walk(m, n) + QtPolynomial({(0, 0): int(m > n)}),
+    )
+    assert qtpoly.catalan_bruteforce(2, 1) == real_walk(1, 2)
+    result = verify.check_poly_mn_symmetry(6)
+    assert (result.checked, result.counterexample) == (2, "(1,2): C_{m,n} != C_{n,m}")
 
 
 def test_word_statistics_that_disagree_with_the_triple_are_named(monkeypatch):
