@@ -18,6 +18,9 @@ make_path, parse_path) check every column, while the paths the library
 derives from a genuine path or lattice are built unchecked: transpose's
 image by _built, and the paths enumerate_paths yields by _built_block, a
 block of them at a time.
+
+DyckPath, rankwords.MarkedRankWord and verify.CheckResult take the value
+protocol from _Value and _Record, which write it once from __slots__.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from bisect import bisect_left
 from collections import deque
 from itertools import accumulate, islice, repeat
 from math import comb, gcd
-from operator import index
+from operator import attrgetter, index
 from typing import Iterable, Iterator, NamedTuple
 
 from .chunks import CHARS
@@ -63,17 +66,61 @@ def min_east_height(a: int, m: int, n: int) -> int:
     return -(-a * n // m)
 
 
-class DyckPath:
+class _Record:
+    """For a class whose fields are its __slots__: equality only with its
+    own class, the constructor-call repr, positional match, and copy and
+    pickle through the constructor.  Mutable, and so unhashable."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if fields := cls.__slots__:  # _Value has none; attrgetter() needs one
+            cls.__match_args__ = fields
+            cls._fields = attrgetter(*fields)
+            # each slot's setter, which passes by the __setattr__ of _Value
+            cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{f}={v!r}" for f, v in zip(self.__slots__, self._fields(self))))
+
+    def __reduce__(self):
+        # pickle protocols 0 and 1 cannot read slots by themselves, and the
+        # default copy assigns each slot, which _Value refuses
+        return type(self), self._fields(self)
+
+
+class _Value(_Record):
+    """An immutable _Record, hashed as its fields; the library builds the
+    values it derives, valid by construction, through _setters."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DyckPath(_Value):
     """An (m,n)-Dyck path stored as its east-step heights.
 
     east_heights[a-1] is the number of north steps taken before the a-th
     east step.  Constructing one validates every column; the library
     builds the paths it derives, valid by construction, through _built
     and _built_block.
-    A path is an immutable value: equal to and hashed as its fields.
     """
 
-    __slots__ = __match_args__ = ("m", "n", "east_heights")
+    __slots__ = ("m", "n", "east_heights")
     m: int
     n: int
     east_heights: tuple[int, ...]
@@ -103,31 +150,8 @@ class DyckPath:
         _set_n(self, n)
         _set_heights(self, east_heights)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.n, self.east_heights) == (other.m, other.n, other.east_heights)
 
-    def __hash__(self) -> int:
-        return hash((self.m, self.n, self.east_heights))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(m={self.m!r}, n={self.n!r}, "
-                f"east_heights={self.east_heights!r})")
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # the default copy and unpickle assign each slot, which __setattr__ refuses
-        return type(self), (self.m, self.n, self.east_heights)
-
-
-# each slot's setter, which passes by the __setattr__ that refuses assignment
-_set_m, _set_n, _set_heights = (getattr(DyckPath, f).__set__ for f in DyckPath.__slots__)
+_set_m, _set_n, _set_heights = DyckPath._setters
 
 
 def _built(m: int, n: int, heights: tuple[int, ...]) -> DyckPath:

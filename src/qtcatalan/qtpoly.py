@@ -103,6 +103,11 @@ class QtPolynomial:
     def __repr__(self) -> str:
         return f"QtPolynomial({self.render()!r})"
 
+    def __reduce__(self):
+        # pickle protocols 0 and 1 cannot read slots by themselves; a copy
+        # or unpickle goes through the validating constructor
+        return QtPolynomial, (self._terms,)
+
     def evaluate(self, q0: int, t0: int) -> int:
         """Exact value at integer (q0, t0)."""
         value = sum(c * q0**dq * t0**dt for (dq, dt), c in self._terms.items())

@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .chunks import linked, rows
 from .errors import BadResidue, InvalidTriple, NotRealizable, UnsupportedM
-from .paths import DyckPath
+from .paths import DyckPath, _Value
 
 
 def rank(a: int, b: int, n: int) -> int:
@@ -98,7 +98,7 @@ def _check_rows(n: int) -> None:
         raise BadResidue(f"n must not be a multiple of 3, got {n}")
 
 
-class MarkedRankWord:
+class MarkedRankWord(_Value):
     """A rank word with a subset of entries boxed.
 
     Only n and the boxed rank set are stored; entry order and colors are
@@ -107,10 +107,9 @@ class MarkedRankWord:
     Constructing one validates n and the boxed ranks, and boxed is then a
     frozenset of ints.  A derived word's boxed is a read-only set of the
     same ranks (_TopRanks) that equals and hashes like that frozenset.
-    A word is an immutable value: equal to and hashed as its fields.
     """
 
-    __slots__ = __match_args__ = ("n", "boxed")
+    __slots__ = ("n", "boxed")
     n: int
     boxed: Set[int]
 
@@ -124,29 +123,11 @@ class MarkedRankWord:
         _set_n(self, n)
         _set_boxed(self, boxed)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.boxed) == (other.n, other.boxed)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.boxed))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(n={self.n!r}, boxed={self.boxed!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
-        # the default copy and unpickle assign each slot, which __setattr__
-        # refuses; a derived word is rebuilt from its two counts
+        # a derived word is rebuilt from its two counts, not its ranks
         if isinstance(self.boxed, _TopRanks):
             return _derived, (self.n, self.boxed.k, self.boxed.ell)
-        return type(self), (self.n, self.boxed)
+        return super().__reduce__()
 
     @property
     def entries(self) -> tuple[RankEntry, ...]:
@@ -209,14 +190,17 @@ class _TopRanks(Set):
     def __repr__(self) -> str:
         return repr(frozenset(self))
 
+    def __reduce__(self):
+        # pickle protocols 0 and 1 cannot read slots by themselves
+        return _TopRanks, (self.n, self.k, self.ell)
+
 
 def _top_ranks(n: int, k: int, ell: int) -> Set[int]:
     """The k largest color-1 ranks and the ell largest color-2 ranks."""
     return _TopRanks(n, k, ell)
 
 
-# each slot's setter, which passes by the __setattr__ that refuses assignment
-_set_n, _set_boxed = (getattr(MarkedRankWord, f).__set__ for f in MarkedRankWord.__slots__)
+_set_n, _set_boxed = MarkedRankWord._setters
 
 
 def _derived(n: int, k: int, ell: int) -> MarkedRankWord:

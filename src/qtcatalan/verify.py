@@ -19,31 +19,15 @@ from . import bijection, paths, qtpoly, rankwords, stats
 from .errors import EmptyBound
 
 
-class CheckResult:
+class CheckResult(paths._Record):
     """The outcome of one check: its name, the objects it visited, and the
     first counterexample, or None when every object passed.  A mutable
     record, equal by its fields and so unhashable."""
 
-    __slots__ = __match_args__ = ("name", "checked", "counterexample")
+    __slots__ = ("name", "checked", "counterexample")
 
     def __init__(self, name: str, checked: int, counterexample: str | None = None) -> None:
-        self.name = name
-        self.checked = checked
-        self.counterexample = counterexample
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.checked, self.counterexample)
-                == (other.name, other.checked, other.counterexample))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(name={self.name!r}, checked={self.checked!r}, "
-                f"counterexample={self.counterexample!r})")
-
-    def __reduce__(self):
-        # pickle protocols 0 and 1 cannot read slots by themselves
-        return type(self), (self.name, self.checked, self.counterexample)
+        self.name, self.checked, self.counterexample = name, checked, counterexample
 
     @property
     def ok(self) -> bool:

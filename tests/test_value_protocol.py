@@ -1,0 +1,90 @@
+"""The one value protocol behind DyckPath, MarkedRankWord and CheckResult,
+and the pickling of the other values: derived boxed sets and polynomials.
+
+tests/test_values.py checks what a caller sees of each value; this file
+checks that no instance grows a __dict__, that the protocol is written
+once, in paths._Record and paths._Value, and that a derived word's boxed
+set copies and pickles as its two counts under every protocol.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from qtcatalan import paths, rankwords
+from qtcatalan.paths import DyckPath
+from qtcatalan.rankwords import MarkedRankWord
+from qtcatalan.verify import CheckResult
+
+PATH = DyckPath(3, 4, (2, 4, 4))
+
+# each class once validated and, for paths and words, once derived
+INSTANCES = {
+    "path": PATH,
+    "enumerated path": next(paths.enumerate_paths(3, 4)),
+    "transposed path": paths.transpose(PATH),
+    "word": MarkedRankWord(4, frozenset({2, 5})),
+    "marked word": rankwords.mark_from_path(PATH),
+    "omega word": rankwords.omega(1, 0, 2),
+    "lattice word": rankwords.lattice_rank_word(5),
+    "check result": CheckResult("path-count", 9),
+    "failed check result": CheckResult("involution", 1, "n=1 (1, 1, 1): triple not swapped"),
+}
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    **{f"pickle {proto}": lambda v, proto=proto: pickle.loads(pickle.dumps(v, proto))
+       for proto in range(pickle.HIGHEST_PROTOCOL + 1)},
+}
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_no_instance_has_a_dict(name):
+    value = INSTANCES[name]
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(TypeError):
+        vars(value)
+    for how in COPIES.values():
+        assert not hasattr(how(value), "__dict__")
+
+
+def test_a_check_result_takes_no_attribute_beyond_its_fields():
+    result = CheckResult("closed-form", 4)
+    with pytest.raises(AttributeError):
+        result.extra = 0
+    assert not hasattr(result, "extra")
+    assert result == CheckResult("closed-form", 4)
+
+
+@pytest.mark.parametrize("cls", [DyckPath, MarkedRankWord, CheckResult])
+def test_the_protocol_is_written_once_in_the_base(cls):
+    own = vars(cls)
+    for name in ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+        assert name not in own
+    # bench/tracing.py wraps the validating constructor in the class dict
+    assert "__init__" in own
+    # only a derived word has its own way back, through its two counts
+    assert ("__reduce__" in own) is (cls is MarkedRankWord)
+    assert cls.__match_args__ == cls.__slots__
+    base = paths._Value if cls is not CheckResult else paths._Record
+    assert cls.__mro__[1] is base
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_a_derived_boxed_set_copies_as_its_two_counts(how):
+    boxed = rankwords.omega(5, 1, 4).boxed
+    twin = COPIES[how](boxed)
+    assert type(twin) is rankwords._TopRanks
+    assert twin == boxed and hash(twin) == hash(boxed)
+    assert (twin.n, twin.k, twin.ell) == (boxed.n, boxed.k, boxed.ell)
+    assert twin == frozenset(boxed)
+
+
+@pytest.mark.parametrize("proto", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_pickled_derived_boxed_set_costs_nothing_per_rank(proto):
+    boxed = rankwords.omega(600000, 100000, 599999).boxed
+    assert len(boxed) == 699999
+    data = pickle.dumps(boxed, proto)
+    assert len(data) < 200
+    assert type(pickle.loads(data)) is rankwords._TopRanks
