@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the 64-bit cap they name."""
+
+COEFFICIENT_LIMIT = 2**63 - 1  # the largest signed 64-bit integer
 
 
 class NotCoprime(ValueError):

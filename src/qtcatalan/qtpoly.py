@@ -41,10 +41,8 @@ from operator import index
 from typing import Iterable, Iterator, Mapping
 
 from .chunks import joined, rows
-from .errors import CoefficientOverflow
+from .errors import COEFFICIENT_LIMIT, CoefficientOverflow
 from . import paths, rankwords, stats
-
-COEFFICIENT_LIMIT = 2**63 - 1
 
 
 class QtPolynomial:

@@ -5,13 +5,13 @@ R(a,b) = -a*n + 3*(b-1).  Listing the positive ranks in increasing order,
 colored 1 for the first column and 2 for the second (the third column is
 all negative), gives the rank word of the lattice.
 
-Residues: the color-1 entries are the positive integers below 2n
-congruent to 2n mod 3 and the color-2 entries those below n congruent to
-n mod 3.  The two residues differ exactly when 3 does not divide n, which
-is why that case is required throughout.  _color is that rule, and every
-membership test reads it.  _position reads the same rule as an entry's
-place in the word: below n every rank not divisible by 3 is an entry, and
-from n up every third rank is one.
+Residues: the color-1 entries are range(2n % 3, 2n, 3), the positive
+integers below 2n congruent to 2n mod 3, and the color-2 entries
+range(n % 3, n, 3).  The two residues differ exactly when 3 does not
+divide n, which is why that case is required throughout.  _color reads
+that rule for one rank, and _position reads it as an entry's place in
+the word: below n every rank not divisible by 3 is an entry, and from n
+up every third rank is one.
 
 Counts: marking (boxing) the ranks of the cells above a path yields its
 marked rank word.  The n - y_a cells above column a have ranks falling by
@@ -27,12 +27,13 @@ word positions of the sorted boxed ranks of any marking, is the
 definition.  The cell-by-cell definition of the marking is the reference,
 in verify and in tests/oracles.py.
 
-Runs: a word is listed by runs (_runs), stretches of ranks on one side of
-n over which each color's boxing is constant: at most 4 when the word
-boxes each color's top ranks.  A run's ranks are progressions of step 3,
-a column per color, which MarkedRankWord.entries reads and _formatted
-writes (chunks.rows), with one template per (color, boxed), for
-render_word and the CLI, so an entry costs no Python-level step.
+Runs: a word is listed as progressions (_runs), stretches of indices
+into the two colors with one boxing per color: rows of the i-th rank of
+each color for i < n // 3, then of the other color-1 ranks; at most 4,
+none empty, when the word boxes each color's top ranks.
+MarkedRankWord.entries reads them and _formatted writes them
+(chunks.rows), one template per (color, boxed), for render_word and the
+CLI, so an entry costs no Python-level step.
 
 Validation runs once, at the boundary: MarkedRankWord(...) checks n and
 every boxed rank; a derived word's ranks are word ranks by construction.
@@ -46,7 +47,8 @@ from operator import index
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .chunks import linked, rows
-from .errors import BadResidue, InvalidTriple, NotRealizable, UnsupportedM
+from .errors import COEFFICIENT_LIMIT, BadResidue, CoefficientOverflow, InvalidTriple
+from .errors import NotRealizable, UnsupportedM
 from .paths import DyckPath, _Value
 
 
@@ -89,13 +91,16 @@ def _position(r: int, n: int) -> int:
 def _check_rows(n: int) -> None:
     """Raise unless n is a row count of the three-column lattice.
 
-    n must be an integer (index: a float raises TypeError), positive and
-    not a multiple of 3.
+    n must be an integer (index: a float raises TypeError), positive, not
+    a multiple of 3 and at most COEFFICIENT_LIMIT: the progressions of its
+    word and closed form have a len, a C ssize_t.
     """
     if index(n) < 1:
         raise ValueError("n must be positive")
     if n % 3 == 0:
         raise BadResidue(f"n must not be a multiple of 3, got {n}")
+    if n > COEFFICIENT_LIMIT:
+        raise CoefficientOverflow(f"n must be at most {COEFFICIENT_LIMIT}, got {n}")
 
 
 class MarkedRankWord(_Value):
@@ -135,7 +140,7 @@ class MarkedRankWord(_Value):
         return tuple(chain.from_iterable(chain.from_iterable(
             zip(*(map(RankEntry, column, repeat(c), repeat(b))
                   for column, (c, b) in zip(columns, kinds)))
-            for columns, kinds in chain.from_iterable(_runs(self))
+            for columns, kinds in _runs(self)
         )))
 
     def __len__(self) -> int:
@@ -145,9 +150,9 @@ class MarkedRankWord(_Value):
 class _TopRanks(Set):
     """The k largest color-1 ranks and the ell largest color-2 ranks, as a set.
 
-    Read-only and O(1) in memory: membership is the residue rule above the
-    two thresholds 2n - 3k and n - 3ell, and it equals and hashes like the
-    frozenset of the same ranks.
+    Read-only and O(1) in memory: the set is the two progressions
+    range(2n - 3k, 2n, 3) and range(n - 3ell, n, 3), built when read, and
+    it equals and hashes like the frozenset of the same ranks.
     """
 
     __slots__ = ("n", "k", "ell")
@@ -155,23 +160,19 @@ class _TopRanks(Set):
     def __init__(self, n: int, k: int, ell: int) -> None:
         self.n, self.k, self.ell = n, k, ell
 
+    def _ranges(self) -> tuple[range, range]:
+        n = self.n
+        return range(2 * n - 3 * self.k, 2 * n, 3), range(n - 3 * self.ell, n, 3)
+
     def __contains__(self, r: object) -> bool:
-        if not isinstance(r, int):  # 5.0 is in {5}, as in the frozenset
-            return r in frozenset(self)
-        color = _color(r, self.n)
-        if color == 1:
-            return r >= 2 * self.n - 3 * self.k
-        return color == 2 and r >= self.n - 3 * self.ell
+        ones, twos = self._ranges()
+        return r in ones or r in twos  # a range finds 5.0 too, as {5} does
 
     def __len__(self) -> int:
         return self.k + self.ell
 
     def __iter__(self) -> Iterator[int]:
-        n = self.n
-        return chain(
-            range(2 * n - 3, 2 * n - 3 - 3 * self.k, -3),
-            range(n - 3, n - 3 - 3 * self.ell, -3),
-        )
+        return chain(*self._ranges())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _TopRanks) and other.n == self.n:
@@ -195,11 +196,6 @@ class _TopRanks(Set):
         return _TopRanks, (self.n, self.k, self.ell)
 
 
-def _top_ranks(n: int, k: int, ell: int) -> Set[int]:
-    """The k largest color-1 ranks and the ell largest color-2 ranks."""
-    return _TopRanks(n, k, ell)
-
-
 _set_n, _set_boxed = MarkedRankWord._setters
 
 
@@ -207,44 +203,36 @@ def _derived(n: int, k: int, ell: int) -> MarkedRankWord:
     """The word boxing the top k color-1 and ell color-2 ranks, unvalidated."""
     w = object.__new__(MarkedRankWord)
     _set_n(w, n)
-    _set_boxed(w, _top_ranks(n, k, ell))
+    _set_boxed(w, _TopRanks(n, k, ell))
     return w
 
 
-# rows of one rank per column, and the kind, (color, boxed), of each column
-_Progression = tuple[tuple[range, ...], tuple[tuple[int, bool], ...]]
+def _runs(w: MarkedRankWord) -> Iterator[tuple[tuple[range, ...], tuple]]:
+    """w's entries as progressions (columns, kinds), in increasing rank order.
 
-
-def _runs(w: MarkedRankWord) -> Iterator[tuple[_Progression, ...]]:
-    """The progressions of each run of w, in increasing rank order.
-
-    A run is a stretch of ranks on one side of n with one boxing per color,
-    read off the color's first rank from the run's start up.  Below n the
-    stretch holds every rank not divisible by 3, the colors alternating
-    with color 1 on the residue of 2n: rows of two, then at most one; from
-    n up it holds only color 1, every third rank from the first one
-    congruent to 2n.  The runs are cut at the thresholds 2n - 3k and
-    n - 3ell when w boxes each color's top ranks, and at each boxed rank
-    and its successor otherwise.
+    A rank r is at index r // 3 of its color's range.  The word pairs the
+    i-th ranks of the two colors, lower residue first, for i < n // 3, then
+    lists the other color-1 ranks.  Cuts: n // 3 and, when w boxes each
+    color's top ranks, 2n // 3 - k and n // 3 - ell (at most 4
+    progressions), else each boxed rank's index and the next.  None is empty.
     """
     n, boxed = w.n, w.boxed
+    pairs, count = n // 3, 2 * n // 3
     k, ell = boxed_counts(w)
     if boxed == _TopRanks(n, k, ell):
-        cuts = {2 * n - 3 * k, n - 3 * ell}
+        cuts = {count - k, pairs - ell}
     else:
-        cuts = {*boxed, *(r + 1 for r in boxed)}
-    edges = sorted({1, n, 2 * n, *(c for c in cuts if 1 < c < 2 * n)})
+        cuts = {*(r // 3 for r in boxed), *(r // 3 + 1 for r in boxed)}
+    edges = sorted({0, pairs, count, *(c for c in cuts if 0 < c < count)})
+    r1 = 2 * n % 3  # color 1's residue; index i of residue s is rank s + 3i
+    (s1, c1), (s2, c2) = sorted([(r1, 1), (n % 3, 2)])  # (residue, color), lower first
     for lo, hi in zip(edges, edges[1:]):
-        b1, b2 = lo + (2 * n - lo) % 3 in boxed, lo + (n - lo) % 3 in boxed
-        if hi <= n:
-            first = lo + (lo % 3 == 0)  # the first rank of the run
-            kinds = ((1, b1), (2, b2)) if _color(first, n) == 1 else ((2, b2), (1, b1))
-            # the second rank is the next one not divisible by 3
-            firsts, seconds = range(first, hi, 3), range(first + 1 + first % 3 // 2, hi, 3)
-            pairs = len(seconds)
-            yield ((firsts[:pairs], seconds), kinds), ((firsts[pairs:],), kinds[:1])
+        paired, lo, hi = hi <= pairs, 3 * lo, 3 * hi
+        if paired:
+            yield ((range(s1 + lo, s1 + hi, 3), range(s2 + lo, s2 + hi, 3)),
+                   ((c1, s1 + lo in boxed), (c2, s2 + lo in boxed)))
         else:
-            yield ((range(lo + (2 * n - lo) % 3, hi, 3),), ((1, b1),)),
+            yield (range(r1 + lo, r1 + hi, 3),), ((1, r1 + lo in boxed),)
 
 
 def _formatted(
@@ -257,7 +245,7 @@ def _formatted(
     """
     progressions = (
         [(c, templates[kind]) for c, kind in zip(columns, kinds) if kind in templates]
-        for columns, kinds in chain.from_iterable(_runs(w)) if columns[0])
+        for columns, kinds in _runs(w))
     return linked((rows(sep.join(t for _, t in kept), [c for c, _ in kept], sep)
                    for kept in progressions if kept), sep)
 
@@ -305,7 +293,7 @@ def path_from_word(w: MarkedRankWord) -> DyckPath:
     box at least as many color-1 entries as color-2 entries.
     """
     k, ell = boxed_counts(w)
-    top = _top_ranks(w.n, k, ell)
+    top = _TopRanks(w.n, k, ell)
     if w.boxed != top:
         misplaced = w.boxed ^ top
         for color in (1, 2):
@@ -367,6 +355,7 @@ def omega(a: int, s: int, d: int) -> MarkedRankWord:
     if not is_valid_triple(a, s, d):
         raise InvalidTriple(f"no path has area={a}, skips={s}, dinv={d}")
     n = a + s + d + 1
+    _check_rows(n)
     return _derived(n, *_counts(n, s, d))
 
 

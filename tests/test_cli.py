@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import islice
 from math import gcd
 from pathlib import Path
 from unittest import mock
@@ -574,6 +575,9 @@ def test_json_output_is_canonical_and_holds_the_library_data(request, chars):
 @pytest.mark.parametrize("argv", [
     ["enumerate", "4", "6"], ["enumerate", "0", "5"], ["omega", "3", "6", "8"],
     ["rankword", "30"], ["poly", "4", "7", "--method", "closed"],
+    # row counts whose progressions have no len: refused before any output
+    ["omega", "0", "0", "99999999999999999999"], ["rankword", "99999999999999999998"],
+    ["poly", "3", "99999999999999999998", "--method", "closed"],
 ], ids=" ".join)
 def test_a_failing_request_writes_nothing_to_stdout(capsys, argv):
     for fmt in ("text", "json"):
@@ -581,6 +585,29 @@ def test_a_failing_request_writes_nothing_to_stdout(capsys, argv):
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
+
+
+def test_the_largest_row_count_is_admitted_and_the_next_valid_one_refused(capsys):
+    # 2**63 - 1 rows: only the first chunks are formatted, never the output
+    n = qtpoly.COEFFICIENT_LIMIT
+    for argv, text_head, json_head in [
+        (["rankword", str(n)], "1_2 2_1 4_2 ", '{"entries": [{"boxed": false, "color": 2, '),
+        (["omega", "0", "0", str(n - 1)], "word: [1_2] [2_1] ",
+         f'{{"area": 0, "dinv": {n - 1}, "entries": [{{"boxed": true, "color": 2, '),
+        (["poly", "3", str(n), "--method", "closed"], f"q^{n - 1} + q^{n - 2} t + ",
+         f'[{{"c": 1, "q": {n - 1}, "t": 0}}, {{"c": 1, "q": {n - 2}, "t": 1}}, '),
+    ]:
+        args = cli.build_parser().parse_args(argv)
+        handler = getattr(cli, f"cmd_{args.command}")
+        for head, chunks_of in ((text_head, lambda out: out[1]),
+                                (json_head, lambda out: cli._json(out[2]))):
+            out = handler(args)  # anew: poly's two forms share one pass
+            assert out[0] == 0
+            assert "".join(islice(chunks_of(out), 10)).startswith(head)
+    # 2**63 is not a multiple of 3, but it is one row too many
+    code, out, err = run(capsys, "rankword", str(2**63))
+    assert (code, out) == (2, "")
+    assert err == f"error: CoefficientOverflow: n must be at most {n}, got {2**63}\n"
 
 
 @pytest.mark.parametrize("bounds", [

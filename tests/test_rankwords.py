@@ -90,6 +90,7 @@ def test_listing_reads_the_sorted_cell_ranks_and_any_marking():
         markings += [frozenset(rng.sample(ranks, rng.randint(0, len(ranks)))) for _ in range(4)]
         for boxed in markings:
             w = MarkedRankWord(n, boxed)
+            assert all(c for cs, _ in rankwords._runs(w) for c in cs)  # none empty
             # chunks of a few entries, so that the runs span many of them
             with mock.patch.object(chunks, "CHARS", rng.randint(1, 40)):
                 text = "".join(rankwords._formatted(w, KIND_TEMPLATES, ";"))
@@ -188,7 +189,10 @@ def test_a_derived_word_is_the_word_of_the_same_ranks():
             for ell in range(len(twos) + 1):
                 derived = rankwords._derived(n, k, ell)
                 plain = MarkedRankWord(n, frozenset(ones[:k] + twos[:ell]))
-                assert len(list(rankwords._runs(plain))) <= 4, (n, k, ell)
+                for w in (derived, plain):  # at most 4 progressions, none empty
+                    runs = list(rankwords._runs(w))
+                    assert len(runs) <= 4, (n, k, ell)
+                    assert all(c for cs, _ in runs for c in cs), (n, k, ell)
                 assert derived == plain and plain == derived, (n, k, ell)
                 assert derived.boxed == plain.boxed and plain.boxed == derived.boxed
                 assert hash(derived) == hash(plain), (n, k, ell)
@@ -197,16 +201,16 @@ def test_a_derived_word_is_the_word_of_the_same_ranks():
                 if k < ell:
                     with pytest.raises(NotRealizable):
                         path_from_word(derived)
-                other = rankwords._top_ranks(n, k + 1, ell)
+                other = rankwords._TopRanks(n, k + 1, ell)
                 assert derived.boxed != other and other != plain.boxed
 
 
 def test_derived_boxed_sets_compare_as_sets():
     # across row counts, different counts can box the same ranks: {1} is
     # the top color-2 rank of 4 rows and the top color-1 rank of 2 rows
-    assert rankwords._top_ranks(4, 0, 1) == rankwords._top_ranks(2, 1, 0) == {1}
-    assert rankwords._top_ranks(4, 0, 0) == rankwords._top_ranks(5, 0, 0) == set()
-    assert rankwords._top_ranks(5, 1, 0) != rankwords._top_ranks(4, 1, 0)
+    assert rankwords._TopRanks(4, 0, 1) == rankwords._TopRanks(2, 1, 0) == {1}
+    assert rankwords._TopRanks(4, 0, 0) == rankwords._TopRanks(5, 0, 0) == set()
+    assert rankwords._TopRanks(5, 1, 0) != rankwords._TopRanks(4, 1, 0)
     boxed = mark_from_path(PI1).boxed  # {2, 5, 10, 13}
     assert 13 in boxed and 5 in boxed and 7 not in boxed and 16 not in boxed
     assert 13.0 in boxed and "13" not in boxed

@@ -235,12 +235,15 @@ def test_a_word_position_off_by_one_above_n_is_named(monkeypatch):
 
 def test_word_roundtrip_names_marked_ranks_outside_the_lattice(monkeypatch):
     # mark_from_path builds its word unchecked, so ranks that are not word
-    # ranks reach the comparison with the cell ranks instead of raising
-    real_top_ranks = rankwords._top_ranks
-    monkeypatch.setattr(
-        rankwords, "_top_ranks",
-        lambda n, k, ell: frozenset(r - 3 for r in real_top_ranks(n, k, ell)),
-    )
+    # ranks reach the comparison with the cell ranks instead of raising; a
+    # subclass with other ranges keeps the isinstance checks on derived sets
+    class ShiftedRanks(rankwords._TopRanks):
+        __slots__ = ()
+
+        def _ranges(self):
+            return tuple(range(r.start - 3, r.stop - 3, 3) for r in super()._ranges())
+
+    monkeypatch.setattr(rankwords, "_TopRanks", ShiftedRanks)
     result = verify.check_word_roundtrip(8)
     assert result.counterexample == (
         "n=2 (1, 2, 2): boxed ranks are not the cell ranks"
@@ -250,13 +253,15 @@ def test_word_roundtrip_names_marked_ranks_outside_the_lattice(monkeypatch):
 def test_word_roundtrip_catches_a_rule_shared_by_marking_and_inversion(monkeypatch):
     # boxing the smallest ranks of each color is wrong, but mark_from_path
     # and path_from_word share it, so only the cell ranks can tell
-    def bottom_ranks(n, k, ell):
-        by_color = {1: [], 2: []}
-        for e in rankwords.lattice_rank_word(n).entries:
-            by_color[e.color].append(e.rank)
-        return frozenset(by_color[1][:k] + by_color[2][:ell])
+    class BottomRanks(rankwords._TopRanks):
+        __slots__ = ()
 
-    monkeypatch.setattr(rankwords, "_top_ranks", bottom_ranks)
+        def _ranges(self):
+            n = self.n
+            return (range(2 * n % 3, 2 * n % 3 + 3 * self.k, 3),
+                    range(n % 3, n % 3 + 3 * self.ell, 3))
+
+    monkeypatch.setattr(rankwords, "_TopRanks", BottomRanks)
     for p in paths.enumerate_paths(3, 8):
         assert rankwords.path_from_word(rankwords.mark_from_path(p)) == p
     result = verify.check_word_roundtrip(8)
