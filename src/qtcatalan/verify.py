@@ -1,17 +1,23 @@
 """Exhaustive desk-scale checks of every structural claim in the package.
 
-Each check is a stream of objects (lattices, paths or values of n) and a
-fault that says what is wrong with one of them.  One loop, _scan, runs
-every check: it counts what it visits, stops at the first counterexample,
-names the object in it, and reports a ValueError the library raises on an
-object (every error it raises on a bad value is one) as that object's
-counterexample.  Everything is exact; there are no tolerances.  max_mn
-bounds m+n for the general-(m,n) checks, max_n bounds n for the
-three-column checks.
+Each check is one declaration, @_check(name, objects) on a fault: a
+function that says what is wrong with one object, or returns None.
+objects is one of the streams in _STREAMS (lattices, paths or values of
+n), and the stream fixes both the bound the check takes and how a
+counterexample names an object: max_mn bounds m+n for the general-(m,n)
+streams, max_n bounds n for the three-column ones.  The declaration puts
+check_<name>(bound) in the fault's place and appends (name, check, scope)
+to CHECKS, so CHECKS lists the checks in the order they are declared.
+One loop, _scan, runs every check: it counts what it visits, stops at the
+first counterexample, names the object in it, and reports a ValueError
+the library raises on an object (every error it raises on a bad value is
+one) as that object's counterexample.  Everything is exact; there are no
+tolerances.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import partial
 from math import gcd
 
@@ -42,6 +48,10 @@ def _coprime_pairs(max_mn: int):
                 yield m, n
 
 
+def _ordered_pairs(max_mn: int):
+    return ((m, n) for m, n in _coprime_pairs(max_mn) if m <= n)
+
+
 def _three_column_ns(max_n: int):
     return (n for n in range(1, max_n + 1) if n % 3 != 0)
 
@@ -56,19 +66,25 @@ def _three_column_paths(max_n: int):
         yield from paths.enumerate_paths(3, n)
 
 
-# how a counterexample names its object: a (3,n)-path, an (m,n)-path, a
-# lattice (m,n), or n
-_PATH3 = "n={0.n} {0.east_heights}"
-_PATH = "({0.m},{0.n}) {0.east_heights}"
 _PAIR = "({0[0]},{0[1]})"
-_N = "n={0}"
+# stream -> (the bound it takes, how a counterexample names its object)
+_STREAMS = {
+    _coprime_pairs: ("mn", _PAIR),
+    _ordered_pairs: ("mn", _PAIR),
+    _mn_paths: ("mn", "({0.m},{0.n}) {0.east_heights}"),
+    _three_column_paths: ("n", "n={0.n} {0.east_heights}"),
+    _three_column_ns: ("n", "n={0}"),
+}
+
+# (name, check, which bound it takes), in declaration order
+CHECKS: list[tuple[str, Callable[[int], CheckResult], str]] = []
 
 
 def _cell_count(p) -> int:
     return sum(paths.cells_above(p))
 
 
-def _scan(name: str, objects, fault, where=_PATH3, size=None) -> CheckResult:
+def _scan(name: str, objects, fault, where: str, size=None) -> CheckResult:
     """Count objects up to and including the first counterexample.
 
     fault(obj) describes what is wrong with obj, or returns None; the
@@ -89,220 +105,197 @@ def _scan(name: str, objects, fault, where=_PATH3, size=None) -> CheckResult:
     return CheckResult(name, checked)
 
 
-def check_path_counts(max_mn: int) -> CheckResult:
+def _check(name: str, objects, size=None, memo=None):
+    """Declare the decorated fault as the check name over objects(bound).
+
+    size is _scan's.  A fault that keeps state across objects is declared
+    with memo, and takes memo() as its first argument, new on each run.
+    """
+    scope, where = _STREAMS[objects]
+
+    def declare(fault) -> Callable[[int], CheckResult]:
+        def check(bound: int) -> CheckResult:
+            run = fault if memo is None else partial(fault, memo())
+            return _scan(name, objects(bound), run, where, size)
+
+        check.__name__, check.__qualname__ = fault.__name__, fault.__qualname__
+        check.__doc__ = fault.__doc__
+        CHECKS.append((name, check, scope))
+        return check
+    return declare
+
+
+@_check("path-count", _coprime_pairs)
+def check_path_counts(pair):
     """Enumeration size equals binomial(m+n, m) / (m+n)."""
-    def fault(pair):
-        seen = sum(1 for _ in paths.enumerate_paths(*pair))
-        want = paths.count_paths(*pair)
-        if seen != want:
-            return f"enumerated {seen}, formula {want}"
-    return _scan("path-count", _coprime_pairs(max_mn), fault, _PAIR)
+    seen = sum(1 for _ in paths.enumerate_paths(*pair))
+    want = paths.count_paths(*pair)
+    if seen != want:
+        return f"enumerated {seen}, formula {want}"
 
 
-def check_serialization(max_mn: int) -> CheckResult:
+@_check("serialization-roundtrip", _mn_paths)
+def check_serialization(p):
     """parse_path inverts render_path on every path."""
-    def fault(p):
-        if paths.parse_path(paths.render_path(p)) != p:
-            return "parse_path does not invert render_path"
-    return _scan("serialization-roundtrip", _mn_paths(max_mn), fault, _PATH)
+    if paths.parse_path(paths.render_path(p)) != p:
+        return "parse_path does not invert render_path"
 
 
-def check_shape_monotone(max_mn: int) -> CheckResult:
+@_check("shape-monotone", _mn_paths)
+def check_shape_monotone(p):
     """cells_above always yields weakly decreasing column counts."""
-    def fault(p):
-        counts = paths.cells_above(p)
-        if any(lo < hi for lo, hi in zip(counts, counts[1:])):
-            return f"column counts {counts}"
-    return _scan("shape-monotone", _mn_paths(max_mn), fault, _PATH)
+    counts = paths.cells_above(p)
+    if any(lo < hi for lo, hi in zip(counts, counts[1:])):
+        return f"column counts {counts}"
 
 
-def check_transpose(max_mn: int) -> CheckResult:
+@_check("transpose-involution", _mn_paths)
+def check_transpose(p):
     """transpose gives a genuine path, is an involution, preserves area and dinv."""
-    def fault(p):
-        q = paths.transpose(p)
-        paths.make_path(q.m, q.n, q.east_heights)  # transpose builds q unchecked
-        if (q.m, q.n) != (p.n, p.m) or paths.transpose(q) != p:
-            return "transpose is not an involution"
-        if stats.area(q) != stats.area(p) or stats.dinv(q) != stats.dinv(p):
-            return "statistics changed"
-    return _scan("transpose-involution", _mn_paths(max_mn), fault, _PATH)
+    q = paths.transpose(p)
+    paths.make_path(q.m, q.n, q.east_heights)  # transpose builds q unchecked
+    if (q.m, q.n) != (p.n, p.m) or paths.transpose(q) != p:
+        return "transpose is not an involution"
+    if stats.area(q) != stats.area(p) or stats.dinv(q) != stats.dinv(p):
+        return "statistics changed"
 
 
-def check_poly_mn_symmetry(max_mn: int) -> CheckResult:
+@_check("poly-mn-symmetry", _ordered_pairs)
+def check_poly_mn_symmetry(pair):
     """C_{m,n}(q,t) = C_{n,m}(q,t), by the walk over each orientation.
 
     catalan_bruteforce walks only the side with fewer columns, so the
     check calls the walk itself: two walks, not one walk twice.
     """
-    def fault(pair):
-        m, n = pair
-        if qtpoly._walk(m, n) != qtpoly._walk(n, m):
-            return "C_{m,n} != C_{n,m}"
-    pairs = ((m, n) for m, n in _coprime_pairs(max_mn) if m <= n)
-    return _scan("poly-mn-symmetry", pairs, fault, _PAIR)
+    m, n = pair
+    if qtpoly._walk(m, n) != qtpoly._walk(n, m):
+        return "C_{m,n} != C_{n,m}"
 
 
-def check_rank_positivity(max_n: int) -> CheckResult:
+@_check("rank-positivity", _three_column_paths, _cell_count)
+def check_rank_positivity(p):
     """Every cell above a (3,n)-path has positive rank."""
-    def fault(p):
-        for column, row in paths._cell_pairs(p.east_heights, p.n):
-            r = rankwords.rank(column, row, p.n)
-            if r <= 0:
-                return f"cell {(column, row)} has rank {r}"
-    return _scan("rank-positivity", _three_column_paths(max_n), fault, size=_cell_count)
+    for column, row in paths._cell_pairs(p.east_heights, p.n):
+        r = rankwords.rank(column, row, p.n)
+        if r <= 0:
+            return f"cell {(column, row)} has rank {r}"
 
 
-def check_cell_classification(max_n: int) -> CheckResult:
+@_check("cell-classification", _three_column_paths, _cell_count)
+def check_cell_classification(p):
     """Each above-path cell gets one label; the label counts match skips and dinv."""
     arm, leg, label_of = paths._arm, paths._leg, stats._cell_label
     contributes_label = stats.CellClass.CONTRIBUTES
-
-    def fault(p):
-        heights, n = p.east_heights, p.n
-        fenced = contributing = 0
-        for column, row in paths._cell_pairs(heights, n):
-            try:
-                ar, lg = arm(heights, column, row), leg(heights, column, row)
-                label = label_of(ar, lg, n)
-            except AssertionError:
-                return f"cell {(column, row)}: labels not exclusive"
-            contributes = label is contributes_label
-            if column == 2 and not contributes:
-                return f"cell {(column, row)}: second column must contribute"
-            fenced += not contributes
-            contributing += contributes
-        if fenced != stats.skips(p):
-            return f"{fenced} fenced cells, skips {stats.skips(p)}"
-        d = stats.dinv(p)
-        if contributing != d:
-            return f"{contributing} contributing cells, dinv {d}"
-    paths3 = _three_column_paths(max_n)
-    return _scan("cell-classification", paths3, fault, size=_cell_count)
+    heights, n = p.east_heights, p.n
+    fenced = contributing = 0
+    for column, row in paths._cell_pairs(heights, n):
+        try:
+            ar, lg = arm(heights, column, row), leg(heights, column, row)
+            label = label_of(ar, lg, n)
+        except AssertionError:
+            return f"cell {(column, row)}: labels not exclusive"
+        contributes = label is contributes_label
+        if column == 2 and not contributes:
+            return f"cell {(column, row)}: second column must contribute"
+        fenced += not contributes
+        contributing += contributes
+    if fenced != stats.skips(p):
+        return f"{fenced} fenced cells, skips {stats.skips(p)}"
+    d = stats.dinv(p)
+    if contributing != d:
+        return f"{contributing} contributing cells, dinv {d}"
 
 
-def check_stat_identity(max_n: int) -> CheckResult:
+@_check("stat-identity", _three_column_paths)
+def check_stat_identity(p):
     """area + skips + dinv = n - 1."""
-    def fault(p):
-        a, s, d = stats.stat_triple(p)
-        if a + s + d != p.n - 1:
-            return f"{a}+{s}+{d} != {p.n - 1}"
-    return _scan("stat-identity", _three_column_paths(max_n), fault)
+    a, s, d = stats.stat_triple(p)
+    if a + s + d != p.n - 1:
+        return f"{a}+{s}+{d} != {p.n - 1}"
 
 
-def check_stat_inequalities(max_n: int) -> CheckResult:
+@_check("stat-inequalities", _three_column_paths)
+def check_stat_inequalities(p):
     """0 <= skips < n/3 and skips <= dinv, area <= n-1-2*skips."""
-    def fault(p):
-        a, s, d = stats.stat_triple(p)
-        top = p.n - 1 - 2 * s
-        if s < 0 or 3 * s >= p.n or not s <= d <= top or not s <= a <= top:
-            return f"triple ({a},{s},{d})"
-    return _scan("stat-inequalities", _three_column_paths(max_n), fault)
+    a, s, d = stats.stat_triple(p)
+    top = p.n - 1 - 2 * s
+    if s < 0 or 3 * s >= p.n or not s <= d <= top or not s <= a <= top:
+        return f"triple ({a},{s},{d})"
 
 
-def check_triple_uniqueness(max_n: int) -> CheckResult:
+@_check("triple-uniqueness", _three_column_paths, memo=dict)
+def check_triple_uniqueness(seen: dict[tuple[int, stats.StatTriple], tuple[int, ...]], p):
     """Distinct paths of one lattice carry distinct triples."""
-    seen: dict[tuple[int, stats.StatTriple], tuple[int, ...]] = {}  # first heights
-
-    def fault(p):
-        t = stats.stat_triple(p)
-        first = seen.setdefault((p.n, t), p.east_heights)
-        if first != p.east_heights:
-            return f"shares {tuple(t)} with {first}"
-    return _scan("triple-uniqueness", _three_column_paths(max_n), fault)
+    t = stats.stat_triple(p)
+    first = seen.setdefault((p.n, t), p.east_heights)  # the first heights with t
+    if first != p.east_heights:
+        return f"shares {tuple(t)} with {first}"
 
 
-def check_word_roundtrip(max_n: int) -> CheckResult:
+@_check("word-roundtrip", _three_column_paths)
+def check_word_roundtrip(p):
     """mark_from_path boxes the cell ranks, and path_from_word inverts it."""
-    def fault(p):
-        word = rankwords.mark_from_path(p)
-        pairs = paths._cell_pairs(p.east_heights, p.n)
-        cells = {rankwords.rank(column, row, p.n) for column, row in pairs}
-        if word.boxed != cells:
-            return "boxed ranks are not the cell ranks"
-        if rankwords.path_from_word(word) != p:
-            return "path_from_word does not invert the marking"
-    return _scan("word-roundtrip", _three_column_paths(max_n), fault)
+    word = rankwords.mark_from_path(p)
+    pairs = paths._cell_pairs(p.east_heights, p.n)
+    cells = {rankwords.rank(column, row, p.n) for column, row in pairs}
+    if word.boxed != cells:
+        return "boxed ranks are not the cell ranks"
+    if rankwords.path_from_word(word) != p:
+        return "path_from_word does not invert the marking"
 
 
-def check_triple_reconstruction(max_n: int) -> CheckResult:
+@_check("triple-reconstruction", _three_column_paths)
+def check_triple_reconstruction(p):
     """omega rebuilds each path's word; unboxed entries count the area."""
-    def fault(p):
-        word = rankwords.mark_from_path(p)
-        a, s, d = stats.stat_triple(p)
-        if rankwords.omega(a, s, d) != word:
-            return f"omega({a},{s},{d}) differs"
-        unboxed = len(word) - len(word.boxed)
-        if unboxed != a or rankwords.count_skips(word) != s:
-            return "word statistics disagree"
-    return _scan("triple-reconstruction", _three_column_paths(max_n), fault)
+    word = rankwords.mark_from_path(p)
+    a, s, d = stats.stat_triple(p)
+    if rankwords.omega(a, s, d) != word:
+        return f"omega({a},{s},{d}) differs"
+    unboxed = len(word) - len(word.boxed)
+    if unboxed != a or rankwords.count_skips(word) != s:
+        return "word statistics disagree"
 
 
-def check_triple_realizability(max_n: int) -> CheckResult:
+@_check("triple-realizability", _three_column_ns, lambda n: paths.count_paths(3, n))
+def check_triple_realizability(n):
     """Valid triples and realized triples are the same sets.
 
     Each n counts its paths: as many as its valid triples when this check
     and triple-uniqueness pass.
     """
-    def fault(n):
-        realized = {tuple(stats.stat_triple(p)) for p in paths.enumerate_paths(3, n)}
-        triples = ((a, s, n - 1 - a - s) for a in range(n) for s in range(n - a))
-        valid = {t for t in triples if rankwords.is_valid_triple(*t)}
-        if realized != valid:
-            return f"mismatch at {min(realized ^ valid)}"
-    ns = _three_column_ns(max_n)
-    return _scan("triple-realizability", ns, fault, _N, partial(paths.count_paths, 3))
+    realized = {tuple(stats.stat_triple(p)) for p in paths.enumerate_paths(3, n)}
+    triples = ((a, s, n - 1 - a - s) for a in range(n) for s in range(n - a))
+    valid = {t for t in triples if rankwords.is_valid_triple(*t)}
+    if realized != valid:
+        return f"mismatch at {min(realized ^ valid)}"
 
 
-def check_closed_form(max_n: int) -> CheckResult:
+@_check("closed-form", _three_column_ns)
+def check_closed_form(n):
     """Brute-force summation agrees with the closed form."""
-    def fault(n):
-        if qtpoly.catalan_bruteforce(3, n) != qtpoly.catalan3_closed_form(n):
-            return "brute force and closed form differ"
-    return _scan("closed-form", _three_column_ns(max_n), fault, _N)
+    if qtpoly.catalan_bruteforce(3, n) != qtpoly.catalan3_closed_form(n):
+        return "brute force and closed form differ"
 
 
-def check_qt_symmetry(max_n: int) -> CheckResult:
+@_check("qt-symmetry", _three_column_ns)
+def check_qt_symmetry(n):
     """The closed form is symmetric in q and t."""
-    def fault(n):
-        if not qtpoly.is_qt_symmetric(qtpoly.catalan3_closed_form(n)):
-            return "closed form not symmetric in q and t"
-    return _scan("qt-symmetry", _three_column_ns(max_n), fault, _N)
+    if not qtpoly.is_qt_symmetric(qtpoly.catalan3_closed_form(n)):
+        return "closed form not symmetric in q and t"
 
 
-def check_involution(max_n: int) -> CheckResult:
+@_check("involution", _three_column_paths)
+def check_involution(p):
     """involution swaps area and dinv, fixes skips, and squares to the identity."""
-    def fault(p):
-        q = bijection.involution(p)
-        paths.make_path(q.m, q.n, q.east_heights)  # involution builds q unchecked
-        if (q.m, q.n) != (3, p.n):
-            return "image not a path"
-        a, s, d = stats.stat_triple(p)
-        if tuple(stats.stat_triple(q)) != (d, s, a):
-            return "triple not swapped"
-        if bijection.involution(q) != p:
-            return "not an involution"
-    return _scan("involution", _three_column_paths(max_n), fault)
-
-
-# (name, check, which bound it takes)
-CHECKS = [
-    ("path-count", check_path_counts, "mn"),
-    ("serialization-roundtrip", check_serialization, "mn"),
-    ("shape-monotone", check_shape_monotone, "mn"),
-    ("transpose-involution", check_transpose, "mn"),
-    ("poly-mn-symmetry", check_poly_mn_symmetry, "mn"),
-    ("rank-positivity", check_rank_positivity, "n"),
-    ("cell-classification", check_cell_classification, "n"),
-    ("stat-identity", check_stat_identity, "n"),
-    ("stat-inequalities", check_stat_inequalities, "n"),
-    ("triple-uniqueness", check_triple_uniqueness, "n"),
-    ("word-roundtrip", check_word_roundtrip, "n"),
-    ("triple-reconstruction", check_triple_reconstruction, "n"),
-    ("triple-realizability", check_triple_realizability, "n"),
-    ("closed-form", check_closed_form, "n"),
-    ("qt-symmetry", check_qt_symmetry, "n"),
-    ("involution", check_involution, "n"),
-]
+    q = bijection.involution(p)
+    paths.make_path(q.m, q.n, q.east_heights)  # involution builds q unchecked
+    if (q.m, q.n) != (3, p.n):
+        return "image not a path"
+    a, s, d = stats.stat_triple(p)
+    if tuple(stats.stat_triple(q)) != (d, s, a):
+        return "triple not swapped"
+    if bijection.involution(q) != p:
+        return "not an involution"
 
 
 def run_all(max_n: int = 16, max_mn: int = 12) -> list[CheckResult]:

@@ -96,6 +96,38 @@ def test_each_check_catches_a_planted_fault(monkeypatch, name, check, scope):
     result = check(8 if scope == "n" else 6)
     assert not result.ok
     assert 0 < result.checked
+    # a three-column check names n first, a general one its lattice (m,n)
+    assert result.counterexample.startswith("n=" if scope == "n" else "(")
+
+
+def test_each_check_is_declared_once():
+    names = [name for name, _, _ in verify.CHECKS]
+    assert len(set(names)) == len(names) == len(PLANTED_FAULTS)
+    declared = [value for attr, value in vars(verify).items() if attr.startswith("check_")]
+    assert [check for _, check, _ in verify.CHECKS] == declared
+
+
+def test_a_check_keeps_no_state_from_one_run_to_the_next(monkeypatch):
+    # triple-uniqueness remembers the first heights of each triple
+    module, attr, plant = PLANTED_FAULTS["triple-uniqueness"]
+    real = stats.stat_triple
+
+    def swapped_triple(p):
+        # one-to-one, so a run passes, but it records each triple with the
+        # heights of another path than a clean run does
+        a, s, d = real(p)
+        return StatTriple(d, s, a)
+
+    clean = verify.check_triple_uniqueness(8)
+    with monkeypatch.context() as patch:
+        patch.setattr(module, attr, plant(real))
+        planted = verify.check_triple_uniqueness(8)
+        patch.setattr(stats, "stat_triple", swapped_triple)
+        swapped = verify.check_triple_uniqueness(8)
+    assert clean.ok and clean.checked > 0
+    assert not planted.ok
+    assert swapped == clean
+    assert verify.check_triple_uniqueness(8) == clean
 
 
 def test_verify_builds_no_cell(monkeypatch):
