@@ -37,7 +37,7 @@ from itertools import chain, starmap
 
 from . import bijection, paths, qtpoly, rankwords, stats
 from .chunks import joined, linked, rows
-from .errors import COEFFICIENT_LIMIT, CoefficientOverflow, UnsupportedM
+from .errors import UnsupportedM
 
 Output = tuple[int, Iterable[str], object]
 
@@ -83,10 +83,6 @@ def _array(rows: Iterable[str]) -> Iterator[str]:
 
 def cmd_enumerate(args) -> Output:
     m, n = args.m, args.n
-    # a side past a C ssize_t would fail in enumerate_paths, once output has begun
-    for side, value in (("m", m), ("n", n)):
-        if value > COEFFICIENT_LIMIT:
-            raise CoefficientOverflow(f"{side} must be at most {COEFFICIENT_LIMIT}, got {value}")
     count = paths.count_paths(m, n)  # checks the lattice: enumerate_paths is lazy
     words = map(paths.render_path, paths.enumerate_paths(m, n))  # main reads one form
     record = {"count": count, "m": m, "n": n, "paths": _array(f'"{w}"' for w in words)}

@@ -33,13 +33,8 @@ from operator import attrgetter, index
 from typing import Iterable, Iterator, NamedTuple
 
 from .chunks import CHARS
-from .errors import (
-    BadCharacter,
-    BelowDiagonal,
-    CellNotAboveThePath,
-    NotCoprime,
-    NotMonotone,
-)
+from .errors import COEFFICIENT_LIMIT, BadCharacter, BelowDiagonal, CellNotAboveThePath
+from .errors import CoefficientOverflow, NotCoprime, NotMonotone
 
 
 _HEIGHTS = 1 << 13  # heights in one block of enumerate_paths' paths
@@ -51,10 +46,14 @@ class Cell(NamedTuple):
 
 
 def _check_lattice(m: int, n: int) -> None:
-    """Raise unless (m, n) is a lattice of paths: both positive and coprime.
+    """Raise unless (m, n) is a lattice of paths: both sides at most
+    COEFFICIENT_LIMIT (checked first, m before n), positive and coprime.
 
     Callers run it before any O(m) work, such as the list of floor heights.
     """
+    if m > COEFFICIENT_LIMIT or n > COEFFICIENT_LIMIT:
+        side, value = ("m", m) if m > COEFFICIENT_LIMIT else ("n", n)
+        raise CoefficientOverflow(f"{side} must be at most {COEFFICIENT_LIMIT}, got {value}")
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     if gcd(m, n) != 1:
@@ -220,7 +219,7 @@ def render_path(p: DyckPath) -> str:
 
 
 def count_paths(m: int, n: int) -> int:
-    """Number of (m,n)-Dyck paths: binomial(m+n, m) / (m+n)."""
+    """Number of (m,n)-Dyck paths, binomial(m+n, m) / (m+n), once _check_lattice passes."""
     _check_lattice(m, n)
     return comb(m + n, m) // (m + n)
 

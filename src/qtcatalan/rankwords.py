@@ -8,10 +8,11 @@ all negative), gives the rank word of the lattice.
 Residues: the color-1 entries are range(2n % 3, 2n, 3), the positive
 integers below 2n congruent to 2n mod 3, and the color-2 entries
 range(n % 3, n, 3).  The two residues differ exactly when 3 does not
-divide n, which is why that case is required throughout.  _color reads
-that rule for one rank, and _position reads it as an entry's place in
-the word: below n every rank not divisible by 3 is an entry, and from n
-up every third rank is one.
+divide n, which is why that case is required throughout.  _colors gives
+the two ranges, and every reader takes a rank's color, the counts, the
+indices and the top ranks from them; _position reads the rule as an
+entry's place in the word: below n every rank not divisible by 3 is an
+entry, and from n up every third rank is one.
 
 Counts: marking (boxing) the ranks of the cells above a path yields its
 marked rank word.  The n - y_a cells above column a have ranks falling by
@@ -67,13 +68,9 @@ class RankEntry(NamedTuple):
     boxed: bool
 
 
-def _color(r: int, n: int) -> int | None:
-    """Color of rank r in the n-row rank word, or None when r is not in it."""
-    if 0 < r < 2 * n and (2 * n - r) % 3 == 0:
-        return 1
-    if 0 < r < n and (n - r) % 3 == 0:
-        return 2
-    return None
+def _colors(n: int) -> tuple[range, range]:
+    """The color-1 and the color-2 ranks of the n-row rank word."""
+    return range(2 * n % 3, 2 * n, 3), range(n % 3, n, 3)
 
 
 def _position(r: int, n: int) -> int:
@@ -122,7 +119,8 @@ class MarkedRankWord(_Value):
         # index: a float rank raises TypeError, and the set holds plain ints
         boxed = frozenset(map(index, boxed))
         _check_rows(n)
-        stray = sorted(r for r in boxed if _color(r, n) is None)
+        ones, twos = _colors(n)
+        stray = sorted(r for r in boxed if r not in ones and r not in twos)
         if stray:
             raise ValueError(f"not ranks of the {n}-row lattice: {stray}")
         _set_n(self, n)
@@ -161,8 +159,8 @@ class _TopRanks(Set):
         self.n, self.k, self.ell = n, k, ell
 
     def _ranges(self) -> tuple[range, range]:
-        n = self.n
-        return range(2 * n - 3 * self.k, 2 * n, 3), range(n - 3 * self.ell, n, 3)
+        ones, twos = _colors(self.n)
+        return ones[len(ones) - self.k:], twos[len(twos) - self.ell:]
 
     def __contains__(self, r: object) -> bool:
         ones, twos = self._ranges()
@@ -210,29 +208,29 @@ def _derived(n: int, k: int, ell: int) -> MarkedRankWord:
 def _runs(w: MarkedRankWord) -> Iterator[tuple[tuple[range, ...], tuple]]:
     """w's entries as progressions (columns, kinds), in increasing rank order.
 
-    A rank r is at index r // 3 of its color's range.  The word pairs the
-    i-th ranks of the two colors, lower residue first, for i < n // 3, then
-    lists the other color-1 ranks.  Cuts: n // 3 and, when w boxes each
-    color's top ranks, 2n // 3 - k and n // 3 - ell (at most 4
-    progressions), else each boxed rank's index and the next.  None is empty.
+    A rank r is at index r // 3 of its color's range (_colors).  The word
+    pairs the i-th ranks of the two colors, lower residue first, while
+    color 2 lasts, then lists the other color-1 ranks.  Cuts: the end of
+    color 2 and, when w boxes each color's top ranks, k and ell before
+    each color's end (at most 4 progressions), else each boxed rank's
+    index and the next.  None is empty.
     """
-    n, boxed = w.n, w.boxed
-    pairs, count = n // 3, 2 * n // 3
+    boxed = w.boxed
+    ones, twos = _colors(w.n)
+    pairs, count = len(twos), len(ones)
     k, ell = boxed_counts(w)
-    if boxed == _TopRanks(n, k, ell):
+    if boxed == _TopRanks(w.n, k, ell):
         cuts = {count - k, pairs - ell}
     else:
         cuts = {*(r // 3 for r in boxed), *(r // 3 + 1 for r in boxed)}
     edges = sorted({0, pairs, count, *(c for c in cuts if 0 < c < count)})
-    r1 = 2 * n % 3  # color 1's residue; index i of residue s is rank s + 3i
-    (s1, c1), (s2, c2) = sorted([(r1, 1), (n % 3, 2)])  # (residue, color), lower first
+    (low, c1), (high, c2) = sorted([(ones, 1), (twos, 2)], key=lambda rc: rc[0].start)
     for lo, hi in zip(edges, edges[1:]):
-        paired, lo, hi = hi <= pairs, 3 * lo, 3 * hi
-        if paired:
-            yield ((range(s1 + lo, s1 + hi, 3), range(s2 + lo, s2 + hi, 3)),
-                   ((c1, s1 + lo in boxed), (c2, s2 + lo in boxed)))
+        if hi <= pairs:
+            yield ((low[lo:hi], high[lo:hi]),
+                   ((c1, low[lo] in boxed), (c2, high[lo] in boxed)))
         else:
-            yield (range(r1 + lo, r1 + hi, 3),), ((1, r1 + lo in boxed),)
+            yield (ones[lo:hi],), ((1, ones[lo] in boxed),)
 
 
 def _formatted(
@@ -282,7 +280,8 @@ def boxed_counts(w: MarkedRankWord) -> tuple[int, int]:
     """(number of boxed color-1 entries, number of boxed color-2 entries)."""
     if isinstance(w.boxed, _TopRanks):
         return w.boxed.k, w.boxed.ell
-    k = sum(1 for r in w.boxed if _color(r, w.n) == 1)
+    ones, _ = _colors(w.n)
+    k = sum(1 for r in w.boxed if r in ones)
     return k, len(w.boxed) - k
 
 
@@ -296,8 +295,8 @@ def path_from_word(w: MarkedRankWord) -> DyckPath:
     top = _TopRanks(w.n, k, ell)
     if w.boxed != top:
         misplaced = w.boxed ^ top
-        for color in (1, 2):
-            if any(_color(r, w.n) == color for r in misplaced):
+        for color, ranks in enumerate(_colors(w.n), start=1):
+            if any(map(ranks.__contains__, misplaced)):
                 raise NotRealizable(
                     f"boxed color-{color} entries are not the largest ones"
                 )

@@ -578,10 +578,12 @@ def test_json_output_is_canonical_and_holds_the_library_data(request, chars):
     # row counts whose progressions have no len: refused before any output
     ["omega", "0", "0", "99999999999999999999"], ["rankword", "99999999999999999998"],
     ["poly", "3", "99999999999999999998", "--method", "closed"],
-    # lattice sides that index no tuple: refused before the count is written
+    # lattice sides that index no tuple: refused before a count is written or a walk starts
     ["enumerate", "1", "99999999999999999999"], ["enumerate", "2", "99999999999999999999"],
     ["enumerate", "3", "99999999999999999998"], ["enumerate", "99999999999999999999", "2"],
     ["enumerate", "99999999999999999999", "99999999999999999998"],
+    ["poly", "2", "99999999999999999999"], ["poly", "99999999999999999999", "2"],
+    ["poly", "3", "99999999999999999998"],
 ], ids=" ".join)
 def test_a_failing_request_writes_nothing_to_stdout(capsys, argv):
     for fmt in ("text", "json"):
@@ -613,9 +615,10 @@ def test_the_largest_row_count_is_admitted_and_the_next_valid_one_refused(capsys
     assert (code, out) == (2, "")
     assert err == f"error: CoefficientOverflow: n must be at most {n}, got {2**63}\n"
     # and one column too many
-    code, out, err = run(capsys, "enumerate", str(2**63), "1")
-    assert (code, out) == (2, "")
-    assert err == f"error: CoefficientOverflow: m must be at most {n}, got {2**63}\n"
+    for command in ("enumerate", "poly"):
+        code, out, err = run(capsys, command, str(2**63), "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: CoefficientOverflow: m must be at most {n}, got {2**63}\n"
 
 
 @pytest.mark.parametrize("bounds", [

@@ -5,14 +5,18 @@ from math import gcd
 import pytest
 
 from qtcatalan import (
+    COEFFICIENT_LIMIT,
     BadCharacter,
     BelowDiagonal,
     Cell,
     CellNotAboveThePath,
+    CoefficientOverflow,
     DyckPath,
     NotCoprime,
     NotMonotone,
+    QtPolynomial,
     arm,
+    catalan_bruteforce,
     cells_above,
     count_paths,
     enumerate_paths,
@@ -178,6 +182,25 @@ def test_enumeration_rejects_a_lattice_before_computing_any_height(monkeypatch):
     for m, n in ((4, 6), (5, 0), (3, -4)):
         with pytest.raises(ValueError):
             next(enumerate_paths(m, n))
+
+
+def test_every_lattice_entry_point_refuses_a_side_above_the_cap():
+    # a longer side indexes no tuple of heights; at the cap, a lattice with
+    # one column or one row has one path, found at once
+    big = COEFFICIENT_LIMIT + 1
+    for m, n, side in ((big, 1, "m"), (1, big, "n")):
+        for entry in (count_paths, catalan_bruteforce):
+            with pytest.raises(CoefficientOverflow,
+                               match=rf"^{side} must be at most {COEFFICIENT_LIMIT}, got {big}$"):
+                entry(m, n)
+    message = rf"^n must be at most {COEFFICIENT_LIMIT}, got {big}$"
+    with pytest.raises(CoefficientOverflow, match=message):
+        next(enumerate_paths(1, big))
+    with pytest.raises(CoefficientOverflow, match=message):
+        make_path(1, big, [big])
+    assert count_paths(1, COEFFICIENT_LIMIT) == 1
+    assert catalan_bruteforce(COEFFICIENT_LIMIT, 1) == QtPolynomial({(0, 0): 1})
+    assert next(enumerate_paths(1, COEFFICIENT_LIMIT)).east_heights == (COEFFICIENT_LIMIT,)
 
 
 def test_enumeration_yields_the_odometer_heights_in_order():
