@@ -3,9 +3,10 @@
 A rank word has n - 1 entries, C_{3,n}(q,t) about n^2/6 terms and the
 (m,n)-lattice count_paths(m, n) paths of m + n steps, so the CLI writes
 these outputs a chunk at a time and no layer holds the whole output.
-rows writes progressions, a word's runs and the closed form's rows, from
-a table of decimal strings; joined writes the rest (enumerate's paths,
-brute-force terms), and linked strings streams together.
+rows writes a whole output given as segments, progressions from a table
+of decimal strings and literal rows: a word's runs, or the closed form's
+rows with their end terms; joined writes the rest (enumerate's paths,
+brute-force terms).
 """
 
 from __future__ import annotations
@@ -41,56 +42,53 @@ def _digits() -> tuple[list[str], list[str]]:
     return [str(i) for i in range(_BASE)], [f"{i:03d}" for i in range(_BASE)]
 
 
-def rows(template: str, columns: Sequence[range], sep: str) -> Iterator[str]:
-    """sep.join(template % row for row in zip(*columns)) as chunks; none for no rows.
+def rows(segments: Iterable[tuple[str, Sequence[range]]], sep: str) -> Iterator[str]:
+    """sep.join of every row of every segment, in turn, as chunks; none for no rows.
 
-    template holds one "%d" per column; the columns are ranges of one
-    length with nonnegative members, of either sign of step.  A chunk is a
-    block of rows, one list filled by extended-slice assignment and joined
-    once: the literal pieces repeated and, per column, a slice of the
-    decimal table, after the column's high part x // _BASE when nonzero.  A
-    block ends where a high part changes or at about CHARS characters (read
-    at the call), and holds at least one row.
+    A segment is (template, columns): template holds one "%d" per column,
+    and its rows are template % row for row in zip(*columns), the columns
+    ranges of one length with nonnegative members, of either sign of step.
+    A segment with no columns is one literal row, template itself, and a
+    segment of empty columns has no rows and adds no sep.  A chunk is a
+    block of one segment's rows, one list filled by extended-slice
+    assignment and joined once: the literal pieces repeated and, per
+    column, a slice of the decimal table, after the column's high part
+    x // _BASE when nonzero.  A block ends where a high part changes or at
+    about CHARS characters (read at the call), and holds at least one row.
     """
-    pieces = template.split("%d")
     plain, padded = _digits()
-    width = 2 * len(columns)  # a number and the literal after it, per column
-    after = pieces[1:]  # the literal after each column; the last one runs on
-    after[-1] += sep + pieces[0]  # to the next row's start
-    lead, done, count = pieces[0], 0, len(columns[0])
-    while done < count:
-        # a row at most: the template with 3 digits per "%d", sep and the high parts
-        take, size, parts = count - done, len(template) + len(sep) + len(columns), []
-        for column in columns:
-            high, low = divmod(column[done], _BASE)
-            step = column.step
-            # the rows before the column leaves its high part
-            left = (_BASE - 1 - low) // step if step > 0 else low // -step
-            take = min(take, left + 1)
-            high = str(high) if high else ""
-            size += len(high)
-            parts.append((high, low, step))
-        take = min(take, max(1, CHARS // size))
-        block = [None] * (width * take + 1)
-        block[0] = lead + parts[0][0]
-        for j, (high, low, step) in enumerate(parts):
-            stop = low + step * take
-            block[2 * j + 1::width] = (padded if high else plain)[
-                low:stop if stop >= 0 else None:step]
-            block[2 * j + 2::width] = [after[j] + parts[(j + 1) % len(parts)][0]] * take
-        block[-1] = pieces[-1]
-        yield "".join(block)
-        done += take
-        lead = sep + pieces[0]
-
-
-def linked(streams: Iterable[Iterable[str]], sep: str) -> Iterator[str]:
-    """The chunks of each stream in turn, sep between two streams that write any."""
-    lead = ""
-    for stream in streams:
-        chunks = iter(stream)
-        for first in chunks:
-            yield lead
-            yield first
-            yield from chunks
+    lead = ""  # sep once a row is written
+    for template, columns in segments:
+        if not columns:
+            yield lead + template
+            lead = sep
+            continue
+        pieces = template.split("%d")
+        width = 2 * len(columns)  # a number and the literal after it, per column
+        after = pieces[1:]  # the literal after each column; the last one runs on
+        after[-1] += sep + pieces[0]  # to the next row's start
+        done, count = 0, len(columns[0])
+        while done < count:
+            # a row at most: the template with 3 digits per "%d", sep and the high parts
+            take, size, parts = count - done, len(template) + len(sep) + len(columns), []
+            for column in columns:
+                high, low = divmod(column[done], _BASE)
+                step = column.step
+                # the rows before the column leaves its high part
+                left = (_BASE - 1 - low) // step if step > 0 else low // -step
+                take = min(take, left + 1)
+                high = str(high) if high else ""
+                size += len(high)
+                parts.append((high, low, step))
+            take = min(take, max(1, CHARS // size))
+            block = [None] * (width * take + 1)
+            block[0] = lead + pieces[0] + parts[0][0]
+            for j, (high, low, step) in enumerate(parts):
+                stop = low + step * take
+                block[2 * j + 1::width] = (padded if high else plain)[
+                    low:stop if stop >= 0 else None:step]
+                block[2 * j + 2::width] = [after[j] + parts[(j + 1) % len(parts)][0]] * take
+            block[-1] = pieces[-1]
+            yield "".join(block)
+            done += take
             lead = sep

@@ -36,7 +36,7 @@ from collections.abc import Iterable, Iterator
 from itertools import chain, starmap
 
 from . import bijection, paths, qtpoly, rankwords, stats
-from .chunks import joined, linked, rows
+from .chunks import joined, rows
 from .errors import UnsupportedM
 
 Output = tuple[int, Iterable[str], object]
@@ -83,7 +83,7 @@ def _array(rows: Iterable[str]) -> Iterator[str]:
 
 def cmd_enumerate(args) -> Output:
     m, n = args.m, args.n
-    count = paths.count_paths(m, n)  # checks the lattice: enumerate_paths is lazy
+    count = paths._bounded_count(m, n)  # checks lattice and count: enumerate_paths is lazy
     words = map(paths.render_path, paths.enumerate_paths(m, n))  # main reads one form
     record = {"count": count, "m": m, "n": n, "paths": _array(f'"{w}"' for w in words)}
     return 0, chain(joined(words, "\n"), "\n"), record
@@ -138,8 +138,8 @@ def cmd_poly(args) -> Output:
         if args.m != 3:
             raise UnsupportedM(f"the closed form needs m = 3, got m = {args.m}")
         closed_rows = qtpoly._closed_form_rows(args.n)  # one pass: main reads one form
-        text = linked(chain.from_iterable(starmap(qtpoly._row_text, closed_rows)), " + ")
-        json_rows = linked((rows(_UNIT_TERM, row, ", ") for row in closed_rows), ", ")
+        text = rows(chain.from_iterable(starmap(qtpoly._row_text, closed_rows)), " + ")
+        json_rows = rows(((_UNIT_TERM, row) for row in closed_rows), ", ")
         return 0, chain(text, "\n"), chain("[", json_rows, "]")
     terms = qtpoly.catalan_bruteforce(args.m, args.n).terms()
     text = joined(starmap(qtpoly._render_term, terms), " + ")  # never empty: a lattice has paths

@@ -224,6 +224,22 @@ def count_paths(m: int, n: int) -> int:
     return comb(m + n, m) // (m + n)
 
 
+def _bounded_count(m: int, n: int) -> int:
+    """count_paths(m, n), raising CoefficientOverflow above COEFFICIENT_LIMIT.
+
+    With k = min(m, n) >= 2 the count grows with the other side, which is
+    at least k + 1, so it is at least Catalan(k) = count_paths(k, k + 1);
+    Catalan(36) > COEFFICIENT_LIMIT, so k >= 36 is refused with no comb.
+    Below that count_paths is cheap: comb takes the smaller of its two
+    parts, comb(m + n, k), which is quick even at m + n near 2^64.
+    """
+    _check_lattice(m, n)
+    if min(m, n) >= 36 or (count := count_paths(m, n)) > COEFFICIENT_LIMIT:
+        raise CoefficientOverflow(
+            f"the ({m},{n})-lattice has more than {COEFFICIENT_LIMIT} paths")
+    return count
+
+
 def enumerate_paths(m: int, n: int) -> Iterator[DyckPath]:
     """Yield every (m,n)-Dyck path once, in lexicographic height order.
 

@@ -21,10 +21,11 @@ check the other.
 _closed_form_rows lists those terms already in graded-lex order, as
 rows: row s (s ascending) is its falling q-degrees n-2s-1, ..., s beside
 its rising t-degrees s, ..., n-2s-1, two ranges.  catalan3_closed_form
-builds its dict from the rows, and the CLI writes each row as the two
-progressions it is (chunks.rows): "q^%d t^%d" in text, where _row_text
-leaves to _render_term only the few end terms of a row that have an
-exponent below 2, and one JSON row template.  So the CLI writes the
+builds its dict from the rows, and the CLI writes the rows as the
+segments of one chunks.rows call per format, each row the two
+progressions it is: "q^%d t^%d" in text, where _row_text leaves to
+_render_term only the few end terms of a row that have an exponent below
+2, as literal segments, and one JSON row template.  So the CLI writes the
 closed form straight from the rows: O(output) time, with no polynomial,
 no validation, no sort, no int-to-str conversion and no whole output in
 memory.  QtPolynomial.render formats the sorted terms() the same way.
@@ -36,11 +37,10 @@ raises CoefficientOverflow instead of silently degrading.
 
 from __future__ import annotations
 
-from itertools import chain, repeat, starmap
+from itertools import chain, starmap
 from operator import index
 from typing import Iterable, Iterator, Mapping
 
-from .chunks import joined, rows
 from .errors import COEFFICIENT_LIMIT, CoefficientOverflow
 from . import paths, rankwords, stats
 
@@ -206,19 +206,19 @@ def _closed_form_rows(n: int) -> Iterator[tuple[range, range]]:
     )
 
 
-def _row_text(qs: range, ts: range) -> tuple[Iterator[str], ...]:
-    """The rendered terms of one row as streams, for chunks.linked to join by " + ".
+def _row_text(qs: range, ts: range) -> list[tuple[str, tuple[range, ...]]]:
+    """The rendered terms of one row as segments of chunks.rows, joined by " + ".
 
-    Only the terms at the two ends can have an exponent below 2; those go
-    through _render_term, and the rest share one template.
+    Only the terms at the two ends can have an exponent below 2; each of
+    those is a literal segment that _render_term writes, and the rest
+    share one template.
     """
     head = min(max(2 - ts[0], 0), len(ts))  # t-degree below 2
     tail = max(head, len(qs) - max(2 - qs[-1], 0))  # q-degree below 2
-    return (
-        joined(map(_render_term, qs[:head], ts[:head], repeat(1)), " + "),
-        rows("q^%d t^%d", (qs[head:tail], ts[head:tail]), " + "),
-        joined(map(_render_term, qs[tail:], ts[tail:], repeat(1)), " + "),
-    )
+    segments = [(_render_term(dq, dt, 1), ()) for dq, dt in zip(qs[:head], ts[:head])]
+    segments.append(("q^%d t^%d", (qs[head:tail], ts[head:tail])))
+    segments += ((_render_term(dq, dt, 1), ()) for dq, dt in zip(qs[tail:], ts[tail:]))
+    return segments
 
 
 def catalan3_closed_form(n: int) -> QtPolynomial:

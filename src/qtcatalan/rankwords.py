@@ -32,9 +32,9 @@ Runs: a word is listed as progressions (_runs), stretches of indices
 into the two colors with one boxing per color: rows of the i-th rank of
 each color for i < n // 3, then of the other color-1 ranks; at most 4,
 none empty, when the word boxes each color's top ranks.
-MarkedRankWord.entries reads them and _formatted writes them
-(chunks.rows), one template per (color, boxed), for render_word and the
-CLI, so an entry costs no Python-level step.
+MarkedRankWord.entries reads them and _formatted writes them, one
+template per (color, boxed), as the segments of one chunks.rows call for
+render_word and the CLI, so an entry costs no Python-level step.
 
 Validation runs once, at the boundary: MarkedRankWord(...) checks n and
 every boxed rank; a derived word's ranks are word ranks by construction.
@@ -47,7 +47,7 @@ from itertools import chain, repeat
 from operator import index
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .chunks import linked, rows
+from .chunks import rows
 from .errors import COEFFICIENT_LIMIT, BadResidue, CoefficientOverflow, InvalidTriple
 from .errors import NotRealizable, UnsupportedM
 from .paths import DyckPath, _Value
@@ -244,8 +244,8 @@ def _formatted(
     progressions = (
         [(c, templates[kind]) for c, kind in zip(columns, kinds) if kind in templates]
         for columns, kinds in _runs(w))
-    return linked((rows(sep.join(t for _, t in kept), [c for c, _ in kept], sep)
-                   for kept in progressions if kept), sep)
+    return rows(((sep.join(t for _, t in kept), [c for c, _ in kept])
+                 for kept in progressions if kept), sep)
 
 
 def lattice_rank_word(n: int) -> MarkedRankWord:

@@ -29,19 +29,38 @@ def columns(draw):
     return drawn
 
 
+@st.composite
+def segments(draw):
+    """1 to 4 segments: progressions of 1 to 3 columns, or literal rows."""
+    drawn = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            cols = draw(columns())
+            template = "%d".join(draw(st.lists(LITERAL, min_size=len(cols) + 1,
+                                               max_size=len(cols) + 1)))
+            drawn.append((template, cols))
+        else:
+            drawn.append((draw(LITERAL), ()))
+    return drawn
+
+
+def rows_of(template, cols):
+    """The rows of one segment: template % row per row, or the literal itself."""
+    return [template % row for row in zip(*cols)] if cols else [template]
+
+
 @settings(max_examples=300, deadline=None)
-@given(columns(), st.data(), LITERAL, st.integers(1, 40))
-def test_rows_writes_each_row_of_its_template(cols, data, sep, chars):
-    template = "%d".join(data.draw(st.lists(LITERAL, min_size=len(cols) + 1,
-                                            max_size=len(cols) + 1)))
-    want = [template % row for row in zip(*cols)]
+@given(segments(), LITERAL, st.integers(1, 40))
+def test_rows_writes_each_row_of_its_template(segs, sep, chars):
+    want = [row for template, cols in segs for row in rows_of(template, cols)]
     with mock.patch.object(chunks, "CHARS", chars):
-        got = list(chunks.rows(template, cols, sep))
-        # two streams, with one that writes nothing between them
-        twice = "".join(chunks.linked(
-            [chunks.rows(template, cols, sep), [], chunks.rows(template, cols, sep)], "|"))
+        got = list(chunks.rows(segs, sep))
     assert "".join(got) == sep.join(want)
-    assert twice == "|".join([sep.join(want)] * 2 if want else [])
+    # a segment with no rows adds no sep: the output is that of the others
+    kept = [(template, cols) for template, cols in segs if not cols or len(cols[0])]
+    assert "".join(chunks.rows(kept, sep)) == "".join(got)
+    if not kept:
+        assert got == []
     # a chunk ends at about CHARS characters and holds at least one row
     longest_row = max(map(len, want), default=0) + len(sep)
     assert all(len(chunk) <= chars + longest_row for chunk in got)

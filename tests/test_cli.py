@@ -593,6 +593,22 @@ def test_a_failing_request_writes_nothing_to_stdout(capsys, argv):
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "40", "41"], ["enumerate", "3037000499", "3037000498"],
+], ids=" ".join)
+def test_enumerate_refuses_a_lattice_of_more_than_the_cap_paths(argv, fmt):
+    # in a child with a timeout, so that a request that streams paths
+    # without end, or a count that never ends, fails the test
+    done = subprocess.run(
+        [sys.executable, "-m", "qtcatalan", *argv, "--format", fmt],
+        capture_output=True, text=True, env=child_env(), timeout=10,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: CoefficientOverflow: ")
+    assert len(done.stderr.splitlines()) == 1
+
+
 def test_the_largest_row_count_is_admitted_and_the_next_valid_one_refused(capsys):
     # 2**63 - 1 rows: only the first chunks are formatted, never the output
     n = qtpoly.COEFFICIENT_LIMIT

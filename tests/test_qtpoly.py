@@ -275,16 +275,16 @@ def test_term_formatting_of_the_closed_form_terms():
 
 def test_closed_form_rows_format_as_their_terms_do():
     # a row writes its middle terms as one progression and leaves the end
-    # terms, with an exponent below 2, to _render_term; chunks of a few
-    # terms, so that a row spans many of them
+    # terms, with an exponent below 2, to _render_term as literal segments;
+    # chunks of a few terms, so that a row spans many of them
     for n in [*range(1, 201), 1000, 1001]:
         if n % 3 == 0:
             continue
         for qs, ts in qtpoly._closed_form_rows(n):
             terms = list(zip(qs, ts))
             with mock.patch.object(chunks, "CHARS", n % 40 + 1):
-                text = "".join(chunks.linked(qtpoly._row_text(qs, ts), " + "))
-                json_row = "".join(chunks.rows(cli._UNIT_TERM, (qs, ts), ", "))
+                text = "".join(chunks.rows(qtpoly._row_text(qs, ts), " + "))
+                json_row = "".join(chunks.rows([(cli._UNIT_TERM, (qs, ts))], ", "))
             assert text == " + ".join(
                 qtpoly._render_term(dq, dt, 1) for dq, dt in terms), (n, ts[0])
             assert json_row == ", ".join(
