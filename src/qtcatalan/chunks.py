@@ -3,10 +3,12 @@
 A rank word has n - 1 entries, C_{3,n}(q,t) about n^2/6 terms and the
 (m,n)-lattice count_paths(m, n) paths of m + n steps, so the CLI writes
 these outputs a chunk at a time and no layer holds the whole output.
-rows writes a whole output given as segments, progressions from a table
-of decimal strings and literal rows: a word's runs, or the closed form's
-rows with their end terms; joined writes the rest (enumerate's paths,
-brute-force terms).
+rows writes a whole output given as segments, progressions and literal
+rows: a word's runs, or the closed form's rows with their end terms.  It
+takes its numbers from a table of decimal strings, and where a block of
+rows shares one high part, each number with the literal after it from a
+cached table of such strings, keyed by the literal; joined writes the
+rest (enumerate's paths, brute-force terms).
 """
 
 from __future__ import annotations
@@ -42,6 +44,12 @@ def _digits() -> tuple[list[str], list[str]]:
     return [str(i) for i in range(_BASE)], [f"{i:03d}" for i in range(_BASE)]
 
 
+@functools.lru_cache(maxsize=16)
+def _numbered(literal: str, padded: bool) -> tuple[str, ...]:
+    """Each entry of the decimal table (padded or plain) with literal after it."""
+    return tuple([digits + literal for digits in _digits()[padded]])
+
+
 def rows(segments: Iterable[tuple[str, Sequence[range]]], sep: str) -> Iterator[str]:
     """sep.join of every row of every segment, in turn, as chunks; none for no rows.
 
@@ -50,11 +58,16 @@ def rows(segments: Iterable[tuple[str, Sequence[range]]], sep: str) -> Iterator[
     ranges of one length with nonnegative members, of either sign of step.
     A segment with no columns is one literal row, template itself, and a
     segment of empty columns has no rows and adds no sep.  A chunk is a
-    block of one segment's rows, one list filled by extended-slice
-    assignment and joined once: the literal pieces repeated and, per
-    column, a slice of the decimal table, after the column's high part
-    x // _BASE when nonzero.  A block ends where a high part changes or at
-    about CHARS characters (read at the call), and holds at least one row.
+    block of one segment's rows, joined once.  A number is its high part
+    x // _BASE, when nonzero, and an entry of a table of str(0.._BASE - 1),
+    zero-padded after a high part.  When every column of a block is in one
+    high part H, its rows are H.join of one string per number, that
+    number's table entry with the literal after it, so each column's share
+    is one slice of a cached table of such strings; otherwise the block is
+    one list that holds the literals and the numbers' slices apart, filled
+    by extended-slice assignment.  A block ends where a high part changes
+    or at about CHARS characters (read at the call), and holds at least
+    one row.
     """
     plain, padded = _digits()
     lead = ""  # sep once a row is written
@@ -64,13 +77,13 @@ def rows(segments: Iterable[tuple[str, Sequence[range]]], sep: str) -> Iterator[
             lead = sep
             continue
         pieces = template.split("%d")
-        width = 2 * len(columns)  # a number and the literal after it, per column
+        width = len(columns)
         after = pieces[1:]  # the literal after each column; the last one runs on
         after[-1] += sep + pieces[0]  # to the next row's start
         done, count = 0, len(columns[0])
         while done < count:
             # a row at most: the template with 3 digits per "%d", sep and the high parts
-            take, size, parts = count - done, len(template) + len(sep) + len(columns), []
+            take, size, parts, highs = count - done, len(template) + len(sep) + width, [], []
             for column in columns:
                 high, low = divmod(column[done], _BASE)
                 step = column.step
@@ -79,16 +92,30 @@ def rows(segments: Iterable[tuple[str, Sequence[range]]], sep: str) -> Iterator[
                 take = min(take, left + 1)
                 high = str(high) if high else ""
                 size += len(high)
-                parts.append((high, low, step))
+                parts.append((low, step))
+                highs.append(high)
             take = min(take, max(1, CHARS // size))
-            block = [None] * (width * take + 1)
-            block[0] = lead + pieces[0] + parts[0][0]
-            for j, (high, low, step) in enumerate(parts):
-                stop = low + step * take
-                block[2 * j + 1::width] = (padded if high else plain)[
-                    low:stop if stop >= 0 else None:step]
-                block[2 * j + 2::width] = [after[j] + parts[(j + 1) % len(parts)][0]] * take
-            block[-1] = pieces[-1]
-            yield "".join(block)
+            first = highs[0]
+            if highs.count(first) == width:
+                # one string per number, the literal after it included; the
+                # last number takes the template's end in place of its run-on
+                block = [None] * (width * take)
+                for j, (low, step) in enumerate(parts):
+                    stop = low + step * take
+                    block[j::width] = _numbered(after[j], first != "")[
+                        low:stop if stop >= 0 else None:step]
+                block[-1] = (padded if first else plain)[low + step * (take - 1)] + pieces[-1]
+                yield lead + pieces[0] + first + first.join(block)
+            else:
+                # a number and the literal after it, with the next column's high part
+                block = [None] * (2 * width * take + 1)
+                block[0] = lead + pieces[0] + first
+                for j, (low, step) in enumerate(parts):
+                    stop = low + step * take
+                    block[2 * j + 1::2 * width] = (padded if highs[j] else plain)[
+                        low:stop if stop >= 0 else None:step]
+                    block[2 * j + 2::2 * width] = [after[j] + highs[(j + 1) % width]] * take
+                block[-1] = pieces[-1]
+                yield "".join(block)
             done += take
             lead = sep

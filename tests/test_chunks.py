@@ -65,3 +65,75 @@ def test_rows_writes_each_row_of_its_template(segs, sep, chars):
     longest_row = max(map(len, want), default=0) + len(sep)
     assert all(len(chunk) <= chars + longest_row for chunk in got)
     assert len(got) <= len(want)
+    # random literals must not grow the table cache past its bound
+    info = chunks._numbered.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def written(segs, sep, chars):
+    """rows(segs, sep) with CHARS patched to chars, and the tables it read."""
+    chunks._numbered.cache_clear()
+    with mock.patch.object(chunks, "CHARS", chars):
+        got = list(chunks.rows(segs, sep))
+    info = chunks._numbered.cache_info()
+    return got, info.hits + info.misses
+
+
+def test_rows_sharing_one_high_part_read_the_cached_tables():
+    # a rank word's shape: two step-3 columns, over several thousand
+    # boundaries, in one high part but for one-row blocks at a boundary
+    segs = [("%d_2 [%d_1]", (range(2, 6002, 3), range(1, 6001, 3)))]
+    mixed = sum(a // 1000 != b // 1000 for a, b in zip(*segs[0][1]))
+    assert mixed == 2  # the rows (2000, 1999) and (5000, 4999)
+    for chars in (7, 40, 1 << 17):
+        got, reads = written(segs, " ", chars)
+        assert "".join(got) == " ".join(rows_of(*segs[0]))
+        # a table per column of each block but the mixed rows
+        assert reads == 2 * (len(got) - mixed)
+    # one high part of several digits, or the empty one, and either step sign
+    for lo in (0, 5, 1_234_000, 10**9 + 299):
+        segs = [("q^%d t^%d", (range(lo + 700, lo, -1), range(lo + 1, lo + 701)))]
+        got, reads = written(segs, " + ", 60)
+        assert "".join(got) == " + ".join(rows_of(*segs[0]))
+        assert reads == 2 * len(got)
+
+
+def test_rows_of_mixed_high_parts_hold_the_literals_apart():
+    # a closed-form row's shape for n > 1000: q falls from above 1000 while
+    # t rises from below it, so no block shares a high part
+    segs = [('{"c": 1, "q": %d, "t": %d}', (range(1500, 1000, -1), range(0, 500)))]
+    for chars in (7, 100, 1 << 17):
+        got, reads = written(segs, ", ", chars)
+        assert "".join(got) == ", ".join(rows_of(*segs[0]))
+        assert reads == 0
+    # q falls into t's high part and below it: mixed, shared, mixed again
+    segs = [("q^%d t^%d", (range(2100, 900, -1), range(500, 1700)))]
+    got, reads = written(segs, " + ", 50)
+    assert "".join(got) == " + ".join(rows_of(*segs[0]))
+    assert 0 < reads < 2 * len(got)
+
+
+def test_rows_of_one_row_or_one_column_blocks():
+    cases = [
+        [("<%d|%d>", (range(999, 1000), range(1000, 1001)))],  # one row, mixed
+        [("<%d|%d>", (range(1999, 2000), range(1998, 1999)))],  # one row, shared
+        [("<%d>", (range(0, 3000, 7),)), ("<%d>", (range(4000, 0, -13),))],  # one column
+        [("%d", (range(10**6 - 3, 10**6 + 3),)), ("end", ())],
+    ]
+    for segs in cases:
+        want = [row for template, cols in segs for row in rows_of(template, cols)]
+        for chars in (1, 9, 1 << 17):  # CHARS = 1: a row per block
+            got, _ = written(segs, ", ", chars)
+            assert "".join(got) == ", ".join(want)
+            if chars == 1:
+                assert len(got) == len(want)
+
+
+def test_the_table_cache_stays_within_its_bound():
+    info = chunks._numbered.cache_info()
+    literals = [f"<{i}>" for i in range(2 * info.maxsize)]
+    for literal in literals:
+        segs = [("%d" + literal, (range(1000, 1010),)), ("%d" + literal, (range(10),))]
+        assert "".join(chunks.rows(segs, "")) == "".join(
+            row for template, cols in segs for row in rows_of(template, cols))
+    assert chunks._numbered.cache_info().currsize == info.maxsize
