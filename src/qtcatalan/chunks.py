@@ -44,7 +44,7 @@ def _digits() -> tuple[list[str], list[str]]:
     return [str(i) for i in range(_BASE)], [f"{i:03d}" for i in range(_BASE)]
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=32)
 def _numbered(literal: str, padded: bool) -> tuple[str, ...]:
     """Each entry of the decimal table (padded or plain) with literal after it."""
     return tuple([digits + literal for digits in _digits()[padded]])

@@ -354,18 +354,15 @@ def leg(p: DyckPath, x) -> int:
 def transpose(p: DyckPath) -> DyckPath:
     """The complementary (n,m)-path: reverse the step word, swap N and E.
 
-    The c-th north step of the reversed, swapped word is followed by the
-    y_{m-c+1} - y_{m-c} east steps of column m-c+1 (y_0 = 0), so the image
-    has that many east steps at height c, for c = 1..m.  One loop from the
-    first column lists them with c counting down from m, and one reversal
-    puts them in order: O(m) Python steps, and the n heights filled in C.
+    The image's j-th east step comes after the north steps that were the
+    east steps of the columns with fewer than j cells above the path, so
+    its height is the number of those columns: the image is the conjugate
+    partition.  tally[c] counts the columns with c = n - y_a cells above
+    (c < n, since y_a >= 1), and the image's heights are its prefix sums:
+    O(m) Python steps, and the n heights summed in C.
     """
-    heights: list[int] = []
-    c = p.m
-    below = 0
+    n = p.n
+    tally = [0] * n
     for y in p.east_heights:
-        heights += [c] * (y - below)
-        c -= 1
-        below = y
-    heights.reverse()
-    return _built(p.n, p.m, tuple(heights))
+        tally[n - y] += 1
+    return _built(n, p.m, tuple(accumulate(tally)))

@@ -10,22 +10,28 @@ heights from column a on and area is a sum over columns.  Beside the
 heights it keeps the first rise at or after each column (the list
 stats._column_dinv reads as nxt), in O(1) per column set, so a column's
 dinv visits only the stretches that exist.  Once columns 1..m-1 are set,
-one loop runs the bottom column from the height of column 1 (no rise)
-down to its floor (a rise), so each path costs one call of that kernel,
-O(min(m, n)) steps, and one count.  For m = 3 the same polynomial has a
-closed form: q^(n-a-s-1) t^a summed over 0 <= s <= floor(n/3) and
-s <= a <= n-2s-1.
+the bottom column runs from the height of column 1 (no rise) down to its
+floor (a rise).  A column of fewer than _BULK_SPAN heights is one loop,
+one call of that kernel, O(min(m, n)) steps, and one count per path.  A
+longer one takes one kernel call at its top: below it, column 0's dinv
+changes by a sum of +-1 ramps, each on one interval of heights, two per
+rise, so _count_bulk writes their ends into a difference list and two
+accumulates give every height's dinv, O(rises) Python steps per piece of
+at most _BULK_PIECE heights, with the counting done in C.  The walk's counts go to
+_counted, which checks only the coefficient cap.  For m = 3 the same
+polynomial has a closed form: q^(n-a-s-1) t^a summed over 0 <= s <=
+floor(n/3) and s <= a <= n-2s-1.
 The two routes stay separate (the walk reads no rank word) so each can
 check the other.
 
 _closed_form_rows lists those terms already in graded-lex order, as
 rows: row s (s ascending) is its falling q-degrees n-2s-1, ..., s beside
 its rising t-degrees s, ..., n-2s-1, two ranges.  catalan3_closed_form
-builds its dict from the rows, and the CLI writes the rows as the
-segments of one chunks.rows call per format, each row the two
-progressions it is: "q^%d t^%d" in text, where _row_text leaves to
-_render_term only the few end terms of a row that have an exponent below
-2, as literal segments, and one JSON row template.  So the CLI writes the
+builds its dict from the rows and hands it to _counted too, and the CLI
+writes the rows as the segments of one chunks.rows call per format, each
+row the two progressions it is: "q^%d t^%d" in text, where _row_text
+leaves to _render_term only the few end terms of a row that have an
+exponent below 2, as literal segments, and one JSON row template.  So the CLI writes the
 closed form straight from the rows: O(output) time, with no polynomial,
 no validation, no sort, no int-to-str conversion and no whole output in
 memory.  QtPolynomial.render formats the sorted terms() the same way.
@@ -37,12 +43,19 @@ raises CoefficientOverflow instead of silently degrading.
 
 from __future__ import annotations
 
-from itertools import chain, starmap
+from collections import _count_elements  # the C loop of Counter.update, into any dict
+from itertools import accumulate, chain, starmap
 from operator import index
 from typing import Iterable, Iterator, Mapping
 
 from .errors import COEFFICIENT_LIMIT, CoefficientOverflow
 from . import paths, rankwords, stats
+
+
+# a bottom column of at least this many heights is counted in bulk; on
+# shorter ones the per-height loop measured as fast or faster
+_BULK_SPAN = 7
+_BULK_PIECE = 1 << 12  # heights in one piece of a bulk column
 
 
 class QtPolynomial:
@@ -153,7 +166,7 @@ def catalan_bruteforce(m: int, n: int) -> QtPolynomial:
 def _walk(m: int, n: int) -> QtPolynomial:
     """The suffix-first walk over the (m,n)-paths; (m, n) is checked at the call."""
     if m == 1:  # the one path (n,): no cell above it, none below
-        return QtPolynomial({(0, 0): 1})
+        return _counted({(0, 0): 1})
     floors = [paths.min_east_height(a, m, n) for a in range(1, m + 1)]
     legs = stats._dinv_legs(m, n)
     column_dinv = stats._column_dinv
@@ -172,22 +185,70 @@ def _walk(m: int, n: int) -> QtPolynomial:
             heights[a] = heights[a + 1]
             nxt[a] = nxt[a + 1]
         else:  # columns 1..m-1 are set: count the bottom column at each height
+            top = heights[1]
             dinv1, area1 = dinv_from[1], area_from[1] - bottom
+            heights[0] = top
             nxt[0] = nxt[1]  # level with column 1 at first
-            for y in range(heights[1], bottom - 1, -1):
-                heights[0] = y
-                key = (dinv1 + column_dinv(heights, 0, legs, nxt), area1 + y)
-                counts[key] = get(key, 0) + 1
-                nxt[0] = 0  # below column 1 from the next height on: a rise
+            if top - bottom + 1 >= _BULK_SPAN:
+                _count_bulk(counts, heights, legs, nxt, bottom,
+                            dinv1 + column_dinv(heights, 0, legs, nxt), area1 + top)
+            else:
+                for y in range(top, bottom - 1, -1):
+                    heights[0] = y
+                    key = (dinv1 + column_dinv(heights, 0, legs, nxt), area1 + y)
+                    counts[key] = get(key, 0) + 1
+                    nxt[0] = 0  # below column 1 from the next height on: a rise
             # then lower the first of columns 1..m-2 above its floor
             while a < m - 1 and heights[a] == floors[a]:
                 a += 1
             if a == m - 1:
-                return QtPolynomial(counts)
+                return _counted(counts)
             heights[a] -= 1  # now below column a + 1: a rise
             nxt[a] = a
         dinv_from[a] = dinv_from[a + 1] + column_dinv(heights, a, legs, nxt)
         area_from[a] = area_from[a + 1] + heights[a] - floors[a]
+
+
+def _count_bulk(counts, heights, legs, nxt, bottom: int, dinv: int, area: int) -> None:
+    """Count the bottom column at every height from heights[1] down to bottom.
+
+    Columns 1..m-1 are set, and (dinv, area) is the path's at the top.
+    Going from t to t + 1 heights below the top, y = heights[1] - t, adds
+    [t < hi0] + the sum over rises r >= 1 of [h_{r+1} - y in legs[r]] -
+    [h_r - y in legs[r]] to column 0's dinv (stats._column_dinv), where
+    legs[0] = [0, hi0): stretch 0 grows by one leg, and every stretch
+    above it shifts by one.  Each indicator holds on one interval of t, so
+    it is +-1 at the two ends of a difference list, and two accumulates
+    give the dinv at each height.  The column goes in pieces of at most
+    _BULK_PIECE heights, so the lists stay bounded whatever n is.
+    """
+    top = heights[1]
+    last = len(heights) - 1
+    hi0 = legs[0][1]
+    span = top - bottom + 1  # heights in the column
+    for start in range(0, span, _BULK_PIECE):
+        size = min(_BULK_PIECE, span - start)
+        # steps[i] takes t = start + i to the next height; steps[size] is spare
+        steps = [0] * (size + 1)
+        if hi0 > start:
+            steps[0] = 1
+            steps[min(hi0 - start, size)] -= 1
+        r = nxt[1]
+        while r < last:
+            low, high = legs[r]
+            # the leg h - y, gained at h = h_{r+1} and lost at h = h_r, is
+            # in legs[r] for t - start in [low - c, high - c)
+            for c, sign in ((heights[r + 1] - top + start, 1), (heights[r] - top + start, -1)):
+                lo = low - c if low > c else 0
+                hi = high - c if high - c < size else size
+                if lo < hi:
+                    steps[lo] += sign
+                    steps[hi] -= sign
+            r = nxt[r + 1]
+        dinvs = list(accumulate(accumulate(steps), initial=dinv))
+        dinv = dinvs[size]  # the first height of the next piece
+        # zip stops at the range: the dinvs of this piece's heights
+        _count_elements(counts, zip(dinvs, range(area - start, area - start - size, -1)))
 
 
 def _closed_form_rows(n: int) -> Iterator[tuple[range, range]]:
@@ -223,10 +284,21 @@ def _row_text(qs: range, ts: range) -> list[tuple[str, tuple[range, ...]]]:
 
 def catalan3_closed_form(n: int) -> QtPolynomial:
     """C_{3,n}(q,t) summed directly over the valid statistic triples."""
-    poly = QtPolynomial()
-    # distinct keys, exponents >= 0 and coefficients 1: nothing to re-check
     rows = _closed_form_rows(n)
-    poly._terms = dict.fromkeys(chain.from_iterable(starmap(zip, rows)), 1)
+    return _counted(dict.fromkeys(chain.from_iterable(starmap(zip, rows)), 1))
+
+
+def _counted(counts: dict[tuple[int, int], int]) -> QtPolynomial:
+    """The polynomial of counts, valid by construction but for the cap.
+
+    Its keys are distinct pairs of nonnegative exponents and its counts
+    positive integers, so only the coefficient cap is checked.
+    """
+    top = max(counts.values(), default=0)
+    if top > COEFFICIENT_LIMIT:
+        raise CoefficientOverflow(f"coefficient {top} exceeds {COEFFICIENT_LIMIT}")
+    poly = object.__new__(QtPolynomial)
+    poly._terms = counts
     return poly
 
 

@@ -1,8 +1,10 @@
+import contextlib
+import io
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from qtcatalan import chunks
+from qtcatalan import chunks, cli, paths
 
 # literal text without "%", so that template % row is the reference
 LITERAL = st.text(alphabet='ab_[]{}": ,+', max_size=4)
@@ -137,3 +139,24 @@ def test_the_table_cache_stays_within_its_bound():
         assert "".join(chunks.rows(segs, "")) == "".join(
             row for template, cols in segs for row in rows_of(template, cols))
     assert chunks._numbered.cache_info().currsize == info.maxsize
+
+
+def test_one_pass_of_many_outputs_fits_the_table_cache():
+    # a long-lived caller that writes words, boxed words and closed forms in
+    # both formats reads more tables than one output does; once read, a
+    # second pass of the same outputs finds every table in the cache
+    assert chunks._numbered.cache_info().maxsize == 32
+    n = 3001
+    word = paths.render_path(paths.make_path(3, n, (1100, 2300, n)))
+    argvs = [[command, "--format", fmt, *args] for fmt in ("text", "json")
+             for command, *args in (["stats", word], ["rankword", word], ["rankword", str(n)],
+                                    ["omega", "600", "600", str(n - 1201)],
+                                    ["poly", "3", "1001", "--method", "closed"])]
+    chunks._numbered.cache_clear()
+    for _ in range(2):
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        info = chunks._numbered.cache_info()
+        # more tables than the 16 slots of old: each read once, none again
+        assert 16 < info.misses == info.currsize <= info.maxsize

@@ -9,7 +9,7 @@ from hypothesis import assume, given, strategies as st
 
 import oracles
 from qtcatalan import paths as paths_module
-from qtcatalan import chunks, cli, qtpoly
+from qtcatalan import chunks, cli, qtpoly, verify
 from qtcatalan import (
     COEFFICIENT_LIMIT,
     BadResidue,
@@ -25,6 +25,8 @@ from qtcatalan import (
 )
 
 CLASSICAL_C3 = QtPolynomial({(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1, (1, 1): 1})
+# the walk's rule for its bottom column: every column in bulk, or none
+BULK_SPANS = (1, COEFFICIENT_LIMIT + 1)
 
 
 def test_zero_coefficients_are_dropped():
@@ -164,7 +166,7 @@ def _heights(word):
     return [word[:i].count("N") for i, ch in enumerate(word) if ch == "E"]
 
 
-def test_bruteforce_equals_the_oracle_sum():
+def test_bruteforce_equals_the_oracle_sum(monkeypatch):
     # step words filtered point by point, dinv and area cell by cell: no
     # line of the library's path, dinv or area code is shared
     for total in range(2, 14):
@@ -179,12 +181,15 @@ def test_bruteforce_equals_the_oracle_sum():
                 counts[key] = counts.get(key, 0) + 1
             want = QtPolynomial(counts)
             # catalan_bruteforce walks the side with fewer columns, and
-            # _walk(m, n) this orientation: the loop visits both
-            assert qtpoly._walk(m, n) == want, (m, n)
-            assert catalan_bruteforce(m, n) == want, (m, n)
+            # _walk(m, n) this orientation: the loop visits both, with the
+            # bottom column in bulk and height by height
+            for span in BULK_SPANS:
+                monkeypatch.setattr(qtpoly, "_BULK_SPAN", span)
+                assert qtpoly._walk(m, n) == want, (m, n, span)
+                assert catalan_bruteforce(m, n) == want, (m, n, span)
 
 
-def test_bruteforce_equals_the_sweep_sum():
+def test_bruteforce_equals_the_sweep_sum(monkeypatch):
     # dinv as the area of the sweep map's image: a route to C_{m,n}(q,t)
     # that reads no arm, leg or straddle interval
     for total in range(2, 19):
@@ -201,8 +206,10 @@ def test_bruteforce_equals_the_sweep_sum():
                 )
                 counts[key] = counts.get(key, 0) + 1
             want = QtPolynomial(counts)
-            assert qtpoly._walk(m, n) == want, (m, n)
-            assert catalan_bruteforce(m, n) == want, (m, n)
+            for span in BULK_SPANS:
+                monkeypatch.setattr(qtpoly, "_BULK_SPAN", span)
+                assert qtpoly._walk(m, n) == want, (m, n, span)
+                assert catalan_bruteforce(m, n) == want, (m, n, span)
 
 
 @given(st.integers(1, 9), st.integers(1, 9))
@@ -300,11 +307,67 @@ def test_closed_form_terms_check_n_at_the_call():
         qtpoly._closed_form_rows(4.0)
 
 
-def test_closed_form_equals_bruteforce():
-    for n in range(1, 17):
-        if n % 3 == 0:
-            continue
-        assert catalan_bruteforce(3, n) == catalan3_closed_form(n)
+def test_closed_form_equals_bruteforce(monkeypatch):
+    # up to n = 61 the bottom column spans up to 41 heights
+    for span in BULK_SPANS:
+        monkeypatch.setattr(qtpoly, "_BULK_SPAN", span)
+        for n in range(1, 62):
+            if n % 3 == 0:
+                continue
+            assert catalan_bruteforce(3, n) == catalan3_closed_form(n), (n, span)
+
+
+def test_a_bulk_column_counts_the_same_in_pieces(monkeypatch):
+    want = {pair: qtpoly._walk(*pair) for pair in ((2, 45), (3, 62), (5, 41), (7, 16))}
+    monkeypatch.setattr(qtpoly, "_BULK_SPAN", 1)
+    for piece in (1, 2, 7):
+        monkeypatch.setattr(qtpoly, "_BULK_PIECE", piece)
+        for pair, poly in want.items():
+            assert qtpoly._walk(*pair) == poly, (pair, piece)
+
+
+def test_a_column_of_2_62_heights_is_counted_a_piece_at_a_time(monkeypatch):
+    # the (2, 2^63 - 1)-walk has one bottom column, of 2^62 heights: it
+    # starts counting at once, and no list holds more than a piece
+    n = COEFFICIENT_LIMIT
+    pieces = []
+
+    class Stop(Exception):
+        pass
+
+    def counted(counts, keys):
+        pieces.append(list(keys))
+        if len(pieces) == 2:
+            raise Stop
+
+    monkeypatch.setattr(qtpoly, "_count_elements", counted)
+    with pytest.raises(Stop):
+        catalan_bruteforce(2, n)
+    # at t heights below the top, area n // 2 - t and dinv min(t, hi0)
+    hi0 = (n - 1) // 2 + 1
+    size = qtpoly._BULK_PIECE
+    assert pieces == [[(min(t, hi0), n // 2 - t) for t in range(size)],
+                      [(min(t, hi0), n // 2 - t) for t in range(size, 2 * size)]]
+
+
+@pytest.mark.parametrize("late", [(0, 1), (1, 0)],
+                         ids=["rise-ramps-start-late", "stretch-0-ends-late"])
+def test_an_off_by_one_at_a_ramp_end_is_named_by_the_closed_form_check(monkeypatch, late):
+    # in the bulk step alone, stretch 0 stops growing one height late, or
+    # each rise's ramps start one height late; the column's top height,
+    # which _column_dinv counts, stays right
+    real = qtpoly._count_bulk
+    grow, shift = late
+
+    def faulty(counts, heights, legs, *rest):
+        (low, high), *rises = legs
+        legs = ((low, high + grow), *((lo + shift, hi) for lo, hi in rises))
+        return real(counts, heights, legs, *rest)
+
+    monkeypatch.setattr(qtpoly, "_count_bulk", faulty)
+    result = verify.check_closed_form(31)
+    assert result.counterexample is not None
+    assert result.counterexample.endswith(": brute force and closed form differ")
 
 
 def test_three_column_terms_respect_the_degree_bound():
