@@ -258,8 +258,10 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         return 130  # 128 + SIGINT
     except Exception as exc:  # a fault of the program, not of the request
-        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        # past the handler nothing holds the failed frames or the work in them
+        fault = exc.with_traceback(None)
+    print(f"error: internal: {type(fault).__name__}: {fault}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

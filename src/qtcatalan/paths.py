@@ -19,8 +19,8 @@ derives from a genuine path or lattice are built unchecked: transpose's
 image by _built, and the paths enumerate_paths yields by _built_block, a
 block of them at a time.
 
-DyckPath, rankwords.MarkedRankWord and verify.CheckResult take the value
-protocol from _Value and _Record, which write it once from __slots__.
+_Value writes the value protocol once, from __slots__, for DyckPath,
+rankwords.MarkedRankWord, verify.CheckResult and qtpoly.QtPolynomial.
 """
 
 from __future__ import annotations
@@ -65,24 +65,29 @@ def min_east_height(a: int, m: int, n: int) -> int:
     return -(-a * n // m)
 
 
-class _Record:
-    """For a class whose fields are its __slots__: equality only with its
-    own class, the constructor-call repr, positional match, and copy and
-    pickle through the constructor.  Mutable, and so unhashable."""
+class _Value:
+    """For a class whose fields are its __slots__: immutable, equal only to
+    its own class and hashed as its fields, with the constructor-call repr,
+    positional match, and copy and pickle through the constructor.  Each
+    __init__, and the library for the values it derives, sets _setters."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        if fields := cls.__slots__:  # _Value has none; attrgetter() needs one
-            cls.__match_args__ = fields
-            cls._fields = attrgetter(*fields)
-            # each slot's setter, which passes by the __setattr__ of _Value
-            cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
+        fields = cls.__match_args__ = cls.__slots__
+        get = attrgetter(*fields)  # of one name it gives the bare value
+        # staticmethod: a plain function on the class would bind as a method
+        cls._fields = get if len(fields) > 1 else staticmethod(lambda v: (get(v),))
+        # each slot's setter, which passes by __setattr__
+        cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
@@ -90,18 +95,8 @@ class _Record:
 
     def __reduce__(self):
         # pickle protocols 0 and 1 cannot read slots by themselves, and the
-        # default copy assigns each slot, which _Value refuses
+        # default copy assigns each slot, which __setattr__ refuses
         return type(self), self._fields(self)
-
-
-class _Value(_Record):
-    """An immutable _Record, hashed as its fields; the library builds the
-    values it derives, valid by construction, through _setters."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._fields(self))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -35,6 +35,7 @@ exponent below 2, as literal segments, and one JSON row template.  So the CLI wr
 closed form straight from the rows: O(output) time, with no polynomial,
 no validation, no sort, no int-to-str conversion and no whole output in
 memory.  QtPolynomial.render formats the sorted terms() the same way.
+QtPolynomial is a paths._Value whose one field is its term dict.
 
 Coefficients and evaluation results are capped at 2^63 - 1 so that JSON
 output stays exact for consumers with 64-bit integers; exceeding the cap
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from collections import _count_elements  # the C loop of Counter.update, into any dict
 from itertools import accumulate, chain, starmap
-from operator import index
+from operator import index, itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import COEFFICIENT_LIMIT, CoefficientOverflow
@@ -58,7 +59,7 @@ _BULK_SPAN = 7
 _BULK_PIECE = 1 << 12  # heights in one piece of a bulk column
 
 
-class QtPolynomial:
+class QtPolynomial(paths._Value):
     """Finitely many terms c * q^i * t^j with nonnegative integer c, i, j."""
 
     __slots__ = ("_terms",)
@@ -78,7 +79,7 @@ class QtPolynomial:
                 )
             if c:
                 clean[dq, dt] = c
-        self._terms = clean
+        _set_terms(self, clean)
 
     def coefficient(self, dq: int, dt: int) -> int:
         return self._terms.get((dq, dt), 0)
@@ -89,7 +90,10 @@ class QtPolynomial:
         Total degree descending, then q-degree descending; the fixed
         order keeps rendered and serialized output byte-stable.
         """
-        order = sorted(self._terms, key=lambda e: (-(e[0] + e[1]), -e[0]))
+        # two sorts with C keys; the second is stable, so it keeps the
+        # q-degrees of one total degree in descending order
+        order = sorted(self._terms, key=itemgetter(0), reverse=True)
+        order.sort(key=sum, reverse=True)
         return [(dq, dt, self._terms[dq, dt]) for dq, dt in order]
 
     def __add__(self, other: "QtPolynomial") -> "QtPolynomial":
@@ -100,11 +104,6 @@ class QtPolynomial:
             summed[key] = summed.get(key, 0) + c
         return QtPolynomial(summed)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QtPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
@@ -113,11 +112,6 @@ class QtPolynomial:
 
     def __repr__(self) -> str:
         return f"QtPolynomial({self.render()!r})"
-
-    def __reduce__(self):
-        # pickle protocols 0 and 1 cannot read slots by themselves; a copy
-        # or unpickle goes through the validating constructor
-        return QtPolynomial, (self._terms,)
 
     def evaluate(self, q0: int, t0: int) -> int:
         """Exact value at integer (q0, t0)."""
@@ -135,6 +129,9 @@ class QtPolynomial:
     def json_terms(self) -> list[dict[str, int]]:
         """Term list for JSON output, in the same order as render."""
         return [{"q": dq, "t": dt, "c": c} for dq, dt, c in self.terms()]
+
+
+_set_terms, = QtPolynomial._setters
 
 
 def _render_term(dq: int, dt: int, c: int) -> str:
@@ -298,10 +295,10 @@ def _counted(counts: dict[tuple[int, int], int]) -> QtPolynomial:
     if top > COEFFICIENT_LIMIT:
         raise CoefficientOverflow(f"coefficient {top} exceeds {COEFFICIENT_LIMIT}")
     poly = object.__new__(QtPolynomial)
-    poly._terms = counts
+    _set_terms(poly, counts)
     return poly
 
 
 def is_qt_symmetric(p: QtPolynomial) -> bool:
     """Whether swapping q and t exponents leaves the polynomial unchanged."""
-    return all(c == p.coefficient(dt, dq) for dq, dt, c in p.terms())
+    return p._terms == {(dt, dq): c for (dq, dt), c in p._terms.items()}

@@ -1,39 +1,39 @@
 """Exhaustive desk-scale checks of every structural claim in the package.
 
 Each check is one declaration, @_check(name, objects) on a fault: a
-function that says what is wrong with one object, or returns None.
-objects is one of the streams in _STREAMS (lattices, paths or values of
-n), and the stream fixes both the bound the check takes and how a
-counterexample names an object: max_mn bounds m+n for the general-(m,n)
-streams, max_n bounds n for the three-column ones.  The declaration puts
-check_<name>(bound) in the fault's place and appends (name, check, scope)
-to CHECKS, so CHECKS lists the checks in the order they are declared.
-One loop, _scan, runs every check: it counts what it visits, stops at the
-first counterexample, names the object in it, and reports a ValueError
-the library raises on an object (every error it raises on a bad value is
-one) as that object's counterexample.  Everything is exact; there are no
-tolerances.
+function that says what is wrong with one object, or returns None, and
+keeps no state across objects.  objects is one of the streams in
+_STREAMS (lattices, paths or values of n), which fixes the bound the
+check takes and how a counterexample names an object: max_mn bounds m+n
+for the general-(m,n) streams, max_n bounds n for the three-column ones.
+The declaration puts check_<name>(bound) in the fault's place and
+appends (name, check, scope) to CHECKS, so CHECKS lists the checks in
+the order they are declared.  One loop, _scan, runs every check: it
+counts what it visits, stops at the first counterexample, names the
+object in it, and reports a ValueError the library raises on an object
+(every error it raises on a bad value is one) as that object's
+counterexample.  Everything is exact; there are no tolerances.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import partial
 from math import gcd
 
 from . import bijection, paths, qtpoly, rankwords, stats
 from .errors import EmptyBound
 
 
-class CheckResult(paths._Record):
+class CheckResult(paths._Value):
     """The outcome of one check: its name, the objects it visited, and the
-    first counterexample, or None when every object passed.  A mutable
-    record, equal by its fields and so unhashable."""
+    first counterexample, or None when every object passed.  An immutable
+    value, like a path."""
 
     __slots__ = ("name", "checked", "counterexample")
 
     def __init__(self, name: str, checked: int, counterexample: str | None = None) -> None:
-        self.name, self.checked, self.counterexample = name, checked, counterexample
+        for set_field, value in zip(self._setters, (name, checked, counterexample)):
+            set_field(self, value)
 
     @property
     def ok(self) -> bool:
@@ -105,18 +105,17 @@ def _scan(name: str, objects, fault, where: str, size=None) -> CheckResult:
     return CheckResult(name, checked)
 
 
-def _check(name: str, objects, size=None, memo=None):
+def _check(name: str, objects, size=None):
     """Declare the decorated fault as the check name over objects(bound).
 
-    size is _scan's.  A fault that keeps state across objects is declared
-    with memo, and takes memo() as its first argument, new on each run.
+    size is _scan's.  The fault reads one object and keeps nothing after
+    it, so a check is a function of its bound alone.
     """
     scope, where = _STREAMS[objects]
 
     def declare(fault) -> Callable[[int], CheckResult]:
         def check(bound: int) -> CheckResult:
-            run = fault if memo is None else partial(fault, memo())
-            return _scan(name, objects(bound), run, where, size)
+            return _scan(name, objects(bound), fault, where, size)
 
         check.__name__, check.__qualname__ = fault.__name__, fault.__qualname__
         check.__doc__ = fault.__doc__
@@ -223,13 +222,15 @@ def check_stat_inequalities(p):
         return f"triple ({a},{s},{d})"
 
 
-@_check("triple-uniqueness", _three_column_paths, memo=dict)
-def check_triple_uniqueness(seen: dict[tuple[int, stats.StatTriple], tuple[int, ...]], p):
+@_check("triple-uniqueness", _three_column_ns, lambda n: paths.count_paths(3, n))
+def check_triple_uniqueness(n):
     """Distinct paths of one lattice carry distinct triples."""
-    t = stats.stat_triple(p)
-    first = seen.setdefault((p.n, t), p.east_heights)  # the first heights with t
-    if first != p.east_heights:
-        return f"shares {tuple(t)} with {first}"
+    seen = {}  # each triple -> the heights of the first path with it
+    for p in paths.enumerate_paths(3, n):
+        t = tuple(stats.stat_triple(p))
+        first = seen.setdefault(t, p.east_heights)
+        if first != p.east_heights:
+            return f"{p.east_heights} shares {t} with {first}"
 
 
 @_check("word-roundtrip", _three_column_paths)

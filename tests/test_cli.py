@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import islice
 from math import gcd
@@ -270,6 +271,34 @@ def test_an_internal_error_exits_3_with_one_line(capsys, monkeypatch, exc):
     code, out, err = run(capsys, "stats", PI2_WORD)
     assert (code, out) == (3, "")
     assert err == f"error: internal: {type(exc).__name__}: {exc}\n"
+
+
+def test_an_internal_error_frees_the_failed_frames_before_its_line(capsys, monkeypatch):
+    # a MemoryError leaves no room to format the line while the frames that
+    # ran out, and the work they hold, are still alive
+    class Work:
+        pass
+
+    held = []
+
+    def out_of_memory(args):
+        work = Work()
+        held.append(weakref.ref(work))
+        raise MemoryError
+
+    alive_at_write = []
+
+    class Spy(io.StringIO):
+        def write(self, text):
+            alive_at_write.append(held[0]() is not None)
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "cmd_stats", out_of_memory)
+    monkeypatch.setattr(sys, "stderr", Spy())
+    code = main(["stats", PI2_WORD])
+    assert (code, sys.stderr.getvalue()) == (3, "error: internal: MemoryError: \n")
+    assert alive_at_write and not any(alive_at_write)
+    assert capsys.readouterr().out == ""
 
 
 def test_an_interrupted_run_exits_130_quietly(capsys, monkeypatch):

@@ -81,7 +81,7 @@ def test_a_polynomial_copies_and_pickles_as_an_equal_polynomial(build, how):
 @pytest.mark.parametrize("proto", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_an_unpickled_polynomial_is_validated_again(proto):
     bad = QtPolynomial()
-    bad._terms = {(0, 0): -1}  # no constructor would build it
+    qtpoly._set_terms(bad, {(0, 0): -1})  # no constructor would build it
     data = pickle.dumps(bad, proto)
     with pytest.raises(ValueError, match="nonnegative"):
         pickle.loads(data)
@@ -103,6 +103,14 @@ def test_render_golden_strings():
         catalan3_closed_form(5).render()
         == "q^4 + q^3 t + q^2 t^2 + q t^3 + t^4 + q^2 t + q t^2"
     )
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                       st.integers(1, 9), max_size=60))
+def test_terms_come_in_graded_lex_order(counts):
+    # total degree descending, then q-degree descending, as one sort key
+    order = sorted(counts, key=lambda e: (-(e[0] + e[1]), -e[0]))
+    assert QtPolynomial(counts).terms() == [(dq, dt, counts[dq, dt]) for dq, dt in order]
 
 
 def test_json_terms_follow_render_order():
@@ -383,6 +391,8 @@ def test_three_column_terms_respect_the_degree_bound():
 def test_qt_symmetry_predicate():
     assert is_qt_symmetric(catalan3_closed_form(5))
     assert not is_qt_symmetric(QtPolynomial({(2, 1): 1}))
+    assert not is_qt_symmetric(QtPolynomial({(2, 1): 1, (1, 2): 2}))
+    assert is_qt_symmetric(QtPolynomial({(2, 1): 3, (1, 2): 3, (4, 4): 1}))
     assert is_qt_symmetric(QtPolynomial())
 
 

@@ -1,10 +1,11 @@
-"""The one value protocol behind DyckPath, MarkedRankWord and CheckResult,
-and the pickling of the other values: derived boxed sets and polynomials.
+"""The one value protocol behind DyckPath, MarkedRankWord, CheckResult and
+QtPolynomial, and the pickling of a derived word's boxed set.
 
 tests/test_values.py checks what a caller sees of each value; this file
 checks that no instance grows a __dict__, that the protocol is written
-once, in paths._Record and paths._Value, and that a derived word's boxed
-set copies and pickles as its two counts under every protocol.
+once, in paths._Value, the one direct base of the four, and that a
+derived word's boxed set copies and pickles as its two counts under every
+protocol.
 """
 
 import copy
@@ -12,14 +13,15 @@ import pickle
 
 import pytest
 
-from qtcatalan import paths, rankwords
+from qtcatalan import paths, qtpoly, rankwords
 from qtcatalan.paths import DyckPath
+from qtcatalan.qtpoly import QtPolynomial
 from qtcatalan.rankwords import MarkedRankWord
 from qtcatalan.verify import CheckResult
 
 PATH = DyckPath(3, 4, (2, 4, 4))
 
-# each class once validated and, for paths and words, once derived
+# each class once validated and, but for check results, once derived
 INSTANCES = {
     "path": PATH,
     "enumerated path": next(paths.enumerate_paths(3, 4)),
@@ -30,6 +32,8 @@ INSTANCES = {
     "lattice word": rankwords.lattice_rank_word(5),
     "check result": CheckResult("path-count", 9),
     "failed check result": CheckResult("involution", 1, "n=1 (1, 1, 1): triple not swapped"),
+    "polynomial": QtPolynomial({(1, 0): 1, (0, 1): 1}),
+    "walked polynomial": qtpoly.catalan_bruteforce(3, 4),
 }
 COPIES = {
     "copy": copy.copy,
@@ -57,18 +61,22 @@ def test_a_check_result_takes_no_attribute_beyond_its_fields():
     assert result == CheckResult("closed-form", 4)
 
 
-@pytest.mark.parametrize("cls", [DyckPath, MarkedRankWord, CheckResult])
+@pytest.mark.parametrize("cls", [DyckPath, MarkedRankWord, CheckResult, QtPolynomial])
 def test_the_protocol_is_written_once_in_the_base(cls):
     own = vars(cls)
-    for name in ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+    for name in ("__eq__", "__setattr__", "__delattr__"):
         assert name not in own
+    # a polynomial hashes its term set, not its dict, and prints as its sum
+    for name in ("__hash__", "__repr__"):
+        assert (name in own) is (cls is QtPolynomial)
     # bench/tracing.py wraps the validating constructor in the class dict
     assert "__init__" in own
     # only a derived word has its own way back, through its two counts
     assert ("__reduce__" in own) is (cls is MarkedRankWord)
     assert cls.__match_args__ == cls.__slots__
-    base = paths._Value if cls is not CheckResult else paths._Record
-    assert cls.__mro__[1] is base
+    assert cls.__bases__ == (paths._Value,)
+    assert paths._Value.__bases__ == (object,)
+    assert not hasattr(paths, "_Record")
 
 
 @pytest.mark.parametrize("how", COPIES)

@@ -1,10 +1,10 @@
-"""Value semantics of DyckPath, MarkedRankWord and CheckResult.
+"""Value semantics of DyckPath, MarkedRankWord, CheckResult and QtPolynomial.
 
-A path and a marked word are immutable values: equal and hashed by their
-fields, printed as their constructor call, unchanged by assignment, and
-rebuilt equal by copy, deepcopy and pickle.  A CheckResult is a mutable
-record.  Each property holds for validated values and for the values
-the library derives.
+Each is an immutable value: equal and hashed by its fields, unchanged by
+assignment, and rebuilt equal by copy, deepcopy and pickle.  All but the
+polynomial print as their constructor call; a polynomial prints as its
+rendered sum and hashes its term set.  Each property holds for validated
+values and for the values the library derives.
 """
 
 import copy
@@ -12,13 +12,15 @@ import pickle
 
 import pytest
 
-from qtcatalan import paths, rankwords
+from qtcatalan import paths, qtpoly, rankwords
 from qtcatalan.paths import DyckPath
+from qtcatalan.qtpoly import QtPolynomial
 from qtcatalan.rankwords import MarkedRankWord
-from qtcatalan.verify import CheckResult
+from qtcatalan.verify import CheckResult, check_closed_form
 
 PATH = DyckPath(3, 4, (2, 4, 4))
 WORD = MarkedRankWord(4, frozenset({2, 5}))  # the marked word of PATH
+Q_PLUS_T = {(1, 0): 1, (0, 1): 1}  # the terms of C_{3,2}(q,t) = q + t
 
 # each value once validated and once derived by the library, with its fields
 VALUES = {
@@ -29,8 +31,16 @@ VALUES = {
     "marked word": (rankwords.mark_from_path(PATH), (4, frozenset({2, 5}))),
     "omega word": (rankwords.omega(1, 0, 2), (4, frozenset({5, 2}))),
     "lattice word": (rankwords.lattice_rank_word(5), (5, frozenset())),
+    "check result": (CheckResult("path-count", 9), ("path-count", 9, None)),
+    "run check result": (check_closed_form(2), ("closed-form", 2, None)),
+    "polynomial": (QtPolynomial(Q_PLUS_T), (Q_PLUS_T,)),
+    "walked polynomial": (qtpoly.catalan_bruteforce(3, 2), (Q_PLUS_T,)),
+    "closed-form polynomial": (qtpoly.catalan3_closed_form(2), (Q_PLUS_T,)),
 }
-FIELDS = {DyckPath: ("m", "n", "east_heights"), MarkedRankWord: ("n", "boxed")}
+FIELDS = {
+    DyckPath: ("m", "n", "east_heights"), MarkedRankWord: ("n", "boxed"),
+    CheckResult: ("name", "checked", "counterexample"), QtPolynomial: ("_terms",),
+}
 COPIES = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
@@ -45,7 +55,9 @@ def test_a_value_equals_and_hashes_as_its_fields(name):
     cls = type(value)
     assert tuple(getattr(value, f) for f in FIELDS[cls]) == fields
     assert value == cls(*fields) and not value != cls(*fields)
-    assert hash(value) == hash(cls(*fields)) == hash(fields)
+    # a polynomial hashes its term set, since its one field is a dict
+    hashed = frozenset(fields[0].items()) if cls is QtPolynomial else fields
+    assert hash(value) == hash(cls(*fields)) == hash(hashed)
     # the fields alone, or another class, are not the value
     assert value != fields and not value == fields
     assert cls.__eq__(value, fields) is NotImplemented
@@ -58,6 +70,11 @@ def test_values_that_differ_in_one_field_are_unequal():
     assert WORD != MarkedRankWord(4, frozenset({5}))
     assert WORD != MarkedRankWord(5, frozenset())
     assert len({PATH, DyckPath(3, 4, [2, 4, 4]), *paths.enumerate_paths(3, 4)}) == 5
+    assert CheckResult("path-count", 9) != CheckResult("path-count", 8)
+    assert CheckResult("path-count", 9) != CheckResult("path-count", 9, "(1,2): enumerated 2")
+    assert CheckResult("path-count", 9) != CheckResult("closed-form", 9)
+    assert QtPolynomial(Q_PLUS_T) != QtPolynomial({(1, 0): 1, (0, 1): 2})
+    assert QtPolynomial(Q_PLUS_T) != QtPolynomial({(1, 0): 1})
 
 
 @pytest.mark.parametrize("value, text", [
@@ -69,6 +86,8 @@ def test_values_that_differ_in_one_field_are_unequal():
     (CheckResult("path-count", 9), "CheckResult(name='path-count', checked=9, counterexample=None)"),
     (CheckResult("involution", 1, "n=1 (1, 1, 1): triple not swapped"),
      "CheckResult(name='involution', checked=1, counterexample='n=1 (1, 1, 1): triple not swapped')"),
+    (QtPolynomial(Q_PLUS_T), "QtPolynomial('q + t')"),
+    (QtPolynomial(), "QtPolynomial('0')"),
 ])
 def test_repr_is_the_constructor_call(value, text):
     assert repr(value) == text
@@ -120,6 +139,7 @@ def test_values_are_built_by_keyword():
     assert type(MarkedRankWord(n=4, boxed=[5, 2]).boxed) is frozenset
     result = CheckResult(name="closed-form", checked=4, counterexample=None)
     assert result == CheckResult("closed-form", 4)
+    assert QtPolynomial(terms={(0, 1): 1, (1, 0): 1, (2, 2): 0}) == QtPolynomial(Q_PLUS_T)
 
 
 def test_values_match_by_position():
@@ -138,19 +158,25 @@ def test_values_match_by_position():
             assert (name, checked, counterexample) == ("qt-symmetry", 4, None)
         case _:
             pytest.fail("a result does not match CheckResult(name, checked, counterexample)")
+    match qtpoly.catalan_bruteforce(3, 2):
+        case QtPolynomial(terms):
+            assert terms == Q_PLUS_T
+        case _:
+            pytest.fail("a polynomial does not match QtPolynomial(terms)")
 
 
-def test_a_check_result_is_a_mutable_unhashable_record():
+def test_a_check_result_is_an_immutable_hashable_value():
     result = CheckResult("word-roundtrip", 15)
     assert result.ok
-    result.checked += 1
-    result.counterexample = "n=2 (1, 2, 2): word differs"
-    assert not result.ok
-    assert result == CheckResult("word-roundtrip", 16, "n=2 (1, 2, 2): word differs")
-    assert result != ("word-roundtrip", 16, "n=2 (1, 2, 2): word differs")
-    assert CheckResult.__eq__(result, ("word-roundtrip", 16, None)) is NotImplemented
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(result)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'checked'$"):
+        result.checked += 1
+    assert result == CheckResult("word-roundtrip", 15)
+    failed = CheckResult("word-roundtrip", 16, "n=2 (1, 2, 2): word differs")
+    assert not failed.ok and failed != result
+    assert failed != ("word-roundtrip", 16, "n=2 (1, 2, 2): word differs")
+    assert CheckResult.__eq__(failed, ("word-roundtrip", 16, None)) is NotImplemented
+    assert hash(failed) == hash(("word-roundtrip", 16, "n=2 (1, 2, 2): word differs"))
+    assert len({result, failed, CheckResult("word-roundtrip", 15)}) == 2
 
 
 @pytest.mark.parametrize("cls, build, derive", [
@@ -158,6 +184,8 @@ def test_a_check_result_is_a_mutable_unhashable_record():
      lambda: (list(paths.enumerate_paths(3, 7)), paths.transpose(PATH))),
     (MarkedRankWord, lambda: rankwords.lattice_rank_word(5),
      lambda: (rankwords.mark_from_path(PATH), rankwords.omega(1, 0, 2))),
+    (QtPolynomial, lambda: QtPolynomial(Q_PLUS_T),
+     lambda: (qtpoly.catalan_bruteforce(3, 7), qtpoly.catalan3_closed_form(7))),
 ])
 def test_the_constructor_validates_and_derived_values_skip_it(monkeypatch, cls, build, derive):
     # bench/tracing.py counts validated values by wrapping __init__ in the class dict

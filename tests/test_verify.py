@@ -108,7 +108,7 @@ def test_each_check_is_declared_once():
 
 
 def test_a_check_keeps_no_state_from_one_run_to_the_next(monkeypatch):
-    # triple-uniqueness remembers the first heights of each triple
+    # triple-uniqueness holds the first heights of each triple for one lattice
     module, attr, plant = PLANTED_FAULTS["triple-uniqueness"]
     real = stats.stat_triple
 
@@ -128,6 +128,16 @@ def test_a_check_keeps_no_state_from_one_run_to_the_next(monkeypatch):
     assert not planted.ok
     assert swapped == clean
     assert verify.check_triple_uniqueness(8) == clean
+
+
+def test_a_shared_triple_names_both_paths_and_counts_whole_lattices(monkeypatch):
+    module, attr, plant = PLANTED_FAULTS["triple-uniqueness"]
+    monkeypatch.setattr(module, attr, plant(getattr(module, attr)))
+    result = verify.check_triple_uniqueness(8)
+    # the one (3,1)-path, then both (3,2)-paths
+    assert (result.checked, result.counterexample) == (
+        3, "n=2: (2, 2, 2) shares (0, 0, 1) with (1, 2, 2)"
+    )
 
 
 def test_verify_builds_no_cell(monkeypatch):
