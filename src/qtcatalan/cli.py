@@ -17,9 +17,10 @@ and every computation that can raise before it returns, so what is left
 only formats and a failing request writes nothing to stdout.
 
 Outputs that grow with n (a word's entries, rendering and boxed ranks, a
-term list, a path list) are written a chunk of rows at a time, a word's
-runs and the closed form's rows by chunks.rows and the rest by
-chunks.joined, so no layer holds the whole output.  In a record such a
+term list, a path list, a step word) are written a piece at a time: a
+word's runs and the closed form's rows by chunks.rows, omega's step word
+a column at a time by _step_chunks, and the rest by chunks.joined, so no
+layer holds the whole output.  In a record such a
 value is an iterator of its own JSON text, rows written from one fixed
 template per row kind.  _json is the one JSON writer: every record it
 writes is json.dumps(record, sort_keys=True) byte for byte.
@@ -35,7 +36,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, starmap
 
-from . import bijection, paths, qtpoly, rankwords, stats
+from . import bijection, chunks, paths, qtpoly, rankwords, stats
 from .chunks import joined, rows
 from .errors import UnsupportedM
 
@@ -122,13 +123,28 @@ def cmd_rankword(args) -> Output:
     return 0, chain(rankwords._word_chunks(word), "\n"), _word_record(word)
 
 
+def _step_chunks(p: paths.DyckPath) -> Iterator[str]:
+    """render_path(p) as one piece per column, "N" * north + "E".
+
+    A run of at least chunks.CHARS north steps (read at the call) first
+    yields pieces of exactly CHARS, so no piece is longer.
+    """
+    chars, prev = chunks.CHARS, 0
+    for y in p.east_heights:
+        north, prev = y - prev, y
+        while north >= chars:
+            yield "N" * chars
+            north -= chars
+        yield "N" * north + "E"
+
+
 def cmd_omega(args) -> Output:
     a, s, d = args.area, args.skips, args.dinv
     word = rankwords.omega(a, s, d)
     p = rankwords.path_from_word(word)
-    steps = paths._step_chunks(p)  # main reads one form; a step word needs no escape
+    steps = _step_chunks(p)  # main reads one form; a step word needs no escape
     text = chain(["word: "], rankwords._word_chunks(word), ["\npath: "], steps, ["\n"])
-    path = chain('"', paths._step_chunks(p), '"')
+    path = chain('"', _step_chunks(p), '"')
     record = {**_word_record(word), "area": a, "dinv": d, "path": path, "skips": s}
     return 0, text, record
 

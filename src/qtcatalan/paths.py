@@ -20,7 +20,9 @@ image by _built, and the paths enumerate_paths yields by _built_block, a
 block of them at a time.
 
 _Value writes the value protocol once, from __slots__, for DyckPath,
-rankwords.MarkedRankWord, verify.CheckResult and qtpoly.QtPolynomial.
+rankwords.MarkedRankWord, the boxed set of a derived word
+(rankwords._TopRanks), verify.CheckResult and qtpoly.QtPolynomial.
+render_path writes a whole step word; the CLI streams a long one itself.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from math import comb, gcd
 from operator import attrgetter, index
 from typing import Iterable, Iterator, NamedTuple
 
-from .chunks import CHARS
 from .errors import COEFFICIENT_LIMIT, BadCharacter, BelowDiagonal, CellNotAboveThePath
 from .errors import CoefficientOverflow, NotCoprime, NotMonotone
 
@@ -66,14 +67,17 @@ def min_east_height(a: int, m: int, n: int) -> int:
 
 
 class _Value:
-    """For a class whose fields are its __slots__: immutable, equal only to
-    its own class and hashed as its fields, with the constructor-call repr,
-    positional match, and copy and pickle through the constructor.  Each
-    __init__, and the library for the values it derives, sets _setters."""
+    """For a class whose fields are its __slots__ (its base's, when it
+    declares none): immutable, equal only to its own class and hashed as
+    its fields, with the constructor-call repr, positional match, and copy
+    and pickle through the constructor.  Each __init__, and the library
+    for the values it derives, sets _setters."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
+        if not cls.__slots__:  # a subclass that adds no field keeps its base's
+            return
         fields = cls.__match_args__ = cls.__slots__
         get = attrgetter(*fields)  # of one name it gives the bare value
         # staticmethod: a plain function on the class would bind as a method
@@ -91,7 +95,7 @@ class _Value:
 
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            f"{f}={v!r}" for f, v in zip(self.__slots__, self._fields(self))))
+            f"{f}={v!r}" for f, v in zip(self.__match_args__, self._fields(self))))
 
     def __reduce__(self):
         # pickle protocols 0 and 1 cannot read slots by themselves, and the
@@ -179,27 +183,6 @@ def parse_path(word: str) -> DyckPath:
         raise BadCharacter(f"step words use only N and E, found {stray!r}")
     heights = tuple(accumulate(map(len, word.split("E")[:-1])))
     return DyckPath(len(heights), north, heights)
-
-
-def _step_chunks(p: DyckPath) -> Iterator[str]:
-    """render_path(p) as chunks of at most chunks.CHARS characters.
-
-    Column a adds y_a - y_{a-1} north steps and one east step; a run of
-    north steps longer than a chunk is cut too.
-    """
-    parts: list[str] = []
-    room = CHARS  # what the chunk in parts can still take
-    prev = 0
-    for y in p.east_heights:
-        north = y - prev
-        prev = y
-        while north >= room:  # the steps left do not fit beside their "E"
-            parts.append("N" * room)
-            yield "".join(parts)
-            parts, north, room = [], north - room, CHARS
-        parts.append("N" * north + "E")
-        room -= north + 1
-    yield "".join(parts)
 
 
 def render_path(p: DyckPath) -> str:

@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections import _count_elements  # the C loop of Counter.update, into any dict
 from itertools import accumulate, chain, starmap
 from operator import index, itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import COEFFICIENT_LIMIT, CoefficientOverflow
 from . import paths, rankwords, stats
@@ -124,7 +124,7 @@ class QtPolynomial(paths._Value):
 
     def render(self) -> str:
         """Human-readable sum in graded-lex term order; "0" when empty."""
-        return render_terms(self.terms())
+        return " + ".join(starmap(_render_term, self.terms())) or "0"
 
     def json_terms(self) -> list[dict[str, int]]:
         """Term list for JSON output, in the same order as render."""
@@ -143,11 +143,6 @@ def _render_term(dq: int, dt: int, c: int) -> str:
     if dt:
         factors.append("t" if dt == 1 else f"t^{dt}")
     return " ".join(factors)
-
-
-def render_terms(terms: Iterable[tuple[int, int, int]]) -> str:
-    """Human-readable sum of (dq, dt, c) terms in the given order; "0" when none."""
-    return " + ".join(starmap(_render_term, terms)) or "0"
 
 
 def catalan_bruteforce(m: int, n: int) -> QtPolynomial:

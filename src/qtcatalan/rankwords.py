@@ -37,7 +37,9 @@ template per (color, boxed), as the segments of one chunks.rows call for
 render_word and the CLI, so an entry costs no Python-level step.
 
 Validation runs once, at the boundary: MarkedRankWord(...) checks n and
-every boxed rank; a derived word's ranks are word ranks by construction.
+every boxed rank, or a _TopRanks' two counts, so a copied or unpickled
+word is checked again; a derived word's ranks are word ranks by
+construction.
 """
 
 from __future__ import annotations
@@ -107,8 +109,9 @@ class MarkedRankWord(_Value):
     fixed by n, so equality is structural.  Arbitrary boxed subsets are
     representable; only realizable ones convert back to a path.
     Constructing one validates n and the boxed ranks, and boxed is then a
-    frozenset of ints.  A derived word's boxed is a read-only set of the
-    same ranks (_TopRanks) that equals and hashes like that frozenset.
+    frozenset of ints or, kept as its two counts, a derived word's
+    immutable set of the same ranks (_TopRanks) that equals and hashes
+    like that frozenset.
     """
 
     __slots__ = ("n", "boxed")
@@ -116,21 +119,21 @@ class MarkedRankWord(_Value):
     boxed: Set[int]
 
     def __init__(self, n: int, boxed: Iterable[int]) -> None:
-        # index: a float rank raises TypeError, and the set holds plain ints
-        boxed = frozenset(map(index, boxed))
+        top = isinstance(boxed, _TopRanks) and boxed.n == n
+        if not top:
+            # index: a float rank raises TypeError, and the set holds plain ints
+            boxed = frozenset(map(index, boxed))
         _check_rows(n)
         ones, twos = _colors(n)
-        stray = sorted(r for r in boxed if r not in ones and r not in twos)
-        if stray:
-            raise ValueError(f"not ranks of the {n}-row lattice: {stray}")
+        if not top:
+            stray = sorted(r for r in boxed if r not in ones and r not in twos)
+            if stray:
+                raise ValueError(f"not ranks of the {n}-row lattice: {stray}")
+        elif not (0 <= index(boxed.k) <= len(ones) and 0 <= index(boxed.ell) <= len(twos)):
+            raise ValueError(f"cannot box the top {boxed.k} color-1 and {boxed.ell} "
+                             f"color-2 ranks of the {n}-row word")
         _set_n(self, n)
         _set_boxed(self, boxed)
-
-    def __reduce__(self):
-        # a derived word is rebuilt from its two counts, not its ranks
-        if isinstance(self.boxed, _TopRanks):
-            return _derived, (self.n, self.boxed.k, self.boxed.ell)
-        return super().__reduce__()
 
     @property
     def entries(self) -> tuple[RankEntry, ...]:
@@ -145,18 +148,21 @@ class MarkedRankWord(_Value):
         return self.n - 1
 
 
-class _TopRanks(Set):
+class _TopRanks(_Value, Set):
     """The k largest color-1 ranks and the ell largest color-2 ranks, as a set.
 
-    Read-only and O(1) in memory: the set is the two progressions
+    A value, O(1) in memory: the set is the two progressions
     range(2n - 3k, 2n, 3) and range(n - 3ell, n, 3), built when read, and
-    it equals and hashes like the frozenset of the same ranks.
+    it equals and hashes like the frozenset of the same ranks.  Its
+    constructor checks nothing; MarkedRankWord checks the counts.
     """
 
     __slots__ = ("n", "k", "ell")
 
     def __init__(self, n: int, k: int, ell: int) -> None:
-        self.n, self.k, self.ell = n, k, ell
+        _set_top_n(self, n)
+        _set_k(self, k)
+        _set_ell(self, ell)
 
     def _ranges(self) -> tuple[range, range]:
         ones, twos = _colors(self.n)
@@ -189,12 +195,9 @@ class _TopRanks(Set):
     def __repr__(self) -> str:
         return repr(frozenset(self))
 
-    def __reduce__(self):
-        # pickle protocols 0 and 1 cannot read slots by themselves
-        return _TopRanks, (self.n, self.k, self.ell)
-
 
 _set_n, _set_boxed = MarkedRankWord._setters
+_set_top_n, _set_k, _set_ell = _TopRanks._setters
 
 
 def _derived(n: int, k: int, ell: int) -> MarkedRankWord:

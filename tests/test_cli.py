@@ -148,6 +148,28 @@ def test_omega_rejects_invalid_triples(capsys):
     assert "InvalidTriple" in err
 
 
+def test_step_chunks_write_one_piece_per_column_and_cut_long_north_runs(monkeypatch):
+    # with four-character pieces every lattice has north runs to cut, of
+    # lengths that are and are not multiples of a piece
+    # the CLI owns the stream: paths writes only whole words
+    assert not hasattr(paths, "_step_chunks") and not hasattr(paths, "CHARS")
+    monkeypatch.setattr(chunks, "CHARS", 4)
+    for m, n in [(1, 8), (1, 9), (2, 7), (3, 5), (3, 8), (4, 7), (9, 1)]:
+        for p in paths.enumerate_paths(m, n):
+            pieces = list(cli._step_chunks(p))
+            assert all(len(c) <= 4 for c in pieces)
+            assert "".join(pieces) == paths.render_path(p)
+            assert sum(c.endswith("E") for c in pieces) == m
+            assert all(c == "NNNN" for c in pieces if not c.endswith("E"))
+
+
+def test_a_long_north_run_is_cut_into_pieces_of_chars():
+    chars = chunks.CHARS
+    p = paths.make_path(1, 2 * chars + 5, [2 * chars + 5])
+    assert [len(c) for c in cli._step_chunks(p)] == [chars, chars, 6]
+    assert paths.render_path(p) == "N" * (2 * chars + 5) + "E"
+
+
 def test_poly_closed_form(capsys):
     code, out, _ = run(capsys, "poly", "3", "5", "--method", "closed")
     assert code == 0

@@ -115,26 +115,6 @@ def test_render_inverts_parse_on_every_enumerated_path():
             assert parse_path(render_path(p)) == p
 
 
-def test_step_chunks_cut_every_word_and_every_north_run(monkeypatch):
-    # with four-character chunks every lattice has words to cut, and runs of
-    # north steps longer than a chunk
-    monkeypatch.setattr(paths_module, "CHARS", 4)
-    for m, n in [(1, 9), (2, 7), (3, 5), (3, 8), (4, 7), (9, 1)]:
-        for p in enumerate_paths(m, n):
-            chunks = list(paths_module._step_chunks(p))
-            assert all(0 < len(c) <= 4 for c in chunks)
-            assert all(len(c) == 4 for c in chunks[:-1])
-            assert "".join(chunks) == render_path(p)
-
-
-def test_a_long_north_run_is_cut_into_chunks():
-    chars = paths_module.CHARS
-    p = make_path(1, 2 * chars + 5, [2 * chars + 5])
-    chunks = list(paths_module._step_chunks(p))
-    assert [len(c) for c in chunks] == [chars, chars, 6]
-    assert render_path(p) == "N" * (2 * chars + 5) + "E"
-
-
 @pytest.mark.parametrize("m,n,count", [(3, 5, 7), (3, 4, 5), (1, 9, 1), (2, 3, 2)])
 def test_enumeration_counts(m, n, count):
     assert sum(1 for _ in enumerate_paths(m, n)) == count

@@ -55,13 +55,20 @@ def test_serialization_roundtrip(pair, seed):
     assert parse_path(render_path(p)) == p
 
 
-@given(
-    st.integers(min_value=0, max_value=20),
-    st.integers(min_value=0, max_value=20),
-    st.integers(min_value=0, max_value=20),
-)
-def test_valid_triples_reconstruct_exactly(a, s, d):
-    assume(is_valid_triple(a, s, d))
+@st.composite
+def bounded_triples(draw):
+    """(a, s, d) with s <= a <= 20 and s <= d <= 20: the valid triples
+    with parts up to 20, and those whose a + s + d + 1 is a multiple of 3."""
+    s = draw(st.integers(min_value=0, max_value=20))
+    a = draw(st.integers(min_value=s, max_value=20))
+    return a, s, draw(st.integers(min_value=s, max_value=20))
+
+
+@given(bounded_triples())
+def test_valid_triples_reconstruct_exactly(triple):
+    a, s, d = triple
+    assume((a + s + d + 1) % 3 != 0)
+    assert is_valid_triple(a, s, d)
     p = path_from_word(omega(a, s, d))
     assert p.n == a + s + d + 1
     assert tuple(stat_triple(p)) == (a, s, d)

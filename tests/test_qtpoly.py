@@ -284,7 +284,6 @@ def test_term_formatting_of_the_closed_form_terms():
         # the CLI's JSON of the same terms, as json.dumps writes the library's
         want = json.dumps(poly.json_terms(), sort_keys=True) + "\n"
         assert cmd_poly_closed(n, "json") == want
-    assert qtpoly.render_terms([]) == "0"
     assert "".join(cli._json(cli._array([]))) == "[]"
 
 

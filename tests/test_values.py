@@ -125,6 +125,40 @@ def test_a_copied_derived_word_still_costs_nothing_per_rank():
         assert len(pickle.dumps(twin)) < 200
 
 
+DERIVED_WORDS = {
+    "marked word": rankwords.mark_from_path(DyckPath(3, 8, (6, 6, 8))),
+    "omega word": rankwords.omega(5, 1, 4),
+}
+
+
+@pytest.mark.parametrize("name", DERIVED_WORDS)
+def test_a_derived_words_boxed_set_cannot_be_changed(name):
+    word = DERIVED_WORDS[name]
+    boxed, hashed, text = word.boxed, hash(word), rankwords.render_word(word)
+    fields = (boxed.n, boxed.k, boxed.ell)
+    for field in ("n", "k", "ell"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(boxed, field, 0)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+            delattr(boxed, field)
+    assert (boxed.n, boxed.k, boxed.ell) == fields
+    assert hash(word) == hashed and rankwords.render_word(word) == text
+    assert word in {word: None}
+
+
+@pytest.mark.parametrize("name", DERIVED_WORDS)
+def test_the_constructor_keeps_a_derived_boxed_set_as_its_two_counts(name):
+    word = DERIVED_WORDS[name]
+    twin = MarkedRankWord(word.n, word.boxed)
+    assert twin == word and hash(twin) == hash(word)
+    assert type(twin.boxed) is rankwords._TopRanks
+    assert rankwords.boxed_counts(twin) == rankwords.boxed_counts(word)
+    # a set of another n is read as its ranks, and checked rank by rank
+    assert type(MarkedRankWord(word.n + 3, word.boxed).boxed) is frozenset
+    with pytest.raises(ValueError, match="not ranks of the 2-row lattice"):
+        MarkedRankWord(2, word.boxed)
+
+
 @pytest.mark.parametrize("how", COPIES)
 def test_a_check_result_copies_as_an_equal_record(how):
     result = CheckResult("stat-identity", 1, "n=1 (1, 1, 1): 0+0+1 != 0")
