@@ -10,116 +10,20 @@ is exact integer arithmetic, verifiable exhaustively at small scale via
 the verify module or the qtcatalan CLI.
 """
 
-from .bijection import involution
-from .errors import (
-    BadCharacter,
-    BadResidue,
-    BelowDiagonal,
-    CellNotAboveThePath,
-    CoefficientOverflow,
-    EmptyBound,
-    InvalidTriple,
-    NotCoprime,
-    NotMonotone,
-    NotRealizable,
-    UnsupportedM,
-)
-from .paths import (
-    Cell,
-    DyckPath,
-    arm,
-    cells_above,
-    count_paths,
-    enumerate_paths,
-    leg,
-    make_path,
-    min_east_height,
-    parse_path,
-    render_path,
-    shape_cells,
-    transpose,
-)
-from .qtpoly import (
-    COEFFICIENT_LIMIT,
-    QtPolynomial,
-    catalan3_closed_form,
-    catalan_bruteforce,
-    is_qt_symmetric,
-)
-from .rankwords import (
-    MarkedRankWord,
-    RankEntry,
-    boxed_counts,
-    count_skips,
-    is_valid_triple,
-    lattice_rank_word,
-    mark_from_path,
-    omega,
-    path_from_word,
-    rank,
-    render_word,
-)
-from .stats import (
-    CellClass,
-    StatTriple,
-    area,
-    classify_nondinv_cell,
-    contributes_to_dinv,
-    dinv,
-    skips,
-    stat_triple,
-)
+from .bijection import *
+from .errors import *
+from .paths import *
+from .qtpoly import *
+from .rankwords import *
+from .stats import *
+from . import bijection, errors, paths, qtpoly, rankwords, stats
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadCharacter",
-    "BadResidue",
-    "BelowDiagonal",
-    "Cell",
-    "CellClass",
-    "CellNotAboveThePath",
-    "CoefficientOverflow",
-    "COEFFICIENT_LIMIT",
-    "DyckPath",
-    "EmptyBound",
-    "InvalidTriple",
-    "MarkedRankWord",
-    "NotCoprime",
-    "NotMonotone",
-    "NotRealizable",
-    "QtPolynomial",
-    "RankEntry",
-    "StatTriple",
-    "UnsupportedM",
-    "area",
-    "arm",
-    "boxed_counts",
-    "catalan3_closed_form",
-    "catalan_bruteforce",
-    "cells_above",
-    "classify_nondinv_cell",
-    "contributes_to_dinv",
-    "count_paths",
-    "count_skips",
-    "dinv",
-    "enumerate_paths",
-    "involution",
-    "is_qt_symmetric",
-    "is_valid_triple",
-    "lattice_rank_word",
-    "leg",
-    "make_path",
-    "mark_from_path",
-    "min_east_height",
-    "omega",
-    "parse_path",
-    "path_from_word",
-    "rank",
-    "render_path",
-    "render_word",
-    "shape_cells",
-    "skips",
-    "stat_triple",
-    "transpose",
-]
+__all__ = []
+__all__ += bijection.__all__
+__all__ += errors.__all__
+__all__ += paths.__all__
+__all__ += qtpoly.__all__
+__all__ += rankwords.__all__
+__all__ += stats.__all__

@@ -11,6 +11,8 @@ permutes the path set and proves the q,t symmetry of C_{3,n}.
 
 from __future__ import annotations
 
+__all__ = ["involution"]
+
 from .paths import DyckPath, _built
 from .rankwords import _counts
 from . import stats

@@ -1,5 +1,11 @@
 """Exception types shared across the package, and the 64-bit cap they name."""
 
+__all__ = [
+    "COEFFICIENT_LIMIT", "BadCharacter", "BadResidue", "BelowDiagonal",
+    "CellNotAboveThePath", "CoefficientOverflow", "EmptyBound", "InvalidTriple",
+    "NotCoprime", "NotMonotone", "NotRealizable", "UnsupportedM",
+]
+
 COEFFICIENT_LIMIT = 2**63 - 1  # the largest signed 64-bit integer
 
 

@@ -27,6 +27,12 @@ render_path writes a whole step word; the CLI streams a long one itself.
 
 from __future__ import annotations
 
+__all__ = [
+    "Cell", "DyckPath", "arm", "cells_above", "count_paths", "enumerate_paths", "leg",
+    "make_path", "min_east_height", "parse_path", "render_path", "shape_cells",
+    "transpose",
+]
+
 from bisect import bisect_left
 from collections import deque
 from itertools import accumulate, islice, repeat

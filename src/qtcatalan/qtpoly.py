@@ -44,6 +44,10 @@ raises CoefficientOverflow instead of silently degrading.
 
 from __future__ import annotations
 
+__all__ = [
+    "QtPolynomial", "catalan3_closed_form", "catalan_bruteforce", "is_qt_symmetric",
+]
+
 from collections import _count_elements  # the C loop of Counter.update, into any dict
 from itertools import accumulate, chain, starmap
 from operator import index, itemgetter
@@ -102,7 +106,7 @@ class QtPolynomial(paths._Value):
         summed = dict(self._terms)
         for key, c in other._terms.items():
             summed[key] = summed.get(key, 0) + c
-        return QtPolynomial(summed)
+        return _counted(summed)  # only the cap can break
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))

@@ -21,7 +21,8 @@ color-1 ranks 2n-3, 2n-6, ... and the ell = n - y2 largest color-2 ranks
 n-3, n-6, ...: a realizable word is its counts (k, ell), the thresholds
 2n - 3k and n - 3ell.  The words the library derives (_derived, for
 mark_from_path and omega) hold such a set as a _TopRanks, O(1) in memory,
-and boxed_counts is the one reader of how a boxed set is stored.  Skips
+and MarkedRankWord, boxed_counts, _runs and path_from_word take its counts
+as they stand, with no pass over its ranks.  Skips
 and the involution need no word: _skips reads skips off (k, ell) and
 _counts gives (k, ell) back from (s, d), both O(1); count_skips, over the
 word positions of the sorted boxed ranks of any marking, is the
@@ -39,10 +40,17 @@ render_word and the CLI, so an entry costs no Python-level step.
 Validation runs once, at the boundary: MarkedRankWord(...) checks n and
 every boxed rank, or a _TopRanks' two counts, so a copied or unpickled
 word is checked again; a derived word's ranks are word ranks by
-construction.
+construction.  path_from_word checks only that a word is realizable, and
+builds its path unchecked.
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "MarkedRankWord", "RankEntry", "boxed_counts", "count_skips", "is_valid_triple",
+    "lattice_rank_word", "mark_from_path", "omega", "path_from_word", "rank",
+    "render_word",
+]
 
 from collections.abc import Set
 from itertools import chain, repeat
@@ -52,7 +60,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 from .chunks import rows
 from .errors import COEFFICIENT_LIMIT, BadResidue, CoefficientOverflow, InvalidTriple
 from .errors import NotRealizable, UnsupportedM
-from .paths import DyckPath, _Value
+from .paths import DyckPath, _Value, _built
 
 
 def rank(a: int, b: int, n: int) -> int:
@@ -222,7 +230,7 @@ def _runs(w: MarkedRankWord) -> Iterator[tuple[tuple[range, ...], tuple]]:
     ones, twos = _colors(w.n)
     pairs, count = len(twos), len(ones)
     k, ell = boxed_counts(w)
-    if boxed == _TopRanks(w.n, k, ell):
+    if isinstance(boxed, _TopRanks) or boxed == _TopRanks(w.n, k, ell):
         cuts = {count - k, pairs - ell}
     else:
         cuts = {*(r // 3 for r in boxed), *(r // 3 + 1 for r in boxed)}
@@ -292,11 +300,14 @@ def path_from_word(w: MarkedRankWord) -> DyckPath:
     """The unique path whose marked rank word is w; inverse of mark_from_path.
 
     Realizable words box, within each color, only the largest ranks, and
-    box at least as many color-1 entries as color-2 entries.
+    box at least as many color-1 entries as color-2 entries.  k and ell
+    are at most the color counts, floor(2n/3) and floor(n/3): MarkedRankWord
+    checks them, and a derived word, whose _TopRanks boxes the largest
+    ranks, has them by construction.  With ell <= k, (n - k, n - ell, n) is
+    then always a (3,n)-path, built unchecked (paths._built).
     """
     k, ell = boxed_counts(w)
-    top = _TopRanks(w.n, k, ell)
-    if w.boxed != top:
+    if not isinstance(w.boxed, _TopRanks) and w.boxed != (top := _TopRanks(w.n, k, ell)):
         misplaced = w.boxed ^ top
         for color, ranks in enumerate(_colors(w.n), start=1):
             if any(map(ranks.__contains__, misplaced)):
@@ -307,7 +318,7 @@ def path_from_word(w: MarkedRankWord) -> DyckPath:
         raise NotRealizable(
             f"needs at least as many boxed color-1 as color-2 entries ({k} < {ell})"
         )
-    return DyckPath(3, w.n, (w.n - k, w.n - ell, w.n))
+    return _built(3, w.n, (w.n - k, w.n - ell, w.n))
 
 
 def is_valid_triple(a: int, s: int, d: int) -> bool:

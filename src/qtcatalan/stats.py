@@ -34,6 +34,11 @@ cell failing the straddle inequality pairs off with exactly one skip.
 
 from __future__ import annotations
 
+__all__ = [
+    "CellClass", "StatTriple", "area", "classify_nondinv_cell", "contributes_to_dinv",
+    "dinv", "skips", "stat_triple",
+]
+
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple

@@ -215,11 +215,13 @@ def test_a_check_result_is_an_immutable_hashable_value():
 
 @pytest.mark.parametrize("cls, build, derive", [
     (DyckPath, lambda: paths.make_path(3, 4, [2, 4, 4]),
-     lambda: (list(paths.enumerate_paths(3, 7)), paths.transpose(PATH))),
+     lambda: (list(paths.enumerate_paths(3, 7)), paths.transpose(PATH),
+              rankwords.path_from_word(rankwords.mark_from_path(PATH)))),
     (MarkedRankWord, lambda: rankwords.lattice_rank_word(5),
      lambda: (rankwords.mark_from_path(PATH), rankwords.omega(1, 0, 2))),
     (QtPolynomial, lambda: QtPolynomial(Q_PLUS_T),
-     lambda: (qtpoly.catalan_bruteforce(3, 7), qtpoly.catalan3_closed_form(7))),
+     lambda: (qtpoly.catalan_bruteforce(3, 7), qtpoly.catalan3_closed_form(7),
+              qtpoly.catalan_bruteforce(3, 7) + qtpoly.catalan3_closed_form(7))),
 ])
 def test_the_constructor_validates_and_derived_values_skip_it(monkeypatch, cls, build, derive):
     # bench/tracing.py counts validated values by wrapping __init__ in the class dict
