@@ -17,13 +17,15 @@ and every computation that can raise before it returns, so what is left
 only formats and a failing request writes nothing to stdout.
 
 Outputs that grow with n (a word's entries, rendering and boxed ranks, a
-term list, a path list, a step word) are written a piece at a time: a
-word's runs and the closed form's rows by chunks.rows, omega's step word
-a column at a time by _step_chunks, and the rest by chunks.joined, so no
-layer holds the whole output.  In a record such a
-value is an iterator of its own JSON text, rows written from one fixed
-template per row kind.  _json is the one JSON writer: every record it
-writes is json.dumps(record, sort_keys=True) byte for byte.
+term list, a path list, omega's step word) are written a piece at a
+time: a word's runs and the closed form's rows by chunks.rows, omega's
+step word a column at a time by _step_chunks, and the rest by
+chunks.joined, so no layer holds the whole output.  stats, bijection
+and transpose write the step word they echo or transpose from argv in
+one piece: argv holds it whole already.  In a record such a value is an
+iterator of its own JSON text, rows written from one fixed template per
+row kind.  _json is the one JSON writer: every record it writes is
+json.dumps(record, sort_keys=True) byte for byte.
 """
 
 from __future__ import annotations
@@ -86,6 +88,8 @@ def cmd_enumerate(args) -> Output:
     m, n = args.m, args.n
     count = paths._bounded_count(m, n)  # checks lattice and count: enumerate_paths is lazy
     words = map(paths.render_path, paths.enumerate_paths(m, n))  # main reads one form
+    # rendered here, so that a first path too large to build fails before any output
+    words = chain([next(words)], words)
     record = {"count": count, "m": m, "n": n, "paths": _array(f'"{w}"' for w in words)}
     return 0, chain(joined(words, "\n"), "\n"), record
 

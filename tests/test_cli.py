@@ -226,6 +226,14 @@ def test_poly_brute_output_is_pinned(capsys, m, n):
         assert digests == C_7_11_SHA256
 
 
+def test_poly_brute_prints_one_polynomial_in_either_orientation(capsys):
+    # poly walks only the side with fewer columns, so both outputs come from
+    # one walk; test_mn_symmetry_of_bruteforce compares the walks of both sides
+    for m, n in (("10", "11"), ("8", "23")):
+        assert run(capsys, "poly", m, n, "--method", "brute") == run(
+            capsys, "poly", n, m, "--method", "brute")
+
+
 def test_poly_closed_rejects_bad_input(capsys):
     code, _, err = run(capsys, "poly", "3", "6", "--method", "closed")
     assert (code, err) == (2, "error: BadResidue: n must not be a multiple of 3, got 6\n")
@@ -248,9 +256,14 @@ def test_poly_json_is_the_bare_term_list(capsys):
 
 
 def test_poly_methods_agree(capsys):
-    _, brute, _ = run(capsys, "poly", "3", "7")
-    _, closed, _ = run(capsys, "poly", "3", "7", "--method", "closed")
-    assert brute == closed
+    # rows whose end terms are literal segments, such as 1, q + t and q t,
+    # and at n = 1001 exponents up to 1000, where the decimal table of
+    # chunks.rows ends
+    for n in ("1", "2", "4", "5", "7", "8", "1001"):
+        for fmt in ("text", "json"):
+            _, brute, _ = run(capsys, "poly", "3", n, "--format", fmt)
+            _, closed, _ = run(capsys, "poly", "3", n, "--method", "closed", "--format", fmt)
+            assert brute == closed
 
 
 def test_bijection_output(capsys):
@@ -293,6 +306,17 @@ def test_an_internal_error_exits_3_with_one_line(capsys, monkeypatch, exc):
     code, out, err = run(capsys, "stats", PI2_WORD)
     assert (code, out) == (3, "")
     assert err == f"error: internal: {type(exc).__name__}: {exc}\n"
+
+
+def test_enumerate_writes_nothing_when_its_first_path_cannot_be_built(capsys, monkeypatch):
+    # as enumerate 1 9223372036854775807 runs out of memory on its one path
+    def no_memory(p):
+        raise MemoryError
+
+    monkeypatch.setattr(paths, "render_path", no_memory)
+    for fmt in ("text", "json"):
+        assert run(capsys, "enumerate", "3", "4", "--format", fmt) == (
+            3, "", "error: internal: MemoryError: \n")
 
 
 def test_an_internal_error_frees_the_failed_frames_before_its_line(capsys, monkeypatch):
@@ -480,9 +504,9 @@ def test_text_output_builds_no_json(capsys, monkeypatch):
         assert out
 
 
-# sha256 of the text and JSON output of large words and closed forms, as
-# printed when they were listed through RankEntry tuples and a sorted
-# QtPolynomial
+# sha256 of the text and JSON output of large requests; the words and
+# closed forms up to (60000, 5000, 20000) as printed when they were listed
+# through RankEntry tuples and a sorted QtPolynomial
 # heights (25001, 28001, 30001): it boxes k = 5000 < n/3 color-1 ranks, so
 # its color-1 threshold 2n - 3k lies above n
 MARKED_30001 = "N" * 25001 + "E" + "N" * 3000 + "E" + "N" * 2000 + "E"
@@ -518,6 +542,43 @@ LARGE_OUTPUT_SHA256 = {
         "ca53fadfa31031b51f828c0c5feb05c25f43ef79f6b136e0b1eb64c6f7959264",
         "e0f79b804349b06189490743e2b844e16ebb6fae93dc8e0ceb02a1ac17bbe8c8",
     ),
+    # n = 1 (mod 3) rows, pinned from the output of commit 2a524b7
+    ("omega", "40000", "20000", "39999"): (
+        "2af203393e817cc826d5fb128bd01f12c401943f4bf73640c0409c7d05f15638",
+        "4b1db7b0ecd77980da227bc020935934913f07e35ae7f147a5f879785e1b1853",
+    ),
+    # pinned before chunks.rows read cached tables: poly 3 3001 has long
+    # stretches of rows whose q and t differ in high part, rankword 3000001
+    # thousands of blocks in one high part (its JSON pinned later, from the
+    # output of commit 2a524b7), and the omega word all four kinds of run
+    ("poly", "3", "3001", "--method", "closed"): (
+        "7c8092572e50bc067bc4ba16e8ec831927055297427339461574b8b7246c8e46",
+        "9f344de096f0cd9f2d7a2d0b1ac26c4cb2909f6026bae3d75d1083d50a6fc5c1",
+    ),
+    ("rankword", "3000001"): (
+        "6b3732e2f3aaa9bdf83912b670ad5e87105c4b8e38f8f5ce60eb32c1329cb204",
+        "14507a87e43c427ec4e6eafa72772fcf63c002c49e844d565fa7e1d80d27032c",
+    ),
+    ("omega", "300000", "100000", "300000"): (
+        "e3e81646621e1dac9ecf53eefd281f445a3216eb1120af416c6cde66808b450e",
+        "961090f5cf71cfaae24267561db45096c7d2780cf33ef45c9a844e6c1d6b30db",
+    ),
+    # pinned before enumerate_paths built its paths from a suffix table:
+    # (6,23) has more paths than one table holds, (7,30) walks a prefix of
+    # several columns in front of the table, and (1099,2) a wide prefix
+    # whose odometer steps by bisection
+    ("enumerate", "6", "23"): (
+        "c932ab3044c4b22a90fb2c73ee8764b69e61903ca9508f0608dc4923cda6fd87",
+        "f8cd0557f8456837ec2e01bd82b6c68f7a9c52f17e1957ec5e283ea98afb64ff",
+    ),
+    ("enumerate", "7", "30"): (
+        "697b5d9aa346ba638150d4e2ca565acfb3262ea7affa808d966e63d2e7e74ebc",
+        "acd02da776db2eef2e3910634856178b408fb9aefa56243d4dc055576c8c0a41",
+    ),
+    ("enumerate", "1099", "2"): (
+        "a40fea5d0b2a351de46570c3c70024547f7b78937f0da99805c0a14f071146a5",
+        "30197ededfcad20d60f96bf031d32a5dd19617c7c6ac7dc7f004000bad2a966a",
+    ),
 }
 
 
@@ -527,6 +588,9 @@ def test_large_output_is_pinned(capsys, argv):
     for fmt in ("text", "json"):
         code, out, err = run(capsys, *argv, "--format", fmt)
         assert (code, err) == (0, "")
+        if fmt == "json":  # a bool, so that a failure diffs no long strings
+            canonical = out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+            assert canonical
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(digests) == LARGE_OUTPUT_SHA256[argv]
 
@@ -647,6 +711,15 @@ def test_a_failing_request_writes_nothing_to_stdout(capsys, argv):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("argv", [
     ["enumerate", "40", "41"], ["enumerate", "3037000499", "3037000498"],
+    # a row count, lattice side or path count above 2^63 - 1, as
+    # test_a_failing_request_writes_nothing_to_stdout runs them in process
+    ["omega", "0", "0", "99999999999999999999"], ["rankword", "99999999999999999998"],
+    ["poly", "3", "99999999999999999998", "--method", "closed"],
+    ["enumerate", "1", "99999999999999999999"], ["enumerate", "2", "99999999999999999999"],
+    ["enumerate", "3", "99999999999999999998"], ["enumerate", "99999999999999999999", "2"],
+    ["enumerate", "99999999999999999999", "99999999999999999998"],
+    ["poly", "2", "99999999999999999999"], ["poly", "99999999999999999999", "2"],
+    ["poly", "3", "99999999999999999998"],
 ], ids=" ".join)
 def test_enumerate_refuses_a_lattice_of_more_than_the_cap_paths(argv, fmt):
     # in a child with a timeout, so that a request that streams paths
@@ -658,6 +731,25 @@ def test_enumerate_refuses_a_lattice_of_more_than_the_cap_paths(argv, fmt):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: CoefficientOverflow: ")
     assert len(done.stderr.splitlines()) == 1
+
+
+def test_a_long_step_word_passes_through_argv(capsys):
+    _, out, _ = run(capsys, "omega", "20000", "10000", "19999")
+    path = out.splitlines()[1].removeprefix("path: ")
+    assert len(path) == 50003
+
+    def stats_in_a_child(word):
+        return subprocess.run([sys.executable, "-m", "qtcatalan", "stats", word],
+                              capture_output=True, text=True, env=child_env(), timeout=120)
+
+    done = stats_in_a_child(path)
+    assert done.returncode == 0
+    assert {"area: 20000", "dinv: 19999", "skips: 10000"} <= set(done.stdout.splitlines())
+    # character 25,001 replaced by X
+    done = stats_in_a_child(path[:25000] + "X" + path[25001:])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: BadCharacter: ")
+    assert done.stderr.endswith("found 'X'\n")
 
 
 def test_the_largest_row_count_is_admitted_and_the_next_valid_one_refused(capsys):
@@ -703,6 +795,20 @@ def test_verify_accepts_the_smallest_bounds(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "1", "--max-mn", "2")
     assert code == 0
     assert out.splitlines()[-1] == "16 passed, 0 failed"
+
+
+def test_verify_passes_at_the_acceptance_bound_and_visits_every_object(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "31", "--max-mn", "14", "--format", "json")
+    record = json.loads(out)
+    assert (code, record["failed"]) == (0, 0)
+    mn = ["serialization-roundtrip", "shape-monotone", "transpose-involution"]
+    three = ["stat-identity", "stat-inequalities", "triple-uniqueness", "word-roundtrip",
+             "triple-reconstruction", "triple-realizability", "involution"]
+    assert {c["name"]: c["checked"] for c in record["checks"]} == {
+        "path-count": 63, "poly-mn-symmetry": 32, "rank-positivity": 16335,
+        "cell-classification": 16335, "closed-form": 21, "qt-symmetry": 21,
+        **dict.fromkeys(mn, 1401), **dict.fromkeys(three, 1331)}
+    assert run(capsys, "verify", "--max-n", "61", "--max-mn", "16")[0] == 0
 
 
 def child_env():

@@ -396,8 +396,9 @@ def test_qt_symmetry_predicate():
 
 
 def test_mn_symmetry_of_bruteforce():
-    # two walks, one over each orientation
-    for m, n in [(1, 4), (2, 5), (3, 4), (3, 5), (4, 7)]:
+    # two walks, one over each orientation; the tall (5,41) walk counts its
+    # long bottom columns in bulk and the wide (41,5) one height by height
+    for m, n in [(1, 4), (2, 5), (3, 4), (3, 5), (4, 7), (10, 11), (8, 23), (5, 41)]:
         assert qtpoly._walk(m, n) == qtpoly._walk(n, m)
 
 
