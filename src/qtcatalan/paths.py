@@ -11,7 +11,8 @@ Note y_m = n always: the final east step runs along the top edge.
 
 Cells are addressed (column, row), both 1-based, rows numbered bottom to
 top, so cell (1,1) rests on the origin.  Walks over the cells above a path
-take the integer pairs of _cell_pairs; Cell is for callers of shape_cells.
+loop over the columns and then the rows above each height; Cell is for
+callers of shape_cells.
 
 Validation runs once, at the boundary: the public constructors (DyckPath,
 make_path, parse_path) check every column, while the paths the library
@@ -293,12 +294,9 @@ def cells_above(p: DyckPath) -> tuple[int, ...]:
 
 def shape_cells(p: DyckPath) -> tuple[Cell, ...]:
     """Every cell above the path, column by column, lowest row first."""
-    return tuple(Cell(a, b) for a, b in _cell_pairs(p.east_heights, p.n))
-
-
-def _cell_pairs(heights, n: int) -> list[tuple[int, int]]:
-    """shape_cells of the path of these heights, as (column, row) pairs."""
-    return [(a, b) for a, y in enumerate(heights, start=1) for b in range(y + 1, n + 1)]
+    n = p.n
+    return tuple(Cell(a, b) for a, y in enumerate(p.east_heights, start=1)
+                 for b in range(y + 1, n + 1))
 
 
 def _as_shape_cell(p: DyckPath, x) -> tuple[int, int]:

@@ -9,20 +9,22 @@ where the right-hand ratio reads as +infinity when leg(x) = 0.  All
 comparisons are integer cross-multiplications; no floats anywhere.
 
 contributes_to_dinv applies that inequality to one cell; it is the
-definition.  dinv itself visits no cell.  Within one column the arm k
-stays constant between consecutive later east heights, and for a fixed
-arm k the inequality solves to the leg interval
+definition.  dinv itself visits no cell.  In column a the rows between
+the later east heights y_{a+k} and y_{a+k+1} form a stretch of constant
+arm k, and for a fixed arm k the inequality solves to the leg interval
 
     k*n // m  <=  leg  <=  (n*(k+1) - 1) // m,
 
-so dinv adds up, per column, the overlap of each such stretch of legs
-with its interval.  The intervals depend on the lattice alone, not on
-the path: _dinv_legs builds their table once per (m, n) and keeps it for
-the most recent lattices, and dinv and qtpoly._walk (the brute force) both
-read it through the one kernel, _column_dinv.  A stretch is empty unless
-its column rises, and a column has at most min(m - 1, n - y) rises after
-it, so this costs O(min(m, n)) per column and O(m*min(m, n)) per path,
-whatever n is.
+so dinv is a double sum, over the columns a and the arms k, of the
+overlap of stretch k of column a with its interval.  The intervals
+depend on the lattice alone, not on the path: _dinv_legs builds their
+table once per (m, n) and keeps it for the most recent lattices.  A
+stretch is empty unless column r = a + k rises (y_r < y_{r+1}), and a
+path has at most min(m - 1, n) rises, so the sum has O(m*min(m, n))
+terms, whatever n is.  dinv sums it rise by rise, over the columns
+a <= r of each rise r; _column_dinv sums it column by column, one
+column's term at a time, for qtpoly._walk (the brute force), which sets
+the heights from the last column down.
 
 skips applies to three-column paths only: it is the number of maximal
 unboxed runs fenced by boxed entries in the marked rank word
@@ -88,7 +90,8 @@ def _dinv_legs(m: int, n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _column_dinv(heights, a: int, legs: tuple[tuple[int, int], ...], nxt) -> int:
-    """dinv cells of column a (0-based); reads only heights[a:] and nxt[a:].
+    """dinv cells of column a (0-based), the walk's kernel; reads only
+    heights[a:] and nxt[a:].
 
     nxt[r] is the first rise at or after column r (heights[r] <
     heights[r + 1]), or m - 1 if there is none.
@@ -120,17 +123,30 @@ def _column_dinv(heights, a: int, legs: tuple[tuple[int, int], ...], nxt) -> int
 def dinv(p: DyckPath) -> int:
     """Cells above the path satisfying the straddle inequality, O(m*min(m, n)).
 
-    One loop from column m - 2 down records each column's first rise and
-    adds its cells; the last column, at height n, has none.
+    The double sum of the module docstring, rise by rise: for each rise r
+    (heights[r] < heights[r + 1]) and each column a <= r, the stretch of
+    legs heights[r] - y_a .. heights[r + 1] - y_a - 1 has arm r - a, and
+    its overlap with legs[r - a] counts.  The last column, at height n,
+    is no rise.
     """
     heights = p.east_heights
     legs = _dinv_legs(p.m, p.n)
-    last = p.m - 1
-    nxt = [last] * p.m
     total = 0
-    for a in range(last - 1, -1, -1):
-        nxt[a] = a if heights[a] < heights[a + 1] else nxt[a + 1]
-        total += _column_dinv(heights, a, legs, nxt)
+    for r in range(p.m - 1):
+        y0 = heights[r]
+        y1 = heights[r + 1]
+        if y0 == y1:
+            continue
+        for a in range(r + 1):
+            y = heights[a]
+            low, high = legs[r - a]
+            lo, hi = y0 - y, y1 - y  # the stretch's legs, half-open
+            if lo < low:
+                lo = low
+            if hi > high:
+                hi = high
+            if lo < hi:
+                total += hi - lo
     return total
 
 
@@ -143,7 +159,8 @@ def skips(p: DyckPath) -> int:
 
 def stat_triple(p: DyckPath) -> StatTriple:
     """(area, skips, dinv) of a three-column path; always sums to n - 1."""
-    return StatTriple(area(p), skips(p), dinv(p))
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    return tuple.__new__(StatTriple, (area(p), skips(p), dinv(p)))
 
 
 class CellClass(Enum):

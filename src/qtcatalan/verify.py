@@ -174,10 +174,12 @@ def check_poly_mn_symmetry(pair):
 @_check("rank-positivity", _three_column_paths, _cell_count)
 def check_rank_positivity(p):
     """Every cell above a (3,n)-path has positive rank."""
-    for column, row in paths._cell_pairs(p.east_heights, p.n):
-        r = rankwords.rank(column, row, p.n)
-        if r <= 0:
-            return f"cell {(column, row)} has rank {r}"
+    rank, n = rankwords.rank, p.n
+    for column, y in enumerate(p.east_heights, start=1):
+        for row in range(y + 1, n + 1):
+            r = rank(column, row, n)
+            if r <= 0:
+                return f"cell {(column, row)} has rank {r}"
 
 
 @_check("cell-classification", _three_column_paths, _cell_count)
@@ -187,17 +189,18 @@ def check_cell_classification(p):
     contributes_label = stats.CellClass.CONTRIBUTES
     heights, n = p.east_heights, p.n
     fenced = contributing = 0
-    for column, row in paths._cell_pairs(heights, n):
-        try:
-            ar, lg = arm(heights, column, row), leg(heights, column, row)
-            label = label_of(ar, lg, n)
-        except AssertionError:
-            return f"cell {(column, row)}: labels not exclusive"
-        contributes = label is contributes_label
-        if column == 2 and not contributes:
-            return f"cell {(column, row)}: second column must contribute"
-        fenced += not contributes
-        contributing += contributes
+    for column, y in enumerate(heights, start=1):
+        for row in range(y + 1, n + 1):
+            try:
+                ar, lg = arm(heights, column, row), leg(heights, column, row)
+                label = label_of(ar, lg, n)
+            except AssertionError:
+                return f"cell {(column, row)}: labels not exclusive"
+            contributes = label is contributes_label
+            if column == 2 and not contributes:
+                return f"cell {(column, row)}: second column must contribute"
+            fenced += not contributes
+            contributing += contributes
     if fenced != stats.skips(p):
         return f"{fenced} fenced cells, skips {stats.skips(p)}"
     d = stats.dinv(p)
@@ -237,8 +240,9 @@ def check_triple_uniqueness(n):
 def check_word_roundtrip(p):
     """mark_from_path boxes the cell ranks, and path_from_word inverts it."""
     word = rankwords.mark_from_path(p)
-    pairs = paths._cell_pairs(p.east_heights, p.n)
-    cells = {rankwords.rank(column, row, p.n) for column, row in pairs}
+    rank, n = rankwords.rank, p.n
+    cells = {rank(column, row, n)
+             for column, y in enumerate(p.east_heights, start=1) for row in range(y + 1, n + 1)}
     if word.boxed != cells:
         return "boxed ranks are not the cell ranks"
     if rankwords.path_from_word(word) != p:
