@@ -11,8 +11,8 @@ Note y_m = n always: the final east step runs along the top edge.
 
 Cells are addressed (column, row), both 1-based, rows numbered bottom to
 top, so cell (1,1) rests on the origin.  Walks over the cells above a path
-loop over the columns and then the rows above each height; Cell is for
-callers of shape_cells.
+take the (column, rows) pairs of _cell_rows, one range of rows per column;
+Cell is for callers of shape_cells.
 
 Validation runs once, at the boundary: the public constructors (DyckPath,
 make_path, parse_path) check every column, while the paths the library
@@ -294,9 +294,13 @@ def cells_above(p: DyckPath) -> tuple[int, ...]:
 
 def shape_cells(p: DyckPath) -> tuple[Cell, ...]:
     """Every cell above the path, column by column, lowest row first."""
-    n = p.n
-    return tuple(Cell(a, b) for a, y in enumerate(p.east_heights, start=1)
-                 for b in range(y + 1, n + 1))
+    return tuple(Cell(a, b) for a, rows in _cell_rows(p.east_heights, p.n) for b in rows)
+
+
+def _cell_rows(heights, n: int) -> list[tuple[int, range]]:
+    """The cells above the path of these heights, column by column: each
+    column a with the range of its rows y_a + 1 .. n, lowest first."""
+    return [(a, range(y + 1, n + 1)) for a, y in enumerate(heights, start=1)]
 
 
 def _as_shape_cell(p: DyckPath, x) -> tuple[int, int]:

@@ -54,7 +54,7 @@ __all__ = [
 
 from collections.abc import Set
 from itertools import chain, repeat
-from operator import index, sub
+from operator import index
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .chunks import rows
@@ -187,17 +187,16 @@ class _TopRanks(_Value, Set):
         return chain(*self._ranges())
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is frozenset or other.__class__ is set:
-            # the common case, with no abc dispatch: membership maps in C
-            ones, twos = self._ranges()
-            return (len(other) == self.k + self.ell and all(map(other.__contains__, ones))
-                    and all(map(other.__contains__, twos)))
-        if isinstance(other, _TopRanks) and other.n == self.n:
-            # on one n, the lengths fix the two progressions
-            return self.k == other.k and self.ell == other.ell
-        if not isinstance(other, Set):
-            return NotImplemented
-        return len(self) == len(other) and all(map(other.__contains__, self))
+        # an exact set or frozenset, the common operand, skips the abc checks
+        if other.__class__ is not frozenset and other.__class__ is not set:
+            if isinstance(other, _TopRanks) and other.n == self.n:
+                # on one n, the lengths fix the two progressions
+                return self.k == other.k and self.ell == other.ell
+            if not isinstance(other, Set):
+                return NotImplemented
+        ones, twos = self._ranges()
+        return (len(other) == self.k + self.ell and all(map(other.__contains__, ones))
+                and all(map(other.__contains__, twos)))
 
     __hash__ = Set._hash
 
@@ -289,7 +288,7 @@ def count_skips(w: MarkedRankWord) -> int:
     ranks whose word positions differ by more than 1; no gap is scanned.
     """
     places = list(map(_position, sorted(w.boxed), repeat(w.n)))
-    return sum(map((1).__lt__, map(sub, places[1:], places)))
+    return sum(b - a > 1 for a, b in zip(places, places[1:]))
 
 
 def boxed_counts(w: MarkedRankWord) -> tuple[int, int]:

@@ -175,8 +175,8 @@ def check_poly_mn_symmetry(pair):
 def check_rank_positivity(p):
     """Every cell above a (3,n)-path has positive rank."""
     rank, n = rankwords.rank, p.n
-    for column, y in enumerate(p.east_heights, start=1):
-        for row in range(y + 1, n + 1):
+    for column, rows in paths._cell_rows(p.east_heights, n):
+        for row in rows:
             r = rank(column, row, n)
             if r <= 0:
                 return f"cell {(column, row)} has rank {r}"
@@ -189,8 +189,8 @@ def check_cell_classification(p):
     contributes_label = stats.CellClass.CONTRIBUTES
     heights, n = p.east_heights, p.n
     fenced = contributing = 0
-    for column, y in enumerate(heights, start=1):
-        for row in range(y + 1, n + 1):
+    for column, rows in paths._cell_rows(heights, n):
+        for row in rows:
             try:
                 ar, lg = arm(heights, column, row), leg(heights, column, row)
                 label = label_of(ar, lg, n)
@@ -241,8 +241,8 @@ def check_word_roundtrip(p):
     """mark_from_path boxes the cell ranks, and path_from_word inverts it."""
     word = rankwords.mark_from_path(p)
     rank, n = rankwords.rank, p.n
-    cells = {rank(column, row, n)
-             for column, y in enumerate(p.east_heights, start=1) for row in range(y + 1, n + 1)}
+    cells = {rank(column, row, n) for column, rows in paths._cell_rows(p.east_heights, n)
+             for row in rows}
     if word.boxed != cells:
         return "boxed ranks are not the cell ranks"
     if rankwords.path_from_word(word) != p:
