@@ -69,8 +69,11 @@ def _check_lattice(m: int, n: int) -> None:
 
 
 def min_east_height(a: int, m: int, n: int) -> int:
-    """Lowest admissible height of the a-th east step: ceil(a*n/m)."""
-    return -(-a * n // m)
+    """Lowest admissible height of the a-th east step: ceil(a*n/m).
+
+    a, m and n must be integers (index: a float raises TypeError).
+    """
+    return -(-index(a) * index(n) // index(m))
 
 
 class _Value:
@@ -304,8 +307,11 @@ def _cell_rows(heights, n: int) -> list[tuple[int, range]]:
 
 
 def _as_shape_cell(p: DyckPath, x) -> tuple[int, int]:
-    """x as (column, row), once it is checked to be a cell above the path."""
-    column, row = x
+    """x as (column, row), once it is checked to be a cell above the path.
+
+    column and row must be integers (index: a float raises TypeError).
+    """
+    column, row = map(index, x)
     if not (1 <= column <= p.m and 1 <= row <= p.n):
         raise CellNotAboveThePath(f"cell ({column}, {row}) is outside the lattice")
     if row <= p.east_heights[column - 1]:

@@ -64,11 +64,20 @@ from .paths import DyckPath, _Value, _built
 
 
 def rank(a: int, b: int, n: int) -> int:
-    """Rank of cell (a,b): -a*n + 3*(b-1)."""
+    """Rank of cell (a,b): -a*n + 3*(b-1).
+
+    a, b and n must be integers (index: a float raises TypeError).
+    """
+    a, b, n = index(a), index(b), index(n)
     if not 1 <= a <= 3:
         raise ValueError(f"column must be 1..3, got {a}")
     if not 1 <= b <= n:
         raise ValueError(f"row must be 1..{n}, got {b}")
+    return _rank(a, b, n)
+
+
+def _rank(a: int, b: int, n: int) -> int:
+    """rank of the cell (a, b) of the n-row lattice; unchecked."""
     return -a * n + 3 * (b - 1)
 
 

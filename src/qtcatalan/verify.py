@@ -174,7 +174,7 @@ def check_poly_mn_symmetry(pair):
 @_check("rank-positivity", _three_column_paths, _cell_count)
 def check_rank_positivity(p):
     """Every cell above a (3,n)-path has positive rank."""
-    rank, n = rankwords.rank, p.n
+    rank, n = rankwords._rank, p.n
     for column, rows in paths._cell_rows(p.east_heights, n):
         for row in rows:
             r = rank(column, row, n)
@@ -240,7 +240,7 @@ def check_triple_uniqueness(n):
 def check_word_roundtrip(p):
     """mark_from_path boxes the cell ranks, and path_from_word inverts it."""
     word = rankwords.mark_from_path(p)
-    rank, n = rankwords.rank, p.n
+    rank, n = rankwords._rank, p.n
     cells = {rank(column, row, n) for column, rows in paths._cell_rows(p.east_heights, n)
              for row in rows}
     if word.boxed != cells:

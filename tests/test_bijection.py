@@ -18,43 +18,12 @@ def test_worked_example_maps_to_the_swapped_triple():
     assert stat_triple(image) == StatTriple(2, 2, 3)
 
 
-def test_paths_with_equal_area_and_dinv_are_fixed():
-    for n in range(1, 17):
-        if n % 3 == 0:
-            continue
-        for p in enumerate_paths(3, n):
-            a, _, d = stat_triple(p)
-            if a == d:
-                assert involution(p) == p
-
-
-def test_involution_squares_to_identity():
-    for p in enumerate_paths(3, 5):
-        assert involution(involution(p)) == p
-
-
-def test_involution_permutes_each_path_set():
-    for n in (5, 8, 11):
-        path_set = set(enumerate_paths(3, n))
-        images = {involution(p) for p in path_set}
-        assert images == path_set
-
-
 def test_swapping_area_and_dinv_preserves_triple_validity():
     for total in range(21):
         for a in range(total + 1):
             for s in range(total + 1 - a):
                 d = total - a - s
                 assert is_valid_triple(a, s, d) == is_valid_triple(d, s, a)
-
-
-def test_involution_exchanges_area_and_dinv_fixing_skips():
-    for n in range(1, 17):
-        if n % 3 == 0:
-            continue
-        for p in enumerate_paths(3, n):
-            a, s, d = stat_triple(p)
-            assert stat_triple(involution(p)) == StatTriple(d, s, a)
 
 
 def rebuilt_from_the_word(p):

@@ -362,14 +362,6 @@ def test_usage_errors_exit_2(capsys):
     assert info.value.code == 2
 
 
-def test_verify_passes_at_desk_scale(capsys):
-    code, out, _ = run(capsys, "verify", "--max-n", "10", "--max-mn", "9")
-    assert code == 0
-    lines = out.splitlines()
-    assert all(line.startswith("PASS") for line in lines[:-1])
-    assert lines[-1].endswith("0 failed")
-
-
 # `qtcatalan verify` at its default bounds: check names, order and counts
 VERIFY_DEFAULT_TEXT = [
     "PASS  path-count                    45 checked",
@@ -396,15 +388,6 @@ def test_verify_text_output_is_pinned(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert out.splitlines() == VERIFY_DEFAULT_TEXT
-
-
-def test_verify_json_report(capsys):
-    code, out, _ = run(capsys, "verify", "--max-n", "7", "--max-mn", "7",
-                       "--format", "json")
-    obj = json.loads(out)
-    assert code == 0
-    assert obj["failed"] == 0
-    assert all(c["ok"] for c in obj["checks"])
 
 
 def test_verify_reports_a_perturbed_statistic(capsys, monkeypatch):
@@ -588,16 +571,36 @@ def argv_id(argv):
     return " ".join("MARKED_30001" if a == MARKED_30001 else a for a in argv)
 
 
+class LongestWrite:
+    """A stdout that keeps only the sha256 of what it is given and the
+    length of its longest write."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+        self.longest = 0
+
+    def write(self, s):
+        self.sha256.update(s.encode())
+        self.longest = max(self.longest, len(s))
+        return len(s)
+
+    def flush(self):
+        pass
+
+
 @pytest.mark.parametrize("argv", sorted(LARGE_OUTPUT_SHA256), ids=argv_id)
-def test_large_output_is_pinned(capsys, argv):
+def test_large_output_is_pinned(capsys, monkeypatch, argv):
+    # the output streams into its hash and is never held; a progression is
+    # written a block of rows at a time, never whole: the run above n of the
+    # word of omega 300000 100000 300000 alone is about 1.3 MB of text
     digests = []
     for fmt in ("text", "json"):
-        code, out, err = run(capsys, *argv, "--format", fmt)
-        assert (code, err) == (0, "")
-        if fmt == "json":  # a bool, so that a failure diffs no long strings
-            canonical = out == json.dumps(json.loads(out), sort_keys=True) + "\n"
-            assert canonical
-        digests.append(hashlib.sha256(out.encode()).hexdigest())
+        spy = LongestWrite()
+        monkeypatch.setattr(sys, "stdout", spy)
+        code = main([*argv, "--format", fmt])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert spy.longest <= 2 * chunks.CHARS
+        digests.append(spy.sha256.hexdigest())
     assert tuple(digests) == LARGE_OUTPUT_SHA256[argv]
 
 
@@ -948,35 +951,6 @@ def test_a_rebuilt_word_holds_no_set_of_its_ranks():
     code, peak_kib = map(int, report.split())
     assert (code, head) == (0, b'{"area": 300')
     assert peak_kib < 50 * 1024
-
-
-class LongestWrite:
-    """A stdout that keeps the length of its longest write and of all of them."""
-
-    def __init__(self):
-        self.longest = self.total = 0
-
-    def write(self, s):
-        self.longest = max(self.longest, len(s))
-        self.total += len(s)
-        return len(s)
-
-    def flush(self):
-        pass
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("argv", [
-    ["omega", "300000", "100000", "300000"], ["poly", "3", "1001", "--method", "closed"],
-], ids=" ".join)
-def test_no_write_holds_more_than_two_chunks(monkeypatch, argv, fmt):
-    # a progression is written a block of rows at a time, never whole: the
-    # word's run above n alone is about 1.3 MB of text
-    spy = LongestWrite()
-    monkeypatch.setattr(sys, "stdout", spy)
-    assert main([*argv, "--format", fmt]) == 0
-    assert spy.total > 8 * chunks.CHARS
-    assert spy.longest <= 2 * chunks.CHARS
 
 
 @pytest.mark.parametrize("argv, code, head", [

@@ -386,22 +386,6 @@ def test_path_from_word_rejects_non_suffix_boxings():
         path_from_word(MarkedRankWord(8, frozenset({1, 13})))
 
 
-def test_word_roundtrip_is_exact_for_all_small_paths():
-    for n in range(1, 32):
-        if n % 3 == 0:
-            continue
-        for p in enumerate_paths(3, n):
-            assert path_from_word(mark_from_path(p)) == p
-
-
-def test_omega_agrees_with_marking_for_all_small_paths():
-    for n in range(1, 17):
-        if n % 3 == 0:
-            continue
-        for p in enumerate_paths(3, n):
-            assert omega(*stat_triple(p)) == mark_from_path(p)
-
-
 def test_render_word_bracket_format():
     assert render_word(lattice_rank_word(5)) == "1_1 2_2 4_1 7_1"
     assert render_word(MarkedRankWord(5, frozenset({2, 7}))) == "1_1 [2_2] 4_1 [7_1]"

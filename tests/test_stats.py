@@ -170,23 +170,6 @@ def test_stat_triple_of_the_empty_shape_path():
         assert stat_triple(make_path(3, n, [n, n, n])) == StatTriple(n - 1, 0, 0)
 
 
-def test_statistics_sum_to_word_length():
-    for n in range(1, 17):
-        if n % 3 == 0:
-            continue
-        for p in enumerate_paths(3, n):
-            a, s, d = stat_triple(p)
-            assert a + s + d == n - 1
-
-
-def test_triples_are_distinct_within_one_lattice():
-    for n in range(1, 32):
-        if n % 3 == 0:
-            continue
-        triples = [stat_triple(p) for p in enumerate_paths(3, n)]
-        assert len(triples) == len(set(triples))
-
-
 def test_transpose_preserves_area_and_dinv():
     pairs = [(3, n) for n in range(1, 17) if n % 3] + [(4, 7), (5, 2)]
     for m, n in pairs:
