@@ -86,6 +86,16 @@ def test_heights_must_be_integers():
             DyckPath(3, 4, heights)
 
 
+# each function that takes integer cells or ranks, with arguments it accepts;
+# the four that take a cell are given the cell (1, 8) above PI1
+INTEGER_CALLS = [
+    ("rank", rank, (1, 2, 5)),
+    ("min_east_height", min_east_height, (1, 3, 4)),
+    *((f.__name__, lambda *x, f=f: f(PI1, x), (1, 8))
+      for f in (arm, leg, contributes_to_dinv, classify_nondinv_cell)),
+]
+
+
 def with_each_float(name, call, args):
     """call with args once for each integer of args, that one as a float."""
     for i in range(len(args)):
@@ -94,16 +104,34 @@ def with_each_float(name, call, args):
 
 
 @pytest.mark.parametrize("call, args", [
-    *with_each_float("rank", rank, (1, 2, 5)),
-    *with_each_float("min_east_height", min_east_height, (1, 3, 4)),
-    # the cell (1, 8) above PI1
-    *(case for f in (arm, leg, contributes_to_dinv, classify_nondinv_cell)
-      for case in with_each_float(f.__name__, lambda *x, f=f: f(PI1, x), (1, 8))),
+    case for name, call, args in INTEGER_CALLS
+    for case in with_each_float(name, call, args)
 ])
 def test_cell_and_rank_arguments_must_be_integers(call, args):
     # a float passes every range check, so only index can refuse it
     with pytest.raises(TypeError):
         call(*args)
+
+
+class Integer:
+    """An integer that is not an int: it has __index__ and nothing else."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("call, args", [
+    pytest.param(call, args, id=name) for name, call, args in INTEGER_CALLS
+])
+def test_cell_and_rank_arguments_take_any_integer_type(call, args):
+    # as DyckPath heights do; an Integer can be neither compared nor
+    # multiplied, so the result shows that index read every argument
+    expected = call(*args)
+    got = call(*map(Integer, args))
+    assert (got, type(got)) == (expected, type(expected))
 
 
 def test_make_path_rejects_wrong_height_count():
