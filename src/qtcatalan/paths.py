@@ -140,10 +140,14 @@ class DyckPath(_Value):
             raise ValueError(f"expected {m} east heights, got {len(east_heights)}")
         # one pass; the first bad column names the error.  index makes y an
         # integer (a float raises TypeError), so y is below the floor
-        # ceil(a*n/m) exactly when m*y < a*n
+        # ceil(a*n/m) exactly when m*y < a*n.  An int is its own index, so
+        # only other types are indexed, and then the path keeps the ints
+        exact = True
         prev = 0
         for a, y in enumerate(east_heights, start=1):
-            y = index(y)
+            if y.__class__ is not int:
+                y = index(y)
+                exact = False
             if y < prev or y > n:
                 raise NotMonotone(
                     f"heights must weakly increase within 0..{n}: {east_heights}"
@@ -156,7 +160,7 @@ class DyckPath(_Value):
             prev = y
         _set_m(self, m)
         _set_n(self, n)
-        _set_heights(self, east_heights)
+        _set_heights(self, east_heights if exact else tuple(map(index, east_heights)))
 
 
 _set_m, _set_n, _set_heights = DyckPath._setters

@@ -9,10 +9,11 @@ Residues: the color-1 entries are range(2n % 3, 2n, 3), the positive
 integers below 2n congruent to 2n mod 3, and the color-2 entries
 range(n % 3, n, 3).  The two residues differ exactly when 3 does not
 divide n, which is why that case is required throughout.  _colors gives
-the two ranges, and every reader takes a rank's color, the counts, the
-indices and the top ranks from them; _position reads the rule as an
-entry's place in the word: below n every rank not divisible by 3 is an
-entry, and from n up every third rank is one.
+the two ranges, and every reader takes a rank's color, the counts and the
+indices from them; the k top ranks of a color are the k steps of 3 below
+its end, 2n or n (_TopRanks); _position reads the rule as an entry's
+place in the word: below n every rank not divisible by 3 is an entry,
+and from n up every third rank is one.
 
 Counts: marking (boxing) the ranks of the cells above a path yields its
 marked rank word.  The n - y_a cells above column a have ranks falling by
@@ -54,7 +55,7 @@ __all__ = [
 
 from collections.abc import Set
 from itertools import chain, repeat
-from operator import index
+from operator import index, lt, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .chunks import rows
@@ -182,8 +183,8 @@ class _TopRanks(_Value, Set):
         _set_ell(self, ell)
 
     def _ranges(self) -> tuple[range, range]:
-        ones, twos = _colors(self.n)
-        return ones[len(ones) - self.k:], twos[len(twos) - self.ell:]
+        n = self.n
+        return range(2 * n - 3 * self.k, 2 * n, 3), range(n - 3 * self.ell, n, 3)
 
     def __contains__(self, r: object) -> bool:
         ones, twos = self._ranges()
@@ -222,10 +223,15 @@ _set_top_n, _set_k, _set_ell = _TopRanks._setters
 
 
 def _derived(n: int, k: int, ell: int) -> MarkedRankWord:
-    """The word boxing the top k color-1 and ell color-2 ranks, unvalidated."""
+    """The word boxing the top k color-1 and ell color-2 ranks, unvalidated;
+    the word and its set are both filled by their slot setters."""
+    top = object.__new__(_TopRanks)
+    _set_top_n(top, n)
+    _set_k(top, k)
+    _set_ell(top, ell)
     w = object.__new__(MarkedRankWord)
     _set_n(w, n)
-    _set_boxed(w, _TopRanks(n, k, ell))
+    _set_boxed(w, top)
     return w
 
 
@@ -297,7 +303,7 @@ def count_skips(w: MarkedRankWord) -> int:
     ranks whose word positions differ by more than 1; no gap is scanned.
     """
     places = list(map(_position, sorted(w.boxed), repeat(w.n)))
-    return sum(b - a > 1 for a, b in zip(places, places[1:]))
+    return sum(map(lt, repeat(1), map(sub, places[1:], places)))
 
 
 def boxed_counts(w: MarkedRankWord) -> tuple[int, int]:

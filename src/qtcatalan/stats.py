@@ -171,6 +171,10 @@ class CellClass(Enum):
     ARM0_LONG_LEG = "arm0-long-leg"  # arm = 0 and leg > n/3
 
 
+# bound once: _cell_label runs per cell, and an Enum member lookup costs ~10x a global
+_CONTRIBUTES, _ARM1_SHORT_LEG, _ARM0_LONG_LEG = CellClass
+
+
 def _cell_label(ar: int, lg: int, n: int) -> CellClass:
     """The one label of a cell with arm ar and leg lg above a (3,n)-path.
 
@@ -182,8 +186,8 @@ def _cell_label(ar: int, lg: int, n: int) -> CellClass:
     if fits != 1:
         raise AssertionError(f"arm {ar} and leg {lg} fit {fits} classes, not one")
     if short_leg:
-        return CellClass.ARM1_SHORT_LEG
-    return CellClass.ARM0_LONG_LEG if long_leg else CellClass.CONTRIBUTES
+        return _ARM1_SHORT_LEG
+    return _ARM0_LONG_LEG if long_leg else _CONTRIBUTES
 
 
 def classify_nondinv_cell(p: DyckPath, x) -> CellClass:

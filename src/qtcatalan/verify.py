@@ -18,7 +18,9 @@ counterexample.  Everything is exact; there are no tolerances.
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import chain, repeat, starmap
 from math import gcd
+from operator import lt
 
 from . import bijection, paths, qtpoly, rankwords, stats
 from .errors import EmptyBound
@@ -57,13 +59,11 @@ def _three_column_ns(max_n: int):
 
 
 def _mn_paths(max_mn: int):
-    for m, n in _coprime_pairs(max_mn):
-        yield from paths.enumerate_paths(m, n)
+    return chain.from_iterable(starmap(paths.enumerate_paths, _coprime_pairs(max_mn)))
 
 
 def _three_column_paths(max_n: int):
-    for n in _three_column_ns(max_n):
-        yield from paths.enumerate_paths(3, n)
+    return chain.from_iterable(map(paths.enumerate_paths, repeat(3), _three_column_ns(max_n)))
 
 
 _PAIR = "({0[0]},{0[1]})"
@@ -81,7 +81,8 @@ CHECKS: list[tuple[str, Callable[[int], CheckResult], str]] = []
 
 
 def _cell_count(p) -> int:
-    return sum(paths.cells_above(p))
+    """The cells above p, n - y_a in each column a."""
+    return p.m * p.n - sum(p.east_heights)
 
 
 def _scan(name: str, objects, fault, where: str, size=None) -> CheckResult:
@@ -144,7 +145,7 @@ def check_serialization(p):
 def check_shape_monotone(p):
     """cells_above always yields weakly decreasing column counts."""
     counts = paths.cells_above(p)
-    if any(lo < hi for lo, hi in zip(counts, counts[1:])):
+    if any(map(lt, counts, counts[1:])):
         return f"column counts {counts}"
 
 
@@ -152,7 +153,7 @@ def check_shape_monotone(p):
 def check_transpose(p):
     """transpose gives a genuine path, is an involution, preserves area and dinv."""
     q = paths.transpose(p)
-    paths.make_path(q.m, q.n, q.east_heights)  # transpose builds q unchecked
+    paths.DyckPath(q.m, q.n, q.east_heights)  # transpose builds q unchecked
     if (q.m, q.n) != (p.n, p.m) or paths.transpose(q) != p:
         return "transpose is not an involution"
     if stats.area(q) != stats.area(p) or stats.dinv(q) != stats.dinv(p):
@@ -293,7 +294,7 @@ def check_qt_symmetry(n):
 def check_involution(p):
     """involution swaps area and dinv, fixes skips, and squares to the identity."""
     q = bijection.involution(p)
-    paths.make_path(q.m, q.n, q.east_heights)  # involution builds q unchecked
+    paths.DyckPath(q.m, q.n, q.east_heights)  # involution builds q unchecked
     if (q.m, q.n) != (3, p.n):
         return "image not a path"
     a, s, d = stats.stat_triple(p)

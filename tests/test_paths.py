@@ -15,6 +15,7 @@ from qtcatalan import (
     NotCoprime,
     NotMonotone,
     QtPolynomial,
+    area,
     arm,
     catalan_bruteforce,
     cells_above,
@@ -132,6 +133,14 @@ def test_cell_and_rank_arguments_take_any_integer_type(call, args):
     expected = call(*args)
     got = call(*map(Integer, args))
     assert (got, type(got)) == (expected, type(expected))
+
+
+def test_heights_of_any_integer_type_are_stored_as_ints():
+    # the path keeps the ints index gave, not the objects it was given
+    plain = DyckPath(3, 4, (2, 4, 4))
+    p = DyckPath(3, 4, (Integer(2), 4, Integer(4)))
+    assert p == plain and hash(p) == hash(plain)
+    assert area(p) == area(plain) and render_path(p) == render_path(plain) == "NNENNEE"
 
 
 def test_make_path_rejects_wrong_height_count():

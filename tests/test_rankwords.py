@@ -232,6 +232,18 @@ def test_derived_boxed_sets_compare_as_sets():
         assert past != kind({2, 5}) and kind({2, 5}) != past
 
 
+def test_top_ranks_are_a_consistent_set_past_the_color_counts():
+    # the unchecked constructor takes counts past a color's length, and its
+    # len, iteration and set must still agree: _TopRanks(4, 3, 0) is three ranks
+    for n in range(1, 21):
+        if n % 3 == 0:
+            continue
+        for k in range(2 * n // 3 + 3):
+            for ell in range(n // 3 + 3):
+                top = rankwords._TopRanks(n, k, ell)
+                assert len(top) == len(list(top)) == len(set(top)), (n, k, ell)
+
+
 def test_mark_from_path_needs_three_columns():
     with pytest.raises(UnsupportedM):
         mark_from_path(make_path(2, 5, [3, 5]))
