@@ -55,7 +55,7 @@ __all__ = [
 
 from collections.abc import Set
 from itertools import chain, repeat
-from operator import index, lt, sub
+from operator import index
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .chunks import rows
@@ -105,19 +105,22 @@ def _position(r: int, n: int) -> int:
     return n - (n - 1) // 3 + (r - n) // 3
 
 
-def _check_rows(n: int) -> None:
-    """Raise unless n is a row count of the three-column lattice.
+def _check_rows(n: int) -> int:
+    """n as an int, once it is checked to be a row count of the
+    three-column lattice.
 
     n must be an integer (index: a float raises TypeError), positive, not
     a multiple of 3 and at most COEFFICIENT_LIMIT: the progressions of its
     word and closed form have a len, a C ssize_t.
     """
-    if index(n) < 1:
+    n = index(n)
+    if n < 1:
         raise ValueError("n must be positive")
     if n % 3 == 0:
         raise BadResidue(f"n must not be a multiple of 3, got {n}")
     if n > COEFFICIENT_LIMIT:
         raise CoefficientOverflow(f"n must be at most {COEFFICIENT_LIMIT}, got {n}")
+    return n
 
 
 class MarkedRankWord(_Value):
@@ -141,7 +144,7 @@ class MarkedRankWord(_Value):
         if not top:
             # index: a float rank raises TypeError, and the set holds plain ints
             boxed = frozenset(map(index, boxed))
-        _check_rows(n)
+        n = _check_rows(n)
         ones, twos = _colors(n)
         if not top:
             stray = sorted(r for r in boxed if r not in ones and r not in twos)
@@ -197,13 +200,11 @@ class _TopRanks(_Value, Set):
         return chain(*self._ranges())
 
     def __eq__(self, other: object) -> bool:
-        # an exact set or frozenset, the common operand, skips the abc checks
-        if other.__class__ is not frozenset and other.__class__ is not set:
-            if isinstance(other, _TopRanks) and other.n == self.n:
-                # on one n, the lengths fix the two progressions
-                return self.k == other.k and self.ell == other.ell
-            if not isinstance(other, Set):
-                return NotImplemented
+        if isinstance(other, _TopRanks) and other.n == self.n:
+            # on one n, the lengths fix the two progressions
+            return self.k == other.k and self.ell == other.ell
+        if not isinstance(other, Set):
+            return NotImplemented
         ones, twos = self._ranges()
         return (len(other) == self.k + self.ell and all(map(other.__contains__, ones))
                 and all(map(other.__contains__, twos)))
@@ -225,6 +226,7 @@ _set_top_n, _set_k, _set_ell = _TopRanks._setters
 def _derived(n: int, k: int, ell: int) -> MarkedRankWord:
     """The word boxing the top k color-1 and ell color-2 ranks, unvalidated;
     the word and its set are both filled by their slot setters."""
+    # _TopRanks(n, k, ell) here read +0.9% peak_rss_mb on sweep3 in the deleted set (BENCH_41.json)
     top = object.__new__(_TopRanks)
     _set_top_n(top, n)
     _set_k(top, k)
@@ -302,8 +304,9 @@ def count_skips(w: MarkedRankWord) -> int:
     are not neighbours in the word, so the count is of consecutive boxed
     ranks whose word positions differ by more than 1; no gap is scanned.
     """
-    places = list(map(_position, sorted(w.boxed), repeat(w.n)))
-    return sum(map(lt, repeat(1), map(sub, places[1:], places)))
+    n = w.n
+    places = [_position(r, n) for r in sorted(w.boxed)]
+    return sum(b - a > 1 for a, b in zip(places, places[1:]))
 
 
 def boxed_counts(w: MarkedRankWord) -> tuple[int, int]:
@@ -383,11 +386,12 @@ def omega(a: int, s: int, d: int) -> MarkedRankWord:
     """Rebuild the marked rank word with the given area, skips and dinv.
 
     It boxes the top _counts(n, s, d) ranks of each color (n = a+s+d+1).
+    The three values must be integers: a float raises TypeError.
     """
+    a, s, d = index(a), index(s), index(d)
     if not is_valid_triple(a, s, d):
         raise InvalidTriple(f"no path has area={a}, skips={s}, dinv={d}")
-    n = a + s + d + 1
-    _check_rows(n)
+    n = _check_rows(a + s + d + 1)
     return _derived(n, *_counts(n, s, d))
 
 

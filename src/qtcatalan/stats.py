@@ -129,6 +129,8 @@ def dinv(p: DyckPath) -> int:
     its overlap with legs[r - a] counts.  The last column, at height n,
     is no rise.
     """
+    # a second copy of _column_dinv's double sum: summing _column_dinv over the
+    # columns read +13.8% ref_wall_s on verify (BENCH_41.json)
     heights = p.east_heights
     legs = _dinv_legs(p.m, p.n)
     total = 0
@@ -159,7 +161,8 @@ def skips(p: DyckPath) -> int:
 
 def stat_triple(p: DyckPath) -> StatTriple:
     """(area, skips, dinv) of a three-column path; always sums to n - 1."""
-    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    # tuple.__new__ skips the NamedTuple's Python-level __new__; StatTriple(...) read
+    # +1.7% ref_wall_s on sweep3 (BENCH_41.json)
     return tuple.__new__(StatTriple, (area(p), skips(p), dinv(p)))
 
 
@@ -171,7 +174,8 @@ class CellClass(Enum):
     ARM0_LONG_LEG = "arm0-long-leg"  # arm = 0 and leg > n/3
 
 
-# bound once: _cell_label runs per cell, and an Enum member lookup costs ~10x a global
+# bound once, as _cell_label runs per cell: CellClass.X read +1.7% ref_wall_s on verify
+# (BENCH_41.json)
 _CONTRIBUTES, _ARM1_SHORT_LEG, _ARM0_LONG_LEG = CellClass
 
 

@@ -58,6 +58,8 @@ def _three_column_ns(max_n: int):
     return (n for n in range(1, max_n + 1) if n % 3 != 0)
 
 
+# the path streams chain in C: generator expressions read +0.8% ref_wall_s on verify
+# (BENCH_41.json)
 def _mn_paths(max_mn: int):
     return chain.from_iterable(starmap(paths.enumerate_paths, _coprime_pairs(max_mn)))
 

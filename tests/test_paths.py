@@ -12,20 +12,24 @@ from qtcatalan import (
     CellNotAboveThePath,
     CoefficientOverflow,
     DyckPath,
+    MarkedRankWord,
     NotCoprime,
     NotMonotone,
     QtPolynomial,
     area,
     arm,
+    catalan3_closed_form,
     catalan_bruteforce,
     cells_above,
     classify_nondinv_cell,
     contributes_to_dinv,
     count_paths,
     enumerate_paths,
+    lattice_rank_word,
     leg,
     make_path,
     min_east_height,
+    omega,
     parse_path,
     rank,
     render_path,
@@ -87,13 +91,21 @@ def test_heights_must_be_integers():
             DyckPath(3, 4, heights)
 
 
-# each function that takes integer cells or ranks, with arguments it accepts;
-# the four that take a cell are given the cell (1, 8) above PI1
+# each function that takes integer cells, ranks, sides, row counts or
+# statistics, with arguments it accepts; the four that take a cell are
+# given the cell (1, 8) above PI1
 INTEGER_CALLS = [
     ("rank", rank, (1, 2, 5)),
     ("min_east_height", min_east_height, (1, 3, 4)),
     *((f.__name__, lambda *x, f=f: f(PI1, x), (1, 8))
       for f in (arm, leg, contributes_to_dinv, classify_nondinv_cell)),
+    ("DyckPath", lambda m, n: DyckPath(m, n, (2, 4, 4)), (3, 4)),
+    ("count_paths", count_paths, (3, 4)),
+    ("enumerate_paths", lambda m, n: list(enumerate_paths(m, n)), (3, 4)),
+    ("catalan_bruteforce", catalan_bruteforce, (3, 4)),
+    ("lattice_rank_word", lattice_rank_word, (4,)),
+    ("catalan3_closed_form", catalan3_closed_form, (4,)),
+    ("omega", omega, (1, 0, 2)),
 ]
 
 
@@ -124,6 +136,10 @@ class Integer:
         return self.value
 
 
+class Int(int):
+    """An int subclass, which index turns into a plain int."""
+
+
 @pytest.mark.parametrize("call, args", [
     pytest.param(call, args, id=name) for name, call, args in INTEGER_CALLS
 ])
@@ -141,6 +157,11 @@ def test_heights_of_any_integer_type_are_stored_as_ints():
     p = DyckPath(3, 4, (Integer(2), 4, Integer(4)))
     assert p == plain and hash(p) == hash(plain)
     assert area(p) == area(plain) and render_path(p) == render_path(plain) == "NNENNEE"
+    # so do its sides, and a word its n, when given an int subclass
+    sub = DyckPath(Int(3), Int(4), (Int(2), 4, 4))
+    assert [type(v) for v in (sub.m, sub.n, *sub.east_heights)] == [int] * 5
+    for word in (MarkedRankWord(Int(4), {Int(5)}), lattice_rank_word(Int(4))):
+        assert type(word.n) is int and {type(r) for r in word.boxed} <= {int}
 
 
 def test_make_path_rejects_wrong_height_count():

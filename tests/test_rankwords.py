@@ -216,8 +216,8 @@ def test_derived_boxed_sets_compare_as_sets():
     assert 13.0 in boxed and "13" not in boxed
     assert boxed | {7} == {2, 5, 7, 10, 13} and isinstance(boxed - {2}, frozenset)
     assert boxed <= {2, 5, 10, 13} and {2, 5, 10, 13} >= boxed
-    # builtin sets skip the abc checks, any other Set passes them; both
-    # operand orders, and equal sets hash alike
+    # builtin sets and any other Set, in both operand orders, and equal
+    # sets hash alike
     for kind in (set, frozenset, lambda ranks: dict.fromkeys(ranks).keys()):
         same, more, fewer = (kind(r) for r in ({2, 5, 10, 13}, {2, 5, 7, 10, 13}, {5, 10, 13}))
         assert boxed == same and same == boxed and not boxed != same and not same != boxed
