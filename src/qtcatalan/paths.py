@@ -74,9 +74,13 @@ def _check_lattice(m: int, n: int) -> tuple[int, int]:
 def min_east_height(a: int, m: int, n: int) -> int:
     """Lowest admissible height of the a-th east step: ceil(a*n/m).
 
-    a, m and n must be integers (index: a float raises TypeError).
+    a, m and n must be integers (index: a float raises TypeError), and
+    m positive.
     """
-    return -(-index(a) * index(n) // index(m))
+    m = index(m)
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    return -(-index(a) * index(n) // m)
 
 
 class _Value:

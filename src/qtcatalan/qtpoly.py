@@ -93,7 +93,8 @@ class QtPolynomial(paths._Value):
         _set_terms(self, clean)
 
     def coefficient(self, dq: int, dt: int) -> int:
-        return self._terms.get((dq, dt), 0)
+        """The coefficient of q^dq t^dt; dq and dt must be integers."""
+        return self._terms.get((index(dq), index(dt)), 0)
 
     def terms(self) -> list[tuple[int, int, int]]:
         """(dq, dt, coefficient) triples in graded-lex order.
@@ -126,6 +127,7 @@ class QtPolynomial(paths._Value):
 
     def evaluate(self, q0: int, t0: int) -> int:
         """Exact value at integer (q0, t0)."""
+        q0, t0 = index(q0), index(t0)
         value = sum(c * q0**dq * t0**dt for (dq, dt), c in self._terms.items())
         if abs(value) > COEFFICIENT_LIMIT:
             raise CoefficientOverflow(

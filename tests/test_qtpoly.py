@@ -1,6 +1,4 @@
-import copy
 import json
-import pickle
 from math import gcd
 from unittest import mock
 
@@ -56,35 +54,6 @@ def test_addition_and_equality_are_exact():
     assert p + q == QtPolynomial({(1, 0): 1, (0, 1): 3})
     assert p != q
     assert hash(p) == hash(QtPolynomial({(0, 1): 1, (1, 0): 1}))
-
-
-POLYNOMIAL_COPIES = {
-    "copy": copy.copy,
-    "deepcopy": copy.deepcopy,
-    **{f"pickle {proto}": lambda v, proto=proto: pickle.loads(pickle.dumps(v, proto))
-       for proto in range(pickle.HIGHEST_PROTOCOL + 1)},
-}
-
-
-@pytest.mark.parametrize("how", POLYNOMIAL_COPIES)
-@pytest.mark.parametrize("build", [
-    lambda: catalan_bruteforce(3, 4), lambda: catalan3_closed_form(4), QtPolynomial,
-])
-def test_a_polynomial_copies_and_pickles_as_an_equal_polynomial(build, how):
-    poly = build()
-    twin = POLYNOMIAL_COPIES[how](poly)
-    assert type(twin) is QtPolynomial and twin is not poly
-    assert twin == poly and hash(twin) == hash(poly) and twin.terms() == poly.terms()
-    assert twin.render() == poly.render()
-
-
-@pytest.mark.parametrize("proto", range(pickle.HIGHEST_PROTOCOL + 1))
-def test_an_unpickled_polynomial_is_validated_again(proto):
-    bad = QtPolynomial()
-    qtpoly._set_terms(bad, {(0, 0): -1})  # no constructor would build it
-    data = pickle.dumps(bad, proto)
-    with pytest.raises(ValueError, match="nonnegative"):
-        pickle.loads(data)
 
 
 def test_evaluate_is_exact():
@@ -396,9 +365,10 @@ def test_qt_symmetry_predicate():
 
 
 def test_mn_symmetry_of_bruteforce():
-    # two walks, one over each orientation; the tall (5,41) walk counts its
-    # long bottom columns in bulk and the wide (41,5) one height by height
-    for m, n in [(1, 4), (2, 5), (3, 4), (3, 5), (4, 7), (10, 11), (8, 23), (5, 41)]:
+    # two walks, one over each orientation, beyond the m + n <= 16 of
+    # verify's poly-mn-symmetry; the tall (5,41) walk counts its long
+    # bottom columns in bulk and the wide (41,5) one height by height
+    for m, n in [(10, 11), (8, 23), (5, 41)]:
         assert qtpoly._walk(m, n) == qtpoly._walk(n, m)
 
 

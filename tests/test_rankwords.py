@@ -340,19 +340,6 @@ def test_omega_rejects_invalid_triples():
         omega(2, 2, 4)
 
 
-def test_omega_output_statistics_match_the_request():
-    for n in range(1, 32):
-        for a in range(n):
-            for s in range(n):
-                d = n - 1 - a - s
-                if d < 0 or not is_valid_triple(a, s, d):
-                    continue
-                word = omega(a, s, d)
-                assert count_skips(word) == s
-                assert len(word) - len(word.boxed) == a
-                assert stat_triple(path_from_word(word)) == (a, s, d)
-
-
 def test_path_from_word_on_worked_examples():
     assert path_from_word(mark_from_path(PI1)) == PI1
     assert PI1.east_heights == (6, 6, 8)

@@ -14,7 +14,6 @@ from qtcatalan import (
     dinv,
     enumerate_paths,
     make_path,
-    mark_from_path,
     min_east_height,
     shape_cells,
     skips,
@@ -56,15 +55,6 @@ def test_area_matches_cell_oracle():
     for m, n in lattices + [(1100, 1), (1, 1100)]:
         for p in enumerate_paths(m, n):
             assert area(p) == oracles.area_by_cells(m, n, p.east_heights), p
-
-
-def test_area_equals_unboxed_entry_count_for_three_columns():
-    for n in range(1, 17):
-        if n % 3 == 0:
-            continue
-        for p in enumerate_paths(3, n):
-            word = mark_from_path(p)
-            assert area(p) == len(word) - len(word.boxed)
 
 
 def test_dinv_of_worked_examples():
@@ -171,8 +161,8 @@ def test_stat_triple_of_the_empty_shape_path():
 
 
 def test_transpose_preserves_area_and_dinv():
-    pairs = [(3, n) for n in range(1, 17) if n % 3] + [(4, 7), (5, 2)]
-    for m, n in pairs:
+    # verify's transpose-involution covers m + n <= 16; these lie beyond it
+    for m, n in [(3, 14), (3, 16)]:
         for p in enumerate_paths(m, n):
             q = transpose(p)
             assert area(q) == area(p)
