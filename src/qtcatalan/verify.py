@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from itertools import chain, repeat, starmap
 from math import gcd
-from operator import lt
+from operator import index, lt
 
 from . import bijection, paths, qtpoly, rankwords, stats
 from .errors import EmptyBound
@@ -309,8 +309,10 @@ def check_involution(p):
 def run_all(max_n: int = 16, max_mn: int = 12) -> list[CheckResult]:
     """Run every check; a check that raises counts as a failure.
 
-    Bounds that select no lattice (max_n < 1, max_mn < 2) raise EmptyBound.
+    The bounds must be integers: a float raises TypeError.  Bounds that
+    select no lattice (max_n < 1, max_mn < 2) raise EmptyBound.
     """
+    max_n, max_mn = index(max_n), index(max_mn)
     if max_n < 1:
         raise EmptyBound(f"max_n must be at least 1 to select a lattice, got {max_n}")
     if max_mn < 2:

@@ -10,14 +10,23 @@ word entry by entry, transpose goes through the step word, the sweep
 map reorders the step word, so its area is a third route to dinv, and a
 step word is read one character at a time.  heights_by_odometer lists a
 lattice's paths one height tuple at a time, in lexicographic order.
+
+It also defines, once, the worked examples the tests share: PI1 and PI2,
+the paper's (3,8)-paths of east-step heights (6,6,8) and (7,7,8);
+CLASSICAL_C3, the classical C_{3,4}(q,t); and SWAP_NE, the translation
+table that swaps N and E in a step word.
 """
 
 from fractions import Fraction
 from itertools import combinations, groupby
 
 from qtcatalan.errors import BadCharacter
-from qtcatalan.paths import parse_path, render_path
+from qtcatalan.paths import make_path, parse_path, render_path
+from qtcatalan.qtpoly import QtPolynomial
 
+PI1 = make_path(3, 8, [6, 6, 8])
+PI2 = make_path(3, 8, [7, 7, 8])
+CLASSICAL_C3 = QtPolynomial({(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1, (1, 1): 1})
 SWAP_NE = str.maketrans("NE", "EN")
 
 

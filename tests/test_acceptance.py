@@ -16,17 +16,14 @@ from qtcatalan import (
     catalan_bruteforce,
     is_valid_triple,
     lattice_rank_word,
-    make_path,
     mark_from_path,
     omega,
     render_word,
     stat_triple,
-    QtPolynomial,
 )
 from qtcatalan import verify
 
-PI1 = make_path(3, 8, [6, 6, 8])
-PI2 = make_path(3, 8, [7, 7, 8])
+from oracles import CLASSICAL_C3, PI1, PI2
 
 
 def report(num, name, failures, detail=""):
@@ -92,13 +89,10 @@ def test_criterion_05_triple_validity_iff_realizable():
 
 
 def test_criterion_06_closed_form_equals_bruteforce():
-    classical = QtPolynomial(
-        {(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1, (1, 1): 1}
-    )
     failures = []
-    if catalan3_closed_form(4) != classical:
+    if catalan3_closed_form(4) != CLASSICAL_C3:
         failures.append("n=4 is not the classical polynomial")
-    if catalan_bruteforce(3, 4) != classical:
+    if catalan_bruteforce(3, 4) != CLASSICAL_C3:
         failures.append("brute force at n=4 is not the classical polynomial")
     accept(6, "closed form = brute force, n <= 31",
            [(verify.check_closed_form, 31)], extra=failures)

@@ -9,7 +9,7 @@ from qtcatalan import (
     stat_triple,
 )
 
-PI1 = make_path(3, 8, [6, 6, 8])
+from oracles import PI1
 
 
 def test_worked_example_maps_to_the_swapped_triple():

@@ -37,11 +37,10 @@ from qtcatalan import (
     transpose,
 )
 from qtcatalan import paths as paths_module
+from qtcatalan import verify
 
 import oracles
-
-PI1 = make_path(3, 8, [6, 6, 8])
-PI2 = make_path(3, 8, [7, 7, 8])
+from oracles import PI1, PI2
 
 
 def test_make_path_accepts_the_unique_1_4_path():
@@ -92,8 +91,8 @@ def test_heights_must_be_integers():
 
 
 # each function that takes integer cells, ranks, sides, row counts,
-# statistics, exponents or evaluation points, with arguments it accepts;
-# the four that take a cell are given the cell (1, 8) above PI1
+# statistics, exponents, evaluation points or bounds, with arguments it
+# accepts; the four that take a cell are given the cell (1, 8) above PI1
 INTEGER_CALLS = [
     ("rank", rank, (1, 2, 5)),
     ("min_east_height", min_east_height, (1, 3, 4)),
@@ -108,6 +107,8 @@ INTEGER_CALLS = [
     ("omega", omega, (1, 0, 2)),
     ("evaluate", catalan3_closed_form(4).evaluate, (2, 3)),
     ("coefficient", catalan3_closed_form(4).coefficient, (1, 1)),
+    # a float bound would reach the checks and fail them as raised TypeErrors
+    ("run_all", verify.run_all, (5, 6)),
 ]
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import oracles
+from oracles import CLASSICAL_C3
 from qtcatalan import paths as paths_module
 from qtcatalan import chunks, cli, qtpoly, verify
 from qtcatalan import (
@@ -22,7 +23,6 @@ from qtcatalan import (
     stats,
 )
 
-CLASSICAL_C3 = QtPolynomial({(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1, (1, 1): 1})
 # the walk's rule for its bottom column: every column in bulk, or none
 BULK_SPANS = (1, COEFFICIENT_LIMIT + 1)
 
@@ -52,6 +52,11 @@ def test_addition_and_equality_are_exact():
     p = QtPolynomial({(1, 0): 1, (0, 1): 1})
     q = QtPolynomial({(0, 1): 2})
     assert p + q == QtPolynomial({(1, 0): 1, (0, 1): 3})
+    # a term of the right operand that the left one lacks
+    assert QtPolynomial({(1, 0): 1}) + q == QtPolynomial({(1, 0): 1, (0, 1): 2})
+    with pytest.raises(TypeError):
+        QtPolynomial({(1, 0): 1}) + 3
+    assert not QtPolynomial()
     assert p != q
     assert hash(p) == hash(QtPolynomial({(0, 1): 1, (1, 0): 1}))
 
@@ -61,6 +66,8 @@ def test_evaluate_is_exact():
     assert p.evaluate(2, 5) == 3 * 4 * 5 + 1
     assert p.evaluate(0, 0) == 1
     assert QtPolynomial().evaluate(7, 9) == 0
+    # the largest value in the 64-bit range
+    assert QtPolynomial({(1, 0): 1}).evaluate(2**63 - 1, 1) == 2**63 - 1
 
 
 def test_render_golden_strings():

@@ -27,9 +27,7 @@ from qtcatalan import (
 )
 
 import oracles
-
-PI1 = make_path(3, 8, [6, 6, 8])
-PI2 = make_path(3, 8, [7, 7, 8])
+from oracles import PI1, PI2
 
 
 def test_rank_values_of_the_five_row_lattice():
@@ -381,8 +379,11 @@ def test_path_from_word_rejects_unbalanced_colors():
 
 
 def test_path_from_word_rejects_non_suffix_boxings():
-    with pytest.raises(NotRealizable):
+    with pytest.raises(NotRealizable, match="^boxed color-1 entries are not the largest ones$"):
         path_from_word(MarkedRankWord(8, frozenset({1, 13})))
+    # rank 1 is the smallest color-2 entry of n = 7
+    with pytest.raises(NotRealizable, match="^boxed color-2 entries are not the largest ones$"):
+        path_from_word(MarkedRankWord(7, frozenset({1})))
 
 
 def test_render_word_bracket_format():

@@ -23,9 +23,7 @@ from qtcatalan import (
 from qtcatalan.stats import _dinv_legs
 
 import oracles
-
-PI1 = make_path(3, 8, [6, 6, 8])
-PI2 = make_path(3, 8, [7, 7, 8])
+from oracles import PI1, PI2
 
 
 def test_area_of_worked_examples():

@@ -26,12 +26,14 @@ from qtcatalan.qtpoly import QtPolynomial
 from qtcatalan.rankwords import MarkedRankWord
 from qtcatalan.verify import CheckResult, check_closed_form
 
+from oracles import PI1
+
 PATH = DyckPath(3, 4, (2, 4, 4))
 WORD = MarkedRankWord(4, frozenset({2, 5}))  # the marked word of PATH
 Q_PLUS_T = {(1, 0): 1, (0, 1): 1}  # the terms of C_{3,2}(q,t) = q + t
 # words whose boxed set is a _TopRanks, its two counts
 DERIVED_WORDS = {
-    "marked word": rankwords.mark_from_path(DyckPath(3, 8, (6, 6, 8))),
+    "marked word": rankwords.mark_from_path(PI1),
     "omega word": rankwords.omega(5, 1, 4),
 }
 

@@ -4,7 +4,7 @@ from qtcatalan import QtPolynomial, StatTriple, bijection, paths, qtpoly, rankwo
 from qtcatalan import stats, verify
 from qtcatalan.errors import EmptyBound, NotMonotone
 
-SWAP_NE = str.maketrans("NE", "EN")
+from oracles import SWAP_NE
 
 # check name -> (module, function the check guards, fault built from the real one)
 PLANTED_FAULTS = {
