@@ -283,6 +283,3 @@ def main(argv: list[str] | None = None) -> int:
     print(f"error: internal: {type(fault).__name__}: {fault}", file=sys.stderr)
     return 3
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -9,7 +9,10 @@ path's marking is the set of its cell ranks, omega walks that sorted
 word entry by entry, transpose goes through the step word, the sweep
 map reorders the step word, so its area is a third route to dinv, and a
 step word is read one character at a time.  heights_by_odometer lists a
-lattice's paths one height tuple at a time, in lexicographic order.
+lattice's paths one height tuple at a time, in lexicographic order, and
+coprime_pairs lists the lattices that tests sweep: every coprime (m, n)
+with m + n at most a bound, generated here rather than by verify, so that
+a fault in verify's generator cannot also shrink the tests' inputs.
 
 It also defines, once, the worked examples the tests share: PI1 and PI2,
 the paper's (3,8)-paths of east-step heights (6,6,8) and (7,7,8);
@@ -19,6 +22,7 @@ table that swaps N and E in a step word.
 
 from fractions import Fraction
 from itertools import combinations, groupby
+from math import gcd
 
 from qtcatalan.errors import BadCharacter
 from qtcatalan.paths import make_path, parse_path, render_path
@@ -28,6 +32,12 @@ PI1 = make_path(3, 8, [6, 6, 8])
 PI2 = make_path(3, 8, [7, 7, 8])
 CLASSICAL_C3 = QtPolynomial({(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1, (1, 1): 1})
 SWAP_NE = str.maketrans("NE", "EN")
+
+
+def coprime_pairs(max_mn):
+    """Every (m, n) with gcd 1 and m + n <= max_mn, by m + n, then by m."""
+    return [(m, total - m) for total in range(2, max_mn + 1) for m in range(1, total)
+            if gcd(m, total - m) == 1]
 
 
 def paths_by_filter(m, n):

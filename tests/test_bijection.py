@@ -1,21 +1,11 @@
 from qtcatalan import (
-    StatTriple,
     enumerate_paths,
     involution,
     is_valid_triple,
-    make_path,
     omega,
     path_from_word,
     stat_triple,
 )
-
-from oracles import PI1
-
-
-def test_worked_example_maps_to_the_swapped_triple():
-    image = involution(PI1)
-    assert image == make_path(3, 8, [3, 8, 8])
-    assert stat_triple(image) == StatTriple(2, 2, 3)
 
 
 def test_swapping_area_and_dinv_preserves_triple_validity():

@@ -8,7 +8,6 @@ import sys
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import islice
-from math import gcd
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from qtcatalan import bijection, chunks, cli, paths, qtpoly, rankwords, stats
 from qtcatalan.cli import main
 
+import oracles
 from oracles import PI1, PI2
 
 PI1_WORD, PI2_WORD = paths.render_path(PI1), paths.render_path(PI2)
@@ -132,7 +132,8 @@ VERIFY_5_JSON = (
 # requests that other tests run too, with a fault planted or in a child
 STATS_PI2 = ("stats", PI2_WORD)
 LATTICE_5 = ("rankword", "5")
-VERIFY_5 = ("verify", "--max-n", "5", "--max-mn", "5", *JSON)
+VERIFY_5_TEXT = ("verify", "--max-n", "5", "--max-mn", "5")
+VERIFY_5 = (*VERIFY_5_TEXT, *JSON)
 
 # requests refused in either format, each with the one line it writes to
 # stderr; it exits 2 and writes nothing to stdout
@@ -415,15 +416,28 @@ def test_usage_errors_exit_2(capsys):
     assert info.value.code == 2
 
 
-def test_verify_reports_a_perturbed_statistic(capsys, monkeypatch):
-    real_dinv = stats.dinv
-    monkeypatch.setattr(stats, "dinv", lambda p: real_dinv(p) + 1)
-    code, out, _ = run(capsys, "verify", "--max-n", "8", "--max-mn", "6")
-    assert code == 1
-    assert "FAIL" in out
-    assert "counterexample" in out
-
-
+# `verify --max-n 5 --max-mn 5` with dinv one too high, in text and JSON
+VERIFY_5_TEXT_DINV_PLUS_ONE = """\
+PASS  path-count                     9 checked
+PASS  serialization-roundtrip       11 checked
+PASS  shape-monotone                11 checked
+PASS  transpose-involution          11 checked
+PASS  poly-mn-symmetry               5 checked
+PASS  rank-positivity               24 checked
+FAIL  cell-classification            1 checked  counterexample: n=1 (1, 1, 1): 0 contributing \
+cells, dinv 1
+FAIL  stat-identity                  1 checked  counterexample: n=1 (1, 1, 1): 0+0+1 != 0
+FAIL  stat-inequalities              1 checked  counterexample: n=1 (1, 1, 1): triple (0,0,1)
+PASS  triple-uniqueness             15 checked
+PASS  word-roundtrip                15 checked
+FAIL  triple-reconstruction          1 checked  counterexample: n=1 (1, 1, 1): omega(0,0,1) \
+differs
+FAIL  triple-realizability           1 checked  counterexample: n=1: mismatch at (0, 0, 0)
+PASS  closed-form                    4 checked
+PASS  qt-symmetry                    4 checked
+FAIL  involution                     1 checked  counterexample: n=1 (1, 1, 1): triple not swapped
+10 passed, 6 failed
+"""
 VERIFY_5_JSON_DINV_PLUS_ONE = (
     '{"checks": ['
     '{"checked": 9, "counterexample": null, "name": "path-count", "ok": true}, '
@@ -455,10 +469,13 @@ VERIFY_5_JSON_DINV_PLUS_ONE = (
 )
 
 
-def test_verify_json_of_failed_checks_is_pinned(capsys, monkeypatch):
+@pytest.mark.parametrize("argv, out", [
+    (VERIFY_5_TEXT, VERIFY_5_TEXT_DINV_PLUS_ONE), (VERIFY_5, VERIFY_5_JSON_DINV_PLUS_ONE)
+], ids=["text", "json"])
+def test_verify_output_of_failed_checks_is_pinned(capsys, monkeypatch, argv, out):
     real_dinv = stats.dinv
     monkeypatch.setattr(stats, "dinv", lambda p: real_dinv(p) + 1)
-    assert run(capsys, *VERIFY_5) == (1, VERIFY_5_JSON_DINV_PLUS_ONE, "")
+    assert run(capsys, *argv) == (1, out, "")
 
 
 # sha256 of the text and JSON output of large requests; the words and
@@ -601,9 +618,7 @@ def three_column_paths(max_n=40):
 
 
 def any_paths(max_mn=11):
-    pairs = [(m, n) for m in range(1, max_mn) for n in range(1, max_mn - m + 1)
-             if gcd(m, n) == 1]
-    return st.sampled_from(pairs).flatmap(
+    return st.sampled_from(oracles.coprime_pairs(max_mn)).flatmap(
         lambda mn: st.sampled_from(list(paths.enumerate_paths(*mn))))
 
 

@@ -5,12 +5,9 @@ import pytest
 
 from qtcatalan import chunks, cli, rankwords
 from qtcatalan import (
-    BadResidue,
-    InvalidTriple,
     MarkedRankWord,
     NotRealizable,
     RankEntry,
-    UnsupportedM,
     boxed_counts,
     count_skips,
     enumerate_paths,
@@ -30,39 +27,14 @@ import oracles
 from oracles import PI1, PI2
 
 
-def test_rank_values_of_the_five_row_lattice():
-    assert rank(1, 3, 5) == 1
-    assert rank(2, 5, 5) == 2
-    assert rank(1, 5, 5) == 7
-    assert rank(1, 1, 5) == -5
-
-
 def test_third_column_ranks_are_negative():
     for n in (2, 5, 8, 11):
         for b in range(1, n + 1):
             assert rank(3, b, n) < 0
 
 
-def test_rank_rejects_out_of_bounds_cells():
-    with pytest.raises(ValueError):
-        rank(4, 1, 5)
-    with pytest.raises(ValueError):
-        rank(1, 6, 5)
-    with pytest.raises(ValueError):
-        rank(1, 0, 5)
-
-
 def entry_pairs(word):
     return [(e.rank, e.color) for e in word.entries]
-
-
-def test_lattice_rank_word_small_cases():
-    assert entry_pairs(lattice_rank_word(5)) == [(1, 1), (2, 2), (4, 1), (7, 1)]
-    assert entry_pairs(lattice_rank_word(8)) == [
-        (1, 1), (2, 2), (4, 1), (5, 2), (7, 1), (10, 1), (13, 1),
-    ]
-    assert entry_pairs(lattice_rank_word(4)) == [(1, 2), (2, 1), (5, 1)]
-    assert entry_pairs(lattice_rank_word(1)) == []
 
 
 def test_entries_match_the_sorted_cell_ranks():
@@ -99,26 +71,6 @@ def test_listing_reads_the_sorted_cell_ranks_and_any_marking():
             assert w.entries == tuple(RankEntry(r, c, bool(b)) for r, c, b in listed)
             # a kind without a template is left out: the boxed ranks, sorted
             assert only_boxed == ", ".join(map(str, sorted(boxed)))
-
-
-def test_lattice_rank_word_rejects_multiples_of_three():
-    with pytest.raises(BadResidue):
-        lattice_rank_word(6)
-
-
-def test_row_counts_must_be_integers():
-    # a float n built a word whose rendering failed in range()
-    with pytest.raises(TypeError):
-        lattice_rank_word(4.0)
-    with pytest.raises(TypeError):
-        MarkedRankWord(5.0, frozenset())
-    with pytest.raises(TypeError):
-        omega(1.0, 0, 0)
-    # and so must boxed ranks, which the word then holds as plain ints
-    with pytest.raises(TypeError):
-        MarkedRankWord(8, frozenset({5.0}))
-    with pytest.raises(TypeError):
-        MarkedRankWord(8, frozenset({5.5}))
 
 
 def test_color_counts_and_right_block_structure():
@@ -242,14 +194,7 @@ def test_top_ranks_are_a_consistent_set_past_the_color_counts():
                 assert len(top) == len(list(top)) == len(set(top)), (n, k, ell)
 
 
-def test_mark_from_path_needs_three_columns():
-    with pytest.raises(UnsupportedM):
-        mark_from_path(make_path(2, 5, [3, 5]))
-
-
 def test_marked_word_rejects_foreign_ranks():
-    with pytest.raises(ValueError):
-        MarkedRankWord(8, frozenset({3}))
     for n in (1, 2, 4, 5, 7, 8):
         ranks = {r for r, _ in oracles.rank_word_by_sorting(n)}
         for r in range(-3 * n, 3 * n + 1):
@@ -258,12 +203,6 @@ def test_marked_word_rejects_foreign_ranks():
             else:
                 with pytest.raises(ValueError):
                     MarkedRankWord(n, frozenset({r}))
-
-
-def test_count_skips_worked_examples():
-    assert count_skips(mark_from_path(PI1)) == 2  # runs {4} and {7}
-    assert count_skips(mark_from_path(PI2)) == 1  # run {7, 10}
-    assert count_skips(lattice_rank_word(8)) == 0
 
 
 def test_count_skips_matches_run_oracle_on_all_markings():
@@ -296,29 +235,6 @@ def test_skips_rule_counts_the_fenced_runs_at_a_hundred_thousand_rows(
         assert skips(p) == count_skips(mark_from_path(p))
 
 
-def test_boxed_counts():
-    assert boxed_counts(mark_from_path(PI1)) == (2, 2)
-    assert boxed_counts(mark_from_path(PI2)) == (1, 1)
-    assert boxed_counts(lattice_rank_word(7)) == (0, 0)
-
-
-def test_is_valid_triple():
-    assert is_valid_triple(3, 2, 2)
-    assert not is_valid_triple(1, 2, 3)  # s > a
-    assert not is_valid_triple(2, 2, 4)  # n = 9 divisible by 3
-    assert not is_valid_triple(-1, 0, 0)
-    assert is_valid_triple(0, 0, 0)
-    for triple in [(0.5, 0, 0), (0, 0.5, 0), (0, 0, 0.5), (1.0, 0, 0)]:
-        with pytest.raises(TypeError):
-            is_valid_triple(*triple)
-
-
-def test_omega_reproduces_the_worked_traces():
-    assert sorted(omega(3, 2, 2).boxed) == [2, 5, 10, 13]
-    assert sorted(omega(5, 1, 1).boxed) == [5, 13]
-    assert omega(7, 0, 0) == lattice_rank_word(8)
-
-
 def test_omega_matches_the_walk_on_every_valid_triple():
     # n < 80 covers t = max(d - n // 3, 0) zero, even and odd
     for n in range(1, 80):
@@ -329,19 +245,6 @@ def test_omega_matches_the_walk_on_every_valid_triple():
                     word = omega(a, s, d)
                     assert word.boxed == oracles.omega_by_walk(a, s, d)
                     _assert_genuine(word)
-
-
-def test_omega_rejects_invalid_triples():
-    with pytest.raises(InvalidTriple):
-        omega(1, 2, 3)
-    with pytest.raises(InvalidTriple):
-        omega(2, 2, 4)
-
-
-def test_path_from_word_on_worked_examples():
-    assert path_from_word(mark_from_path(PI1)) == PI1
-    assert PI1.east_heights == (6, 6, 8)
-    assert path_from_word(lattice_rank_word(5)) == make_path(3, 5, [5, 5, 5])
 
 
 def test_path_from_word_inverts_marking_on_every_boxed_subset():
@@ -372,24 +275,3 @@ def test_omega_roundtrips_at_a_thousand_rows():
                 assert stat_triple(path_from_word(omega(*t))) == t
 
 
-def test_path_from_word_rejects_unbalanced_colors():
-    # boxing only the 5 leaves one color-2 box against zero color-1 boxes
-    with pytest.raises(NotRealizable):
-        path_from_word(MarkedRankWord(8, frozenset({5})))
-
-
-def test_path_from_word_rejects_non_suffix_boxings():
-    with pytest.raises(NotRealizable, match="^boxed color-1 entries are not the largest ones$"):
-        path_from_word(MarkedRankWord(8, frozenset({1, 13})))
-    # rank 1 is the smallest color-2 entry of n = 7
-    with pytest.raises(NotRealizable, match="^boxed color-2 entries are not the largest ones$"):
-        path_from_word(MarkedRankWord(7, frozenset({1})))
-
-
-def test_render_word_bracket_format():
-    assert render_word(lattice_rank_word(5)) == "1_1 2_2 4_1 7_1"
-    assert render_word(MarkedRankWord(5, frozenset({2, 7}))) == "1_1 [2_2] 4_1 [7_1]"
-    assert (
-        render_word(mark_from_path(PI2)) == "1_1 2_2 4_1 [5_2] 7_1 10_1 [13_1]"
-    )
-    assert render_word(lattice_rank_word(1)) == ""
