@@ -1,12 +1,12 @@
 """Command-line interface.
 
-Subcommands: enumerate, stats, rankword, omega, poly, bijection,
-transpose, verify.  Every command takes --format {text,json} and writes
-deterministic output.  Exit codes: 0 success, 1 a verify property
-failed, 2 bad usage or invalid input, 3 an internal error (MemoryError,
-RecursionError or any other unexpected exception, named in one
-"error: internal: " line on stderr, with no traceback), 130 interrupted
-(128 + SIGINT), 141 the reader closed stdout early (128 + SIGPIPE).
+The subcommands are the rows of COMMANDS.  Every command takes --format
+{text,json} and writes deterministic output.  Exit codes: 0 success, 1 a
+verify property failed, 2 bad usage or invalid input, 3 an internal
+error (MemoryError, RecursionError or any other unexpected exception,
+named in one "error: internal: " line on stderr, with no traceback),
+130 interrupted (128 + SIGINT), 141 the reader closed stdout early
+(128 + SIGPIPE).
 
 A command NAME is a row (NAME, help, arguments) of COMMANDS and a
 handler cmd_NAME(args), which main looks up by name at each call.  A

@@ -306,9 +306,11 @@ def check_involution(p):
         return "not an involution"
 
 
-def run_all(max_n: int = 16, max_mn: int = 12) -> list[CheckResult]:
+def run_all(max_n: int, max_mn: int) -> list[CheckResult]:
     """Run every check; a check that raises counts as a failure.
 
+    max_n bounds the three-column checks and max_mn the general ones.
+    Both are required: their defaults live in the CLI's verify options.
     The bounds must be integers: a float raises TypeError.  Bounds that
     select no lattice (max_n < 1, max_mn < 2) raise EmptyBound.
     """

@@ -8,10 +8,17 @@ message fails.  An input that several entry points refuse (one lattice,
 one row count) enters the table from a comprehension, so no call is
 written out twice.
 
+COSTS states what one three-column path costs: a statistic, marking,
+inversion, omega, the involution, a path count and a path each run the
+same number of lines of qtcatalan code at every n, from 1001 to
+10^12 + 1, and allocate under 1 KB.
+
 INTEGER_CALLS states README's integer rule: each public function that
 takes an integer refuses a float and takes any type with __index__.
 """
 
+import sys
+import tracemalloc
 from functools import partial
 from typing import NamedTuple
 
@@ -327,11 +334,12 @@ CALLS = {
     "qt-symmetric 0": (lambda: is_qt_symmetric(QtPolynomial()), True),
 
     # verify's bounds
-    "run_all max_n=0": (lambda: verify.run_all(max_n=0), Refused(
+    # each refused bound beside the smallest bound accepted for the other
+    "run_all max_n=0": (lambda: verify.run_all(max_n=0, max_mn=2), Refused(
         EmptyBound, "max_n must be at least 1 to select a lattice, got 0")),
     "run_all max_n=-5": (lambda: verify.run_all(max_n=-5, max_mn=-1), Refused(
         EmptyBound, "max_n must be at least 1 to select a lattice, got -5")),
-    "run_all max_mn=1": (lambda: verify.run_all(max_mn=1), Refused(
+    "run_all max_mn=1": (lambda: verify.run_all(max_n=1, max_mn=1), Refused(
         EmptyBound, "max_mn must be at least 2 to select a lattice, got 1")),
 }
 
@@ -356,6 +364,81 @@ def test_every_named_error_has_a_row():
     named = {value for value in map(vars(errors).get, errors.__all__) if isinstance(value, type)}
     refused = {want.error for _, want in CALLS.values() if isinstance(want, Refused)}
     assert named <= refused
+
+
+def halfway(n):
+    """The (3,n)-path whose heights lie halfway between each floor and n."""
+    return DyckPath(3, n, [(min_east_height(a, 3, n) + n) // 2 for a in (1, 2, 3)])
+
+
+# row -> the call that row costs, built from one path; each cost is the same
+# at every n of COST_SIZES
+COSTS = {
+    **{f.__name__: lambda p, f=f: partial(f, p)
+       for f in (area, dinv, skips, stat_triple, mark_from_path, involution)},
+    "path_from_word": lambda p: partial(path_from_word, mark_from_path(p)),
+    "omega": lambda p: partial(omega, *stat_triple(p)),
+    "count_paths": lambda p: partial(count_paths, 3, p.n),
+    "DyckPath": lambda p: partial(DyckPath, 3, p.n, p.east_heights),
+}
+# each n is 2 mod 3, so every halfway path has the same shape; 2003 comes
+# before 10^6 + 1 so that an O(n^2) loop, such as dinv by cells, fails
+# within seconds
+COST_SIZES = (1001, 2003, 10**6 + 1, 10**12 + 1)
+
+
+def cost(call):
+    """What call returns, the lines of qtcatalan code it runs, and the peak
+    memory it allocates, as tracemalloc counts it.
+
+    It runs call twice, once under each count.  The tracer in place before,
+    of a debugger or a coverage tool, is restored after, and so is
+    tracemalloc's state.
+    """
+    lines = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count_lines
+
+    def on_call(frame, event, arg):
+        in_package = frame.f_globals.get("__name__", "").partition(".")[0] == "qtcatalan"
+        return count_lines if in_package else None
+
+    before = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        value = call()
+    finally:
+        sys.settrace(before)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
+    return value, lines, peak
+
+
+@pytest.mark.parametrize("name", COSTS)
+def test_a_call_costs_the_same_at_every_n(name):
+    lines = []
+    for n in COST_SIZES:
+        # the setup is counted too, since it calls the library at each n
+        call, setup_lines, setup_peak = cost(lambda: COSTS[name](halfway(n)))
+        _, call_lines, call_peak = cost(call)
+        lines.append((setup_lines, call_lines))
+        # each n is checked before the next, larger one, so an O(n) loop fails
+        # here and never runs at 10^12; so does an O(n) copy made in C, which
+        # runs no line of Python but allocates
+        assert lines == lines[:1] * len(lines), f"(setup, call) lines at n in {COST_SIZES}"
+        assert max(setup_peak, call_peak) < 1024
 
 
 # each function that takes integer cells, ranks, sides, heights, row counts,
