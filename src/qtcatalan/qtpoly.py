@@ -16,11 +16,13 @@ one call of that kernel, O(min(m, n)) steps, and one count per path.  A
 longer one takes one kernel call at its top: below it, column 0's dinv
 changes by a sum of +-1 ramps, each on one interval of heights, two per
 rise, so _count_bulk writes their ends into a difference list and two
-accumulates give every height's dinv, O(rises) Python steps per piece of
-at most _BULK_PIECE heights, with the counting done in C.  The walk's counts go to
-_counted, which checks only the coefficient cap.  For m = 3 the same
-polynomial has a closed form: q^(n-a-s-1) t^a summed over 0 <= s <=
-floor(n/3) and s <= a <= n-2s-1.  In two-variable Schur form, with
+accumulates give every height's dinv, O(rises) Python steps per column,
+with the counting done in C.  The column goes in one pass: the term dict
+already holds a key per height, which outweighs the list's slot.  The
+walk's counts go to _counted, which checks only the coefficient cap.
+For m = 3 the same polynomial has a closed form: q^(n-a-s-1) t^a
+summed over 0 <= s <= floor(n/3) and s <= a <= n-2s-1.  In
+two-variable Schur form, with
 h_k(q,t) = q^k + q^(k-1) t + ... + t^k, that is
 
     C_{3,n}(q,t) = sum over 0 <= s <= floor(n/3) of (qt)^s h_{n-1-3s}(q,t),
@@ -67,7 +69,6 @@ from . import paths, rankwords, stats
 # shorter ones the per-height loop measured as fast or faster, and
 # counting every column in bulk read +14.9% ref_wall_s on general_mn (BENCH_41.json)
 _BULK_SPAN = 7
-_BULK_PIECE = 1 << 12  # heights in one piece of a bulk column
 
 
 class QtPolynomial(paths._Value):
@@ -224,36 +225,33 @@ def _count_bulk(counts, heights, legs, nxt, bottom: int, dinv: int, area: int) -
     legs[0] = [0, hi0): stretch 0 grows by one leg, and every stretch
     above it shifts by one.  Each indicator holds on one interval of t, so
     it is +-1 at the two ends of a difference list, and two accumulates
-    give the dinv at each height.  The column goes in pieces of at most
-    _BULK_PIECE heights, so the lists stay bounded whatever n is.
+    give the dinv at each height.  The column is counted in one pass: each
+    of its heights has its own area, so the term dict already holds a key
+    per height, and a key outweighs the list's slot.
     """
     top = heights[1]
     last = len(heights) - 1
-    hi0 = legs[0][1]
+    hi0 = legs[0][1]  # at least 1
     span = top - bottom + 1  # heights in the column
-    for start in range(0, span, _BULK_PIECE):
-        size = min(_BULK_PIECE, span - start)
-        # steps[i] takes t = start + i to the next height; steps[size] is spare
-        steps = [0] * (size + 1)
-        if hi0 > start:
-            steps[0] = 1
-            steps[min(hi0 - start, size)] -= 1
-        r = nxt[1]
-        while r < last:
-            low, high = legs[r]
-            # the leg h - y, gained at h = h_{r+1} and lost at h = h_r, is
-            # in legs[r] for t - start in [low - c, high - c)
-            for c, sign in ((heights[r + 1] - top + start, 1), (heights[r] - top + start, -1)):
-                lo = low - c if low > c else 0
-                hi = high - c if high - c < size else size
-                if lo < hi:
-                    steps[lo] += sign
-                    steps[hi] -= sign
-            r = nxt[r + 1]
-        dinvs = list(accumulate(accumulate(steps), initial=dinv))
-        dinv = dinvs[size]  # the first height of the next piece
-        # zip stops at the range: the dinvs of this piece's heights
-        _count_elements(counts, zip(dinvs, range(area - start, area - start - size, -1)))
+    # steps[t] takes t heights below the top to the next height; steps[span] is spare
+    steps = [0] * (span + 1)
+    steps[0] = 1
+    steps[min(hi0, span)] -= 1
+    r = nxt[1]
+    while r < last:
+        low, high = legs[r]
+        # the leg h - y, gained at h = h_{r+1} and lost at h = h_r, is in
+        # legs[r] for t in [low - c, high - c)
+        for c, sign in ((heights[r + 1] - top, 1), (heights[r] - top, -1)):
+            lo = low - c if low > c else 0
+            hi = high - c if high - c < span else span
+            if lo < hi:
+                steps[lo] += sign
+                steps[hi] -= sign
+        r = nxt[r + 1]
+    # zip stops at the range: the dinvs of the column's heights
+    _count_elements(counts, zip(accumulate(accumulate(steps), initial=dinv),
+                                range(area, area - span, -1)))
 
 
 def _closed_form_rows(n: int) -> Iterator[tuple[range, range]]:

@@ -11,7 +11,10 @@ written out twice.
 COSTS states what one three-column path costs: a statistic, marking,
 inversion, omega, the involution, a path count and a path each run the
 same number of lines of qtcatalan code at every n, from 1001 to
-10^12 + 1, and allocate under 1 KB.
+10^12 + 1, and allocate under 1 KB.  COSTS_IN_M states how dinv and
+transpose grow with the number of columns m, from 5 to 33: each runs the
+same lines at two n far apart, dinv at most 5 m^2 of them and under 1 KB,
+and transpose exactly 9 + 2m.
 
 INTEGER_CALLS states README's integer rule: each public function that
 takes an integer refuses a float and takes any type with __index__.
@@ -20,7 +23,7 @@ takes an integer refuses a float and takes any type with __index__.
 import sys
 import tracemalloc
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -96,6 +99,11 @@ ONE_CELL = Cell(1, 4)  # the one cell above it
 TWO_COLUMN_PATH = make_path(2, 5, [3, 5])  # the operations on three-column paths refuse it
 
 
+def fields(p):
+    """A path's type and fields, to compare with a path not built in advance."""
+    return type(p), p.m, p.n, p.east_heights
+
+
 def enumerated(m, n):
     """How many paths enumerate_paths(m, n) yields."""
     return sum(1 for _ in enumerate_paths(m, n))
@@ -160,8 +168,10 @@ CALLS = {
     # at the cap, a lattice of one column or one row has its one path at once
     "count_paths at the cap": (lambda: count_paths(1, LIMIT), 1),
     "catalan_bruteforce at the cap": (lambda: catalan_bruteforce(LIMIT, 1), ONE),
-    "first path at the cap": (
-        lambda: next(enumerate_paths(1, LIMIT)), DyckPath(1, LIMIT, (LIMIT,))),
+    # the path is compared by its fields, so that no path of n = LIMIT is
+    # built at import: an O(n) DyckPath then fails its COSTS row, not collection
+    "first path at the cap": (lambda: fields(next(enumerate_paths(1, LIMIT))),
+                              (DyckPath, 1, LIMIT, (LIMIT,))),
 
     # paths: construction, parsing, shapes
     "make_path (1,4)": (lambda: make_path(1, 4, [4]), DyckPath(1, 4, (4,))),
@@ -319,6 +329,10 @@ CALLS = {
         {"q": 0, "t": 3, "c": 1}, {"q": 1, "t": 1, "c": 1}]),
     **{f"catalan_bruteforce{mn}": (partial(catalan_bruteforce, *mn), ONE)
        for n in (1, 4, 7) for mn in ((1, n), (n, 1))},
+    # one bottom column of 4501 heights, at t heights below the top dinv t
+    # and area 4500 - t
+    "catalan_bruteforce(2, 9001)": (lambda: catalan_bruteforce(2, 9001),
+                                    QtPolynomial({(t, 4500 - t): 1 for t in range(4501)})),
     # the walk is an iterative odometer: 1100 columns need no recursion
     "walk (1100,1)": (lambda: qtpoly._walk(1100, 1), ONE),
     "catalan_bruteforce(3, 4)": (lambda: catalan_bruteforce(3, 4), CLASSICAL_C3),
@@ -366,9 +380,9 @@ def test_every_named_error_has_a_row():
     assert named <= refused
 
 
-def halfway(n):
-    """The (3,n)-path whose heights lie halfway between each floor and n."""
-    return DyckPath(3, n, [(min_east_height(a, 3, n) + n) // 2 for a in (1, 2, 3)])
+def halfway(n, m=3):
+    """The (m,n)-path whose heights lie halfway between each floor and n."""
+    return DyckPath(m, n, [(min_east_height(a, m, n) + n) // 2 for a in range(1, m + 1)])
 
 
 # row -> the call that row costs, built from one path; each cost is the same
@@ -439,6 +453,43 @@ def test_a_call_costs_the_same_at_every_n(name):
         # runs no line of Python but allocates
         assert lines == lines[:1] * len(lines), f"(setup, call) lines at n in {COST_SIZES}"
         assert max(setup_peak, call_peak) < 1024
+
+
+class CostInM(NamedTuple):
+    """How the lines of one call on the halfway (m,n)-path grow with m: the
+    same at each n of sizes(m), and within bound(m); and its peak memory,
+    when it is bounded."""
+
+    call: Callable[[DyckPath], object]
+    sizes: Callable[[int], tuple[int, ...]]
+    bound: Callable[[int, int], bool]
+    peak: int | None
+
+
+# row -> how that row's call costs at each m of COST_COLUMNS
+COSTS_IN_M = {
+    # m * min(m, n) stretch visits, and no list of n
+    "dinv": CostInM(dinv, lambda m: (10 * m + 1, 10**6 * m + 1),
+                    lambda m, lines: lines <= 5 * m * m, 1024),
+    # one tally step per column; the image holds its n heights
+    "transpose": CostInM(transpose, lambda m: (10 * m + 1, 1000 * m + 1),
+                         lambda m, lines: lines == 9 + 2 * m, None),
+}
+COST_COLUMNS = (5, 9, 17, 33)
+
+
+@pytest.mark.parametrize("m", COST_COLUMNS)
+@pytest.mark.parametrize("name", COSTS_IN_M)
+def test_a_call_costs_at_most_its_bound_in_m(name, m):
+    row = COSTS_IN_M[name]
+    lines = []
+    for n in row.sizes(m):
+        _, call_lines, peak = cost(partial(row.call, halfway(n, m)))
+        lines.append(call_lines)
+        # checked at each n before the next, larger one, as in COSTS
+        assert row.bound(m, call_lines), f"{call_lines} lines at n = {n}"
+        assert lines == lines[:1] * len(lines), f"lines at n in {row.sizes(m)}"
+        assert row.peak is None or peak < row.peak
 
 
 # each function that takes integer cells, ranks, sides, heights, row counts,

@@ -206,39 +206,6 @@ def test_closed_form_equals_bruteforce(monkeypatch):
             assert catalan_bruteforce(3, n) == catalan3_closed_form(n), (n, span)
 
 
-def test_a_bulk_column_counts_the_same_in_pieces(monkeypatch):
-    want = {pair: qtpoly._walk(*pair) for pair in ((2, 45), (3, 62), (5, 41), (7, 16))}
-    monkeypatch.setattr(qtpoly, "_BULK_SPAN", 1)
-    for piece in (1, 2, 7):
-        monkeypatch.setattr(qtpoly, "_BULK_PIECE", piece)
-        for pair, poly in want.items():
-            assert qtpoly._walk(*pair) == poly, (pair, piece)
-
-
-def test_a_column_of_2_62_heights_is_counted_a_piece_at_a_time(monkeypatch):
-    # the (2, 2^63 - 1)-walk has one bottom column, of 2^62 heights: it
-    # starts counting at once, and no list holds more than a piece
-    n = COEFFICIENT_LIMIT
-    pieces = []
-
-    class Stop(Exception):
-        pass
-
-    def counted(counts, keys):
-        pieces.append(list(keys))
-        if len(pieces) == 2:
-            raise Stop
-
-    monkeypatch.setattr(qtpoly, "_count_elements", counted)
-    with pytest.raises(Stop):
-        catalan_bruteforce(2, n)
-    # at t heights below the top, area n // 2 - t and dinv min(t, hi0)
-    hi0 = (n - 1) // 2 + 1
-    size = qtpoly._BULK_PIECE
-    assert pieces == [[(min(t, hi0), n // 2 - t) for t in range(size)],
-                      [(min(t, hi0), n // 2 - t) for t in range(size, 2 * size)]]
-
-
 def test_three_column_terms_respect_the_degree_bound():
     # i + j <= n - 1, with equality exactly on the skips-free terms
     for n in (5, 8, 13):
