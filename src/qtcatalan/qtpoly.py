@@ -18,8 +18,19 @@ changes by a sum of +-1 ramps, each on one interval of heights, two per
 rise, so _count_bulk writes their ends into a difference list and two
 accumulates give every height's dinv, O(rises) Python steps per column,
 with the counting done in C.  The column goes in one pass: the term dict
-already holds a key per height, which outweighs the list's slot.  The
-walk's counts go to _counted, which checks only the coefficient cap.
+already holds a key per height, which outweighs the list's slot.
+Where _two_columns measured faster (5 <= m < n < 12m), the odometer
+stops at column 2 and counts the bottom two columns at once: dinv is a
+sum of terms of pairs of columns (the stats docstring), so for each
+column a >= 2 set it keeps two lists over the heights y, built in C from
+the lists of column a + 1: the dinv of columns a..m-1 with their pair
+terms with column 0 at y, and their pair terms with column 1 at y.  A
+table of the pairs (y0, y1) of the bottom two columns, built once per
+lattice and sorted by y1, holds each pair's own term and area; the pairs
+under column 2 are a prefix of it, and one _count_elements call counts
+them.  So the Python work is per setting of columns 2..m-1, none per
+path.  The walk's counts go to _counted, which checks only the
+coefficient cap.
 For m = 3 the same polynomial has a closed form: q^(n-a-s-1) t^a
 summed over 0 <= s <= floor(n/3) and s <= a <= n-2s-1.  In
 two-variable Schur form, with
@@ -57,8 +68,8 @@ __all__ = [
 ]
 
 from collections import _count_elements  # the C loop of Counter.update, into any dict
-from itertools import accumulate, chain, starmap
-from operator import index, itemgetter
+from itertools import accumulate, chain, islice, repeat, starmap
+from operator import add, index, itemgetter
 from typing import Iterator, Mapping
 
 from .errors import COEFFICIENT_LIMIT, CoefficientOverflow
@@ -66,8 +77,9 @@ from . import paths, rankwords, stats
 
 
 # a bottom column of at least this many heights is counted in bulk; on
-# shorter ones the per-height loop measured as fast or faster, and
-# counting every column in bulk read +14.9% ref_wall_s on general_mn (BENCH_41.json)
+# shorter ones the per-height loop measured as fast or faster: counting every
+# column in bulk took poly-mn-symmetry's walks at --max-mn 14 from 1.44 to
+# 1.70 ms in process, and the wide (15,4) from 0.28 to 0.50 ms
 _BULK_SPAN = 7
 
 
@@ -184,35 +196,87 @@ def _walk(m: int, n: int) -> QtPolynomial:
     counts: dict[tuple[int, int], int] = {}
     get = counts.get
     bottom = floors[0]
+    low = 2 if _two_columns(m, n) else 1  # the odometer sets columns low..m-1
+    if low == 2:
+        to0, to1 = stats._pair_dinv(m, n)
+        y0s, y1s, pair_dinv, pair_area, ends = _pair_table(n, bottom, floors[1], to0[1])
+        # with0[a][y]: the dinv of columns a..m-1 and their pair terms with
+        # column 0 at height y; with1[a][y]: their pair terms with column 1
+        with0, with1 = [None] * m, [None] * m
+        with0[-1], with1[-1] = to0[-1][::-1], to1[-1][::-1]
     a = m - 1  # columns a..m-1 are set
     while True:
-        if a > 1:  # the next column down starts at its highest height: no rise
+        if a > low:  # the next column down starts at its highest height: no rise
             a -= 1
             heights[a] = heights[a + 1]
             nxt[a] = nxt[a + 1]
-        else:  # columns 1..m-1 are set: count the bottom column at each height
-            top = heights[1]
-            dinv1, area1 = dinv_from[1], area_from[1] - bottom
-            heights[0] = top
-            nxt[0] = nxt[1]  # level with column 1 at first
-            if top - bottom + 1 >= _BULK_SPAN:
-                _count_bulk(counts, heights, legs, nxt, bottom,
-                            dinv1 + column_dinv(heights, 0, legs, nxt), area1 + top)
-            else:
-                for y in range(top, bottom - 1, -1):
-                    heights[0] = y
-                    key = (dinv1 + column_dinv(heights, 0, legs, nxt), area1 + y)
-                    counts[key] = get(key, 0) + 1
-                    nxt[0] = 0  # below column 1 from the next height on: a rise
-            # then lower the first of columns 1..m-2 above its floor
+        else:
+            if low == 2:  # columns 2..m-1 are set: count the pairs below column 2
+                under = islice(y0s, ends[heights[2]])  # the pairs with y1 <= heights[2]
+                dinvs = map(add, map(add, map(with0[2].__getitem__, under),
+                                     map(with1[2].__getitem__, y1s)), pair_dinv)
+                _count_elements(counts, zip(dinvs, map(area_from[2].__add__, pair_area)))
+            else:  # columns 1..m-1 are set: count the bottom column at each height
+                top = heights[1]
+                dinv1, area1 = dinv_from[1], area_from[1] - bottom
+                heights[0] = top
+                nxt[0] = nxt[1]  # level with column 1 at first
+                if top - bottom + 1 >= _BULK_SPAN:
+                    _count_bulk(counts, heights, legs, nxt, bottom,
+                                dinv1 + column_dinv(heights, 0, legs, nxt), area1 + top)
+                else:
+                    for y in range(top, bottom - 1, -1):
+                        heights[0] = y
+                        key = (dinv1 + column_dinv(heights, 0, legs, nxt), area1 + y)
+                        counts[key] = get(key, 0) + 1
+                        nxt[0] = 0  # below column 1 from the next height on: a rise
+            # then lower the first of columns low..m-2 above its floor
             while a < m - 1 and heights[a] == floors[a]:
                 a += 1
             if a == m - 1:
                 return _counted(counts)
             heights[a] -= 1  # now below column a + 1: a rise
             nxt[a] = a
-        dinv_from[a] = dinv_from[a + 1] + column_dinv(heights, a, legs, nxt)
+        dinv = column_dinv(heights, a, legs, nxt)
+        dinv_from[a] = dinv_from[a + 1] + dinv
         area_from[a] = area_from[a + 1] + heights[a] - floors[a]
+        if low == 2:  # column a's pair terms with the bottom two columns
+            y = heights[a]
+            with0[a] = list(map(dinv.__add__, map(add, with0[a + 1], to0[a][y::-1])))
+            with1[a] = list(map(add, with1[a + 1], to1[a][y::-1]))
+
+
+def _two_columns(m: int, n: int) -> bool:
+    """Whether the walk counts the bottom two columns from the pair table.
+
+    The two-column count's time over the one-column count's, in process,
+    each the best of 3 rounds of 1 to 9 runs: m = 3: (3,118) 1.89,
+    (3,1001) 2.12; m = 4: (4,7) 1.63, (4,15) 0.96, (4,41) 0.99, (4,61)
+    1.22, (4,101) 1.24; m = 5: (5,6) 1.64, (5,9) 0.89, (5,14) 0.64,
+    (5,41) 0.83, (5,59) 0.88, (5,71) 0.96, (5,81) 1.05, (5,101) 1.10;
+    m >= 6: (6,13) 0.54, (6,61) 0.76, (6,71) 0.84, (7,12) 0.49, (8,23)
+    0.39, (9,10) 0.57, (9,20) 0.36, (10,11) 0.52; m > n: (11,4) 1.62,
+    (14,5) 1.18.  Long bottom columns, which the one-column count counts
+    in bulk, m <= 4 and the wide side lose; of the lattices sent here only
+    the smallest, (5,6) with 42 paths, measured slower.
+    """
+    return 4 < m < n < 12 * m
+
+
+def _pair_table(n: int, f0: int, f1: int, phi1: list[int]):
+    """The pairs (y0, y1) of the bottom two columns, f0 <= y0 <= y1 and
+    f1 <= y1 <= n, sorted by y1, as parallel lists: y0, y1, their pair
+    term phi1[y1 - y0], and their area above the floors f0 and f1; and
+    ends[y] = the pairs with y1 <= y.
+    """
+    rows = range(f1, n + 1)
+    y0s = list(chain.from_iterable(range(f0, y1 + 1) for y1 in rows))
+    y1s = list(chain.from_iterable(repeat(y1, y1 - f0 + 1) for y1 in rows))
+    pair_dinv = list(chain.from_iterable(phi1[y1 - f0::-1] for y1 in rows))
+    pair_area = list(chain.from_iterable(range(y1 - f1, 2 * y1 - f1 - f0 + 1) for y1 in rows))
+    ends = [0] * f1
+    ends += accumulate(range(f1 - f0 + 1, n - f0 + 2))
+    return y0s, y1s, pair_dinv, pair_area, ends
 
 
 def _count_bulk(counts, heights, legs, nxt, bottom: int, dinv: int, area: int) -> None:

@@ -26,6 +26,19 @@ a <= r of each rise r; _column_dinv sums it column by column, one
 column's term at a time, for qtpoly._walk (the brute force), which sets
 the heights from the last column down.
 
+The same sum splits over pairs of columns.  With 0-based columns,
+y_{m-1} = n, and g_k(x) = clamp(x - low_k, 0, high_k - low_k) for the
+straddling legs [low_k, high_k) at arm k (g_{-1} = g_{m-1} = 0), the
+stretch k of column a adds g_k(y_{a+k+1} - y_a) - g_k(y_{a+k} - y_a),
+so regrouping by the column b = a + k + 1 gives
+
+    dinv = sum over a < b <= m-1 of phi_{b-a}(y_b - y_a),
+    phi_d = g_{d-1} - g_d,
+
+where each term reads one pair of columns (_pair_dinv tabulates phi for
+the pairs with columns 0 and 1).  At b = m - 1 and a > 0 the part
+g_{m-1-a}(n - y_a) of the term is 0, as n - y_a <= low_{m-1-a}.
+
 skips applies to three-column paths only: it is the number of maximal
 unboxed runs fenced by boxed entries in the marked rank word
 (rankwords.count_skips, the definition), read in O(1) from the word's
@@ -43,6 +56,7 @@ __all__ = [
 
 from enum import Enum
 from functools import lru_cache
+from operator import sub
 from typing import NamedTuple
 
 from .errors import UnsupportedM
@@ -87,6 +101,20 @@ def _dinv_legs(m: int, n: int) -> tuple[tuple[int, int], ...]:
     Built once per (m, n), and kept for the most recent lattices.
     """
     return tuple((k * n // m, (n * (k + 1) - 1) // m + 1) for k in range(m - 1))
+
+
+def _pair_dinv(m: int, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The pair terms of each column a with column 0 and with column 1.
+
+    to0[a][x] = phi_a(x) and to1[a][x] = phi_{a-1}(x), for the heights
+    differing by x = 0..n (the module docstring); to1[0] and to1[1] pair
+    no columns.
+    """
+    zero = [0] * (n + 1)
+    g = [zero, *([min(max(x - low, 0), high - low) for x in range(n + 1)]
+                 for low, high in _dinv_legs(m, n)), zero]
+    to0 = [list(map(sub, g[d], g[d + 1])) for d in range(m)]  # phi_d = g_{d-1} - g_d
+    return to0, [zero, *to0[:-1]]
 
 
 def _column_dinv(heights, a: int, legs: tuple[tuple[int, int], ...], nxt) -> int:

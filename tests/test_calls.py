@@ -14,7 +14,9 @@ same number of lines of qtcatalan code at every n, from 1001 to
 10^12 + 1, and allocate under 1 KB.  COSTS_IN_M states how dinv and
 transpose grow with the number of columns m, from 5 to 33: each runs the
 same lines at two n far apart, dinv at most 5 m^2 of them and under 1 KB,
-and transpose exactly 9 + 2m.
+and transpose exactly 9 + 2m.  WALK_LATTICES states what the brute-force
+walk costs where it counts the bottom two columns from its pair table: at
+most WALK_LINES lines per setting of the columns above them, none per path.
 
 INTEGER_CALLS states README's integer rule: each public function that
 takes an integer refuses a float and takes any type with __index__.
@@ -490,6 +492,28 @@ def test_a_call_costs_at_most_its_bound_in_m(name, m):
         assert row.bound(m, call_lines), f"{call_lines} lines at n = {n}"
         assert lines == lines[:1] * len(lines), f"lines at n in {row.sizes(m)}"
         assert row.peak is None or peak < row.peak
+
+
+def upper_settings(m, n):
+    """The settings of columns 2..m-1 (0-based) of the (m,n)-paths."""
+    ways = {n: 1}  # column m - 1 stands at height n
+    for a in range(m - 2, 1, -1):
+        floor = min_east_height(a + 1, m, n)
+        ways = {y: sum(c for top, c in ways.items() if top >= y) for y in range(floor, n + 1)}
+    return sum(ways.values())
+
+
+# lattices of the two-column count, with 11 and 58 paths per setting of the
+# upper columns: a Python step per path would pass WALK_LINES
+WALK_LATTICES = ((9, 10), (8, 23))
+WALK_LINES = 80
+
+
+@pytest.mark.parametrize("m, n", WALK_LATTICES)
+def test_the_walk_runs_its_lines_per_setting_of_the_upper_columns(m, n):
+    assert qtpoly._two_columns(m, n)
+    _, lines, _ = cost(partial(qtpoly._walk, m, n))
+    assert lines <= WALK_LINES * upper_settings(m, n)
 
 
 # each function that takes integer cells, ranks, sides, heights, row counts,

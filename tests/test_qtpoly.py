@@ -20,8 +20,21 @@ from qtcatalan import (
     stats,
 )
 
-# the walk's rule for its bottom column: every column in bulk, or none
-BULK_SPANS = (1, COEFFICIENT_LIMIT + 1)
+# the walk's counts of its bottom columns, as (rule for the two-column count,
+# bulk span for the one-column count), each forced on every lattice: the
+# bottom two columns from the pair table (wherever m > 2), or the bottom one,
+# every column in bulk or none
+ROUTES = {
+    "pairs": (lambda m, n: m > 2, qtpoly._BULK_SPAN),
+    "bulk": (lambda m, n: False, 1),
+    "heights": (lambda m, n: False, COEFFICIENT_LIMIT + 1),
+}
+
+
+def force(monkeypatch, route):
+    rule, span = ROUTES[route]
+    monkeypatch.setattr(qtpoly, "_two_columns", rule)
+    monkeypatch.setattr(qtpoly, "_BULK_SPAN", span)
 
 
 def test_addition_and_equality_are_exact():
@@ -88,12 +101,11 @@ def test_bruteforce_equals_the_oracle_sum(monkeypatch):
             counts[key] = counts.get(key, 0) + 1
         want = QtPolynomial(counts)
         # catalan_bruteforce walks the side with fewer columns, and
-        # _walk(m, n) this orientation: the loop visits both, with the
-        # bottom column in bulk and height by height
-        for span in BULK_SPANS:
-            monkeypatch.setattr(qtpoly, "_BULK_SPAN", span)
-            assert qtpoly._walk(m, n) == want, (m, n, span)
-            assert catalan_bruteforce(m, n) == want, (m, n, span)
+        # _walk(m, n) this orientation: the loop visits both, by each route
+        for route in ROUTES:
+            force(monkeypatch, route)
+            assert qtpoly._walk(m, n) == want, (m, n, route)
+            assert catalan_bruteforce(m, n) == want, (m, n, route)
 
 
 def test_bruteforce_equals_the_sweep_sum(monkeypatch):
@@ -109,10 +121,10 @@ def test_bruteforce_equals_the_sweep_sum(monkeypatch):
             )
             counts[key] = counts.get(key, 0) + 1
         want = QtPolynomial(counts)
-        for span in BULK_SPANS:
-            monkeypatch.setattr(qtpoly, "_BULK_SPAN", span)
-            assert qtpoly._walk(m, n) == want, (m, n, span)
-            assert catalan_bruteforce(m, n) == want, (m, n, span)
+        for route in ROUTES:
+            force(monkeypatch, route)
+            assert qtpoly._walk(m, n) == want, (m, n, route)
+            assert catalan_bruteforce(m, n) == want, (m, n, route)
 
 
 @given(st.integers(1, 9), st.integers(1, 9))
@@ -198,12 +210,12 @@ def test_closed_form_terms_check_n_at_the_call():
 
 def test_closed_form_equals_bruteforce(monkeypatch):
     # up to n = 61 the bottom column spans up to 41 heights
-    for span in BULK_SPANS:
-        monkeypatch.setattr(qtpoly, "_BULK_SPAN", span)
+    for route in ROUTES:
+        force(monkeypatch, route)
         for n in range(1, 62):
             if n % 3 == 0:
                 continue
-            assert catalan_bruteforce(3, n) == catalan3_closed_form(n), (n, span)
+            assert catalan_bruteforce(3, n) == catalan3_closed_form(n), (n, route)
 
 
 def test_three_column_terms_respect_the_degree_bound():
@@ -216,11 +228,14 @@ def test_three_column_terms_respect_the_degree_bound():
         assert sorted(full) == [(i, n - 1 - i) for i in range(n)]
 
 
-def test_mn_symmetry_of_bruteforce():
+def test_mn_symmetry_of_bruteforce(monkeypatch):
     # two walks, one over each orientation, beyond the m + n <= 16 of
-    # verify's poly-mn-symmetry; the tall (5,41) walk counts its long
-    # bottom columns in bulk and the wide (41,5) one height by height
+    # verify's poly-mn-symmetry, both by the two-column count and both by the
+    # one-column count, where the tall (5,41) walk counts its long bottom
+    # columns in bulk and the wide (41,5) one height by height
     for m, n in [(10, 11), (8, 23), (5, 41)]:
-        assert qtpoly._walk(m, n) == qtpoly._walk(n, m)
+        for rule in (ROUTES["pairs"][0], lambda m, n: False):
+            monkeypatch.setattr(qtpoly, "_two_columns", rule)
+            assert qtpoly._walk(m, n) == qtpoly._walk(n, m), (m, n, rule(m, n))
 
 

@@ -27,6 +27,11 @@ def one_more_skip_when_k_leads(real):
     return lambda n, k, ell: real(n, k, ell) + (max(k - n // 3, 0) > ell)
 
 
+def other_pairs(change):
+    """A _pair_table whose lists (y0s, y1s, pair_dinv, pair_area, ends) change rewrites."""
+    return lambda real: lambda *args: change(*real(*args))
+
+
 def ramp_end_late(grow, shift):
     # in the bulk step alone, stretch 0 stops growing one height late, or
     # each rise's ramps start one height late; the column's top height,
@@ -76,6 +81,21 @@ FAULTS = {
         6, qtpoly, "_walk",
         lambda real: lambda m, n: real(m, n) + QtPolynomial({(0, 0): int(m > n)}),
         Result("poly-mn-symmetry", 2, "(1,2): C_{m,n} != C_{n,m}")),
+    # the two-column count, which only the tall orientation walks, first at
+    # (5,6): without the pair term of the bottom two columns, ...
+    "poly-mn-symmetry-no-pair-term": (
+        14, qtpoly, "_pair_table",
+        other_pairs(lambda y0s, y1s, pair_dinv, *rest: (y0s, y1s, [0] * len(pair_dinv), *rest)),
+        Result("poly-mn-symmetry", 21, "(5,6): C_{m,n} != C_{n,m}")),
+    # ... with each prefix of the pair table one pair short, ...
+    "poly-mn-symmetry-short-prefix": (
+        14, qtpoly, "_pair_table",
+        other_pairs(lambda *lists: (*lists[:-1], [end - 1 for end in lists[-1]])),
+        Result("poly-mn-symmetry", 21, "(5,6): C_{m,n} != C_{n,m}")),
+    # ... and with column 1's pair terms read at column 0's distance
+    "poly-mn-symmetry-column-1-as-0": (
+        14, stats, "_pair_dinv", lambda real: lambda m, n: (real(m, n)[0],) * 2,
+        Result("poly-mn-symmetry", 21, "(5,6): C_{m,n} != C_{n,m}")),
     # the check calls the unchecked rank, as the cell checks call _arm and _leg
     "rank-positivity": (8, rankwords, "_rank", lambda real: lambda a, b, n: real(a, b, n) - 3,
                         Result("rank-positivity", 1, "n=2 (1, 2, 2): cell (1, 2) has rank -2")),
