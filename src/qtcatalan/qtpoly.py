@@ -11,14 +11,12 @@ heights it keeps the first rise at or after each column (the list
 stats._column_dinv reads as nxt), in O(1) per column set, so a column's
 dinv visits only the stretches that exist.  Once columns 1..m-1 are set,
 the bottom column runs from the height of column 1 (no rise) down to its
-floor (a rise).  A column of fewer than _BULK_SPAN heights is one loop,
-one call of that kernel, O(min(m, n)) steps, and one count per path.  A
-longer one takes one kernel call at its top: below it, column 0's dinv
-changes by a sum of +-1 ramps, each on one interval of heights, two per
-rise, so _count_bulk writes their ends into a difference list and two
-accumulates give every height's dinv, O(rises) Python steps per column,
-with the counting done in C.  The column goes in one pass: the term dict
-already holds a key per height, which outweighs the list's slot.
+floor (a rise), and it is counted whole: one kernel call gives the dinv
+at its top, and below that column 0's dinv changes by a sum of +-1
+ramps, each on one interval of heights, two per rise, so _count_bulk
+writes their ends into a difference list and two accumulates give every
+height's dinv, O(rises) Python steps per column, with the counting done
+in C.
 Where _two_columns measured faster (5 <= m < n < 12m), the odometer
 stops at column 2 and counts the bottom two columns at once: dinv is a
 sum of terms of pairs of columns (the stats docstring), so for each
@@ -74,13 +72,6 @@ from typing import Iterator, Mapping
 
 from .errors import COEFFICIENT_LIMIT, CoefficientOverflow
 from . import paths, rankwords, stats
-
-
-# a bottom column of at least this many heights is counted in bulk; on
-# shorter ones the per-height loop measured as fast or faster: counting every
-# column in bulk took poly-mn-symmetry's walks at --max-mn 14 from 1.44 to
-# 1.70 ms in process, and the wide (15,4) from 0.28 to 0.50 ms
-_BULK_SPAN = 7
 
 
 class QtPolynomial(paths._Value):
@@ -194,7 +185,6 @@ def _walk(m: int, n: int) -> QtPolynomial:
     dinv_from = [0] * m
     area_from = [0] * m
     counts: dict[tuple[int, int], int] = {}
-    get = counts.get
     bottom = floors[0]
     low = 2 if _two_columns(m, n) else 1  # the odometer sets columns low..m-1
     if low == 2:
@@ -217,19 +207,11 @@ def _walk(m: int, n: int) -> QtPolynomial:
                                      map(with1[2].__getitem__, y1s)), pair_dinv)
                 _count_elements(counts, zip(dinvs, map(area_from[2].__add__, pair_area)))
             else:  # columns 1..m-1 are set: count the bottom column at each height
-                top = heights[1]
-                dinv1, area1 = dinv_from[1], area_from[1] - bottom
-                heights[0] = top
-                nxt[0] = nxt[1]  # level with column 1 at first
-                if top - bottom + 1 >= _BULK_SPAN:
-                    _count_bulk(counts, heights, legs, nxt, bottom,
-                                dinv1 + column_dinv(heights, 0, legs, nxt), area1 + top)
-                else:
-                    for y in range(top, bottom - 1, -1):
-                        heights[0] = y
-                        key = (dinv1 + column_dinv(heights, 0, legs, nxt), area1 + y)
-                        counts[key] = get(key, 0) + 1
-                        nxt[0] = 0  # below column 1 from the next height on: a rise
+                heights[0] = heights[1]
+                nxt[0] = nxt[1]  # level with column 1 at its top
+                _count_bulk(counts, heights, legs, nxt, bottom,
+                            dinv_from[1] + column_dinv(heights, 0, legs, nxt),
+                            area_from[1] + heights[1] - bottom)
             # then lower the first of columns low..m-2 above its floor
             while a < m - 1 and heights[a] == floors[a]:
                 a += 1
@@ -250,15 +232,17 @@ def _two_columns(m: int, n: int) -> bool:
     """Whether the walk counts the bottom two columns from the pair table.
 
     The two-column count's time over the one-column count's, in process,
-    each the best of 3 rounds of 1 to 9 runs: m = 3: (3,118) 1.89,
-    (3,1001) 2.12; m = 4: (4,7) 1.63, (4,15) 0.96, (4,41) 0.99, (4,61)
-    1.22, (4,101) 1.24; m = 5: (5,6) 1.64, (5,9) 0.89, (5,14) 0.64,
-    (5,41) 0.83, (5,59) 0.88, (5,71) 0.96, (5,81) 1.05, (5,101) 1.10;
-    m >= 6: (6,13) 0.54, (6,61) 0.76, (6,71) 0.84, (7,12) 0.49, (8,23)
-    0.39, (9,10) 0.57, (9,20) 0.36, (10,11) 0.52; m > n: (11,4) 1.62,
-    (14,5) 1.18.  Long bottom columns, which the one-column count counts
-    in bulk, m <= 4 and the wide side lose; of the lattices sent here only
-    the smallest, (5,6) with 42 paths, measured slower.
+    the median of 3 measurements, each the best of 3 rounds of 1 to 9
+    runs: m = 3: (3,118) 1.91, (3,1001) 2.28; m = 4: (4,7) 1.50, (4,15)
+    0.99, (4,41) 0.99, (4,61) 1.09, (4,101) 1.31; m = 5: (5,6) 1.11,
+    (5,9) 0.84, (5,14) 0.68, (5,41) 0.78, (5,59) 0.92, (5,71) 0.98,
+    (5,81) 1.01, (5,101) 1.12; m >= 6: (6,13) 0.52, (6,61) 0.77, (6,71)
+    0.81, (7,12) 0.48, (8,23) 0.41, (9,10) 0.45, (9,20) 0.37, (10,11)
+    0.42; m > n: (11,4) 0.97, (14,5) 0.71.  Long bottom columns and
+    m <= 4 lose; of the lattices sent here only the smallest, (5,6) with
+    42 paths, measured slower.  The wide side, which catalan_bruteforce
+    never walks, stays with the one-column count, though the two-column
+    count measured as fast or faster there.
     """
     return 4 < m < n < 12 * m
 

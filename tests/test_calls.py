@@ -16,7 +16,9 @@ transpose grow with the number of columns m, from 5 to 33: each runs the
 same lines at two n far apart, dinv at most 5 m^2 of them and under 1 KB,
 and transpose exactly 9 + 2m.  WALK_LATTICES states what the brute-force
 walk costs where it counts the bottom two columns from its pair table: at
-most WALK_LINES lines per setting of the columns above them, none per path.
+most WALK_LINES lines per setting of the columns above them, none per path;
+COLUMN_LATTICES does the same where it counts the bottom column alone, at
+most 40 m lines per setting of the columns above it, none per height.
 
 INTEGER_CALLS states README's integer rule: each public function that
 takes an integer refuses a float and takes any type with __index__.
@@ -494,10 +496,10 @@ def test_a_call_costs_at_most_its_bound_in_m(name, m):
         assert row.peak is None or peak < row.peak
 
 
-def upper_settings(m, n):
-    """The settings of columns 2..m-1 (0-based) of the (m,n)-paths."""
+def upper_settings(m, n, low):
+    """The settings of columns low..m-1 (0-based) of the (m,n)-paths."""
     ways = {n: 1}  # column m - 1 stands at height n
-    for a in range(m - 2, 1, -1):
+    for a in range(m - 2, low - 1, -1):
         floor = min_east_height(a + 1, m, n)
         ways = {y: sum(c for top, c in ways.items() if top >= y) for y in range(floor, n + 1)}
     return sum(ways.values())
@@ -513,7 +515,20 @@ WALK_LINES = 80
 def test_the_walk_runs_its_lines_per_setting_of_the_upper_columns(m, n):
     assert qtpoly._two_columns(m, n)
     _, lines, _ = cost(partial(qtpoly._walk, m, n))
-    assert lines <= WALK_LINES * upper_settings(m, n)
+    assert lines <= WALK_LINES * upper_settings(m, n, 2)
+
+
+# lattices of the one-column count, with bottom columns of 4 to 7, 335 to 668
+# and 16 to 46 heights: a Python step per height, even on the short columns of
+# (3,10), would pass 40 m lines per setting of the columns above them
+COLUMN_LATTICES = ((3, 10), (3, 1001), (4, 61))
+
+
+@pytest.mark.parametrize("m, n", COLUMN_LATTICES)
+def test_the_walk_runs_its_lines_per_setting_of_the_columns_above_the_bottom_one(m, n):
+    assert not qtpoly._two_columns(m, n)
+    _, lines, _ = cost(partial(qtpoly._walk, m, n))
+    assert lines <= 40 * m * upper_settings(m, n, 1)
 
 
 # each function that takes integer cells, ranks, sides, heights, row counts,

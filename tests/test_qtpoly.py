@@ -9,7 +9,6 @@ import oracles
 from qtcatalan import paths as paths_module
 from qtcatalan import chunks, cli, qtpoly
 from qtcatalan import (
-    COEFFICIENT_LIMIT,
     BadResidue,
     NotCoprime,
     QtPolynomial,
@@ -20,21 +19,14 @@ from qtcatalan import (
     stats,
 )
 
-# the walk's counts of its bottom columns, as (rule for the two-column count,
-# bulk span for the one-column count), each forced on every lattice: the
-# bottom two columns from the pair table (wherever m > 2), or the bottom one,
-# every column in bulk or none
-ROUTES = {
-    "pairs": (lambda m, n: m > 2, qtpoly._BULK_SPAN),
-    "bulk": (lambda m, n: False, 1),
-    "heights": (lambda m, n: False, COEFFICIENT_LIMIT + 1),
-}
+# the walk's two counts of its bottom columns, each forced on every lattice
+# as the rule for the two-column count: the bottom two columns from the pair
+# table (wherever m > 2), or the bottom one
+ROUTES = {"pairs": lambda m, n: m > 2, "column": lambda m, n: False}
 
 
 def force(monkeypatch, route):
-    rule, span = ROUTES[route]
-    monkeypatch.setattr(qtpoly, "_two_columns", rule)
-    monkeypatch.setattr(qtpoly, "_BULK_SPAN", span)
+    monkeypatch.setattr(qtpoly, "_two_columns", ROUTES[route])
 
 
 def test_addition_and_equality_are_exact():
@@ -209,7 +201,7 @@ def test_closed_form_terms_check_n_at_the_call():
 
 
 def test_closed_form_equals_bruteforce(monkeypatch):
-    # up to n = 61 the bottom column spans up to 41 heights
+    # the rule never sends m = 3 to the two-column count, so each is forced
     for route in ROUTES:
         force(monkeypatch, route)
         for n in range(1, 62):
@@ -231,11 +223,10 @@ def test_three_column_terms_respect_the_degree_bound():
 def test_mn_symmetry_of_bruteforce(monkeypatch):
     # two walks, one over each orientation, beyond the m + n <= 16 of
     # verify's poly-mn-symmetry, both by the two-column count and both by the
-    # one-column count, where the tall (5,41) walk counts its long bottom
-    # columns in bulk and the wide (41,5) one height by height
+    # one-column count
     for m, n in [(10, 11), (8, 23), (5, 41)]:
-        for rule in (ROUTES["pairs"][0], lambda m, n: False):
-            monkeypatch.setattr(qtpoly, "_two_columns", rule)
-            assert qtpoly._walk(m, n) == qtpoly._walk(n, m), (m, n, rule(m, n))
+        for route in ROUTES:
+            force(monkeypatch, route)
+            assert qtpoly._walk(m, n) == qtpoly._walk(n, m), (m, n, route)
 
 

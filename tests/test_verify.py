@@ -170,10 +170,10 @@ FAULTS = {
                     Result("closed-form", 1, "n=1: brute force and closed form differ")),
     "closed-form-stretch-0-ends-late": (
         31, qtpoly, "_count_bulk", ramp_end_late(1, 0),
-        Result("closed-form", 7, "n=10: brute force and closed form differ")),
+        Result("closed-form", 4, "n=5: brute force and closed form differ")),
     "closed-form-rise-ramps-start-late": (
         31, qtpoly, "_count_bulk", ramp_end_late(0, 1),
-        Result("closed-form", 8, "n=11: brute force and closed form differ")),
+        Result("closed-form", 3, "n=4: brute force and closed form differ")),
     "qt-symmetry": (8, qtpoly, "catalan3_closed_form",
                     lambda real: lambda n: real(n) + QtPolynomial({(1, 0): 1}),
                     Result("qt-symmetry", 1, "n=1: closed form not symmetric in q and t")),
