@@ -4,31 +4,27 @@ catalan_bruteforce sums q^dinv t^area over every (m,n)-Dyck path.
 transpose keeps both statistics, so C_{m,n} = C_{n,m}, and it walks the
 orientation with fewer columns, _walk(min(m, n), max(m, n)).  The walk
 builds no DyckPath: an iterative odometer chooses the heights from the
-last column down and carries the dinv and area of the columns set so
-far, because column a's dinv term (stats._column_dinv) reads only the
-heights from column a on and area is a sum over columns.  Beside the
-heights it keeps the first rise at or after each column (the list
-stats._column_dinv reads as nxt), in O(1) per column set, so a column's
-dinv visits only the stretches that exist.  Once columns 1..m-1 are set,
-the bottom column runs from the height of column 1 (no rise) down to its
-floor (a rise), and it is counted whole: one kernel call gives the dinv
-at its top, and below that column 0's dinv changes by a sum of +-1
-ramps, each on one interval of heights, two per rise, so _count_bulk
-writes their ends into a difference list and two accumulates give every
-height's dinv, O(rises) Python steps per column, with the counting done
-in C.
-Where _two_columns measured faster (5 <= m < n < 12m), the odometer
-stops at column 2 and counts the bottom two columns at once: dinv is a
-sum of terms of pairs of columns (the stats docstring), so for each
-column a >= 2 set it keeps two lists over the heights y, built in C from
-the lists of column a + 1: the dinv of columns a..m-1 with their pair
-terms with column 0 at y, and their pair terms with column 1 at y.  A
-table of the pairs (y0, y1) of the bottom two columns, built once per
-lattice and sorted by y1, holds each pair's own term and area; the pairs
-under column 2 are a prefix of it, and one _count_elements call counts
-them.  So the Python work is per setting of columns 2..m-1, none per
-path.  The walk's counts go to _counted, which checks only the
-coefficient cap.
+last column down and carries the area of the columns set so far, a sum
+over columns.  dinv is a sum of terms of pairs of columns (the stats
+docstring), so for each column a it sets the walk keeps a list over the
+heights y of column 0, built in C from the list of column a + 1: with0[a]
+holds the dinv of columns a..m-1 with their pair terms with column 0 at
+y.  Column a adds its own dinv, one stats._column_dinv call (beside the
+heights the walk keeps the first rise at or after each column, the list
+that kernel reads as nxt, in O(1) per column set), and a reversed slice
+of its pair terms with column 0 (stats._pair_dinv).
+The bottom is counted at one of two depths, each by one _count_elements
+call.  Once columns 1..m-1 are set, with0[1] beside column 0's area at
+each height is the bottom column's (dinv, area) pairs.  Where
+_two_columns holds (5 <= m < n < 12m, where that measured faster on
+most lattices), the odometer stops at column 2 and counts the bottom
+two columns at once: it also keeps with1[a], the pair terms of columns
+a..m-1 with column 1, and a table of the pairs (y0, y1) of the bottom
+two columns, built once per lattice and sorted by y1, holds each pair's
+own term and area; the pairs under column 2 are a prefix of it.  So the
+Python work is per setting of the columns above the count, none per
+height or path.  The walk's counts go to _counted, which checks only
+the coefficient cap.
 For m = 3 the same polynomial has a closed form: q^(n-a-s-1) t^a
 summed over 0 <= s <= floor(n/3) and s <= a <= n-2s-1.  In
 two-variable Schur form, with
@@ -66,7 +62,7 @@ __all__ = [
 ]
 
 from collections import _count_elements  # the C loop of Counter.update, into any dict
-from itertools import accumulate, chain, islice, repeat, starmap
+from itertools import accumulate, chain, count, islice, repeat, starmap
 from operator import add, index, itemgetter
 from typing import Iterator, Mapping
 
@@ -181,19 +177,19 @@ def _walk(m: int, n: int) -> QtPolynomial:
     column_dinv = stats._column_dinv
     heights = [n] * m
     nxt = [m - 1] * m  # the first rise at or after each column set so far
-    # dinv and area of columns a..m-1; the last column, at height n, adds nothing
-    dinv_from = [0] * m
-    area_from = [0] * m
+    area_from = [0] * m  # area of columns a..m-1; the last column adds nothing
     counts: dict[tuple[int, int], int] = {}
     bottom = floors[0]
     low = 2 if _two_columns(m, n) else 1  # the odometer sets columns low..m-1
+    to0, to1 = stats._pair_dinv(m, n)
+    # with0[a][y - bottom]: the dinv of columns a..m-1 and their pair terms
+    # with column 0 at height y; with1[a][y - bottom]: their pair terms with
+    # column 1; the last column, at height n, has no dinv of its own
+    with0, with1 = [None] * m, [None] * m
+    with0[-1] = to0[-1][::-1]
     if low == 2:
-        to0, to1 = stats._pair_dinv(m, n)
         y0s, y1s, pair_dinv, pair_area, ends = _pair_table(n, bottom, floors[1], to0[1])
-        # with0[a][y]: the dinv of columns a..m-1 and their pair terms with
-        # column 0 at height y; with1[a][y]: their pair terms with column 1
-        with0, with1 = [None] * m, [None] * m
-        with0[-1], with1[-1] = to0[-1][::-1], to1[-1][::-1]
+        with1[-1] = to1[-1][::-1]
     a = m - 1  # columns a..m-1 are set
     while True:
         if a > low:  # the next column down starts at its highest height: no rise
@@ -207,11 +203,7 @@ def _walk(m: int, n: int) -> QtPolynomial:
                                      map(with1[2].__getitem__, y1s)), pair_dinv)
                 _count_elements(counts, zip(dinvs, map(area_from[2].__add__, pair_area)))
             else:  # columns 1..m-1 are set: count the bottom column at each height
-                heights[0] = heights[1]
-                nxt[0] = nxt[1]  # level with column 1 at its top
-                _count_bulk(counts, heights, legs, nxt, bottom,
-                            dinv_from[1] + column_dinv(heights, 0, legs, nxt),
-                            area_from[1] + heights[1] - bottom)
+                _count_elements(counts, zip(with0[1], count(area_from[1])))
             # then lower the first of columns low..m-2 above its floor
             while a < m - 1 and heights[a] == floors[a]:
                 a += 1
@@ -220,11 +212,13 @@ def _walk(m: int, n: int) -> QtPolynomial:
             heights[a] -= 1  # now below column a + 1: a rise
             nxt[a] = a
         dinv = column_dinv(heights, a, legs, nxt)
-        dinv_from[a] = dinv_from[a + 1] + dinv
         area_from[a] = area_from[a + 1] + heights[a] - floors[a]
-        if low == 2:  # column a's pair terms with the bottom two columns
-            y = heights[a]
-            with0[a] = list(map(dinv.__add__, map(add, with0[a + 1], to0[a][y::-1])))
+        y = heights[a] - bottom
+        # column a's dinv and its pair terms with the bottom columns; column
+        # 1's list is read once, by the count, so it stays an iterator
+        row = map(add, repeat(dinv), map(add, with0[a + 1], to0[a][y::-1]))
+        with0[a] = row if a == 1 else list(row)
+        if low == 2:
             with1[a] = list(map(add, with1[a + 1], to1[a][y::-1]))
 
 
@@ -232,74 +226,37 @@ def _two_columns(m: int, n: int) -> bool:
     """Whether the walk counts the bottom two columns from the pair table.
 
     The two-column count's time over the one-column count's, in process,
-    the median of 3 measurements, each the best of 3 rounds of 1 to 9
-    runs: m = 3: (3,118) 1.91, (3,1001) 2.28; m = 4: (4,7) 1.50, (4,15)
-    0.99, (4,41) 0.99, (4,61) 1.09, (4,101) 1.31; m = 5: (5,6) 1.11,
-    (5,9) 0.84, (5,14) 0.68, (5,41) 0.78, (5,59) 0.92, (5,71) 0.98,
-    (5,81) 1.01, (5,101) 1.12; m >= 6: (6,13) 0.52, (6,61) 0.77, (6,71)
-    0.81, (7,12) 0.48, (8,23) 0.41, (9,10) 0.45, (9,20) 0.37, (10,11)
-    0.42; m > n: (11,4) 0.97, (14,5) 0.71.  Long bottom columns and
-    m <= 4 lose; of the lattices sent here only the smallest, (5,6) with
-    42 paths, measured slower.  The wide side, which catalan_bruteforce
-    never walks, stays with the one-column count, though the two-column
-    count measured as fast or faster there.
+    the median of 3 processes, each the median of 3 measurements, each the
+    best of 3 rounds of 1 to 200 runs: m = 3: (3,118) 1.58, (3,1001)
+    1.85; m = 4: (4,7) 1.21, (4,15) 1.01, (4,41) 1.13, (4,61) 1.24,
+    (4,101) 1.36; m = 5: (5,6) 1.06, (5,9) 0.95, (5,14) 0.88, (5,41)
+    1.03, (5,59) 1.14, (5,71) 1.15, (5,81) 1.21, (5,101) 1.13; m >= 6:
+    (6,13) 0.75, (6,61) 1.04, (6,71) 1.10, (7,12) 0.76, (8,23) 0.72,
+    (9,10) 0.74, (9,20) 0.66, (10,11) 0.70; m > n: (13,1) 1.33, (11,3)
+    1.16, (9,5) 1.08, (11,4) 0.99, (14,5) 0.89.  m <= 4 and long bottom
+    columns lose: from about n = 8m at m = 5 and 10m at m = 6, below the
+    rule's 12m, so (5,41), (5,59) and (6,61), which it sends here,
+    measured slower, as did the smallest, (5,6) with 42 paths.  The wide
+    side, which catalan_bruteforce never walks, stays with the one-column
+    count: its small walks lose here, and its largest measured even.
     """
     return 4 < m < n < 12 * m
 
 
 def _pair_table(n: int, f0: int, f1: int, phi1: list[int]):
     """The pairs (y0, y1) of the bottom two columns, f0 <= y0 <= y1 and
-    f1 <= y1 <= n, sorted by y1, as parallel lists: y0, y1, their pair
-    term phi1[y1 - y0], and their area above the floors f0 and f1; and
-    ends[y] = the pairs with y1 <= y.
+    f1 <= y1 <= n, sorted by y1, as parallel lists: y0 - f0, y1 - f0,
+    their pair term phi1[y1 - y0], and their area above the floors f0 and
+    f1; and ends[y] = the pairs with y1 <= y.
     """
-    rows = range(f1, n + 1)
-    y0s = list(chain.from_iterable(range(f0, y1 + 1) for y1 in rows))
-    y1s = list(chain.from_iterable(repeat(y1, y1 - f0 + 1) for y1 in rows))
-    pair_dinv = list(chain.from_iterable(phi1[y1 - f0::-1] for y1 in rows))
-    pair_area = list(chain.from_iterable(range(y1 - f1, 2 * y1 - f1 - f0 + 1) for y1 in rows))
+    rows = range(f1 - f0, n - f0 + 1)  # y1 - f0
+    y0s = list(chain.from_iterable(range(d + 1) for d in rows))
+    y1s = list(chain.from_iterable(repeat(d, d + 1) for d in rows))
+    pair_dinv = list(chain.from_iterable(phi1[d::-1] for d in rows))
+    pair_area = list(chain.from_iterable(range(d - rows[0], 2 * d - rows[0] + 1) for d in rows))
     ends = [0] * f1
-    ends += accumulate(range(f1 - f0 + 1, n - f0 + 2))
+    ends += accumulate(range(rows[0] + 1, rows[-1] + 2))
     return y0s, y1s, pair_dinv, pair_area, ends
-
-
-def _count_bulk(counts, heights, legs, nxt, bottom: int, dinv: int, area: int) -> None:
-    """Count the bottom column at every height from heights[1] down to bottom.
-
-    Columns 1..m-1 are set, and (dinv, area) is the path's at the top.
-    Going from t to t + 1 heights below the top, y = heights[1] - t, adds
-    [t < hi0] + the sum over rises r >= 1 of [h_{r+1} - y in legs[r]] -
-    [h_r - y in legs[r]] to column 0's dinv (stats._column_dinv), where
-    legs[0] = [0, hi0): stretch 0 grows by one leg, and every stretch
-    above it shifts by one.  Each indicator holds on one interval of t, so
-    it is +-1 at the two ends of a difference list, and two accumulates
-    give the dinv at each height.  The column is counted in one pass: each
-    of its heights has its own area, so the term dict already holds a key
-    per height, and a key outweighs the list's slot.
-    """
-    top = heights[1]
-    last = len(heights) - 1
-    hi0 = legs[0][1]  # at least 1
-    span = top - bottom + 1  # heights in the column
-    # steps[t] takes t heights below the top to the next height; steps[span] is spare
-    steps = [0] * (span + 1)
-    steps[0] = 1
-    steps[min(hi0, span)] -= 1
-    r = nxt[1]
-    while r < last:
-        low, high = legs[r]
-        # the leg h - y, gained at h = h_{r+1} and lost at h = h_r, is in
-        # legs[r] for t in [low - c, high - c)
-        for c, sign in ((heights[r + 1] - top, 1), (heights[r] - top, -1)):
-            lo = low - c if low > c else 0
-            hi = high - c if high - c < span else span
-            if lo < hi:
-                steps[lo] += sign
-                steps[hi] -= sign
-        r = nxt[r + 1]
-    # zip stops at the range: the dinvs of the column's heights
-    _count_elements(counts, zip(accumulate(accumulate(steps), initial=dinv),
-                                range(area, area - span, -1)))
 
 
 def _closed_form_rows(n: int) -> Iterator[tuple[range, range]]:

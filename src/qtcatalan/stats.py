@@ -35,9 +35,11 @@ so regrouping by the column b = a + k + 1 gives
     dinv = sum over a < b <= m-1 of phi_{b-a}(y_b - y_a),
     phi_d = g_{d-1} - g_d,
 
-where each term reads one pair of columns (_pair_dinv tabulates phi for
-the pairs with columns 0 and 1).  At b = m - 1 and a > 0 the part
-g_{m-1-a}(n - y_a) of the term is 0, as n - y_a <= low_{m-1-a}.
+where each term reads one pair of columns.  At b = m - 1 and a > 0 the
+part g_{m-1-a}(n - y_a) of the term is 0, as n - y_a <= low_{m-1-a}.
+_pair_dinv tabulates phi for the pairs with columns 0 and 1, and
+qtpoly._walk reads those tables at both depths of its count: its bottom
+column alone, or its bottom two columns.
 
 skips applies to three-column paths only: it is the number of maximal
 unboxed runs fenced by boxed entries in the marked rank word
@@ -60,7 +62,7 @@ from operator import sub
 from typing import NamedTuple
 
 from .errors import UnsupportedM
-from .paths import DyckPath, _arm, _as_shape_cell, _leg, arm, leg
+from .paths import DyckPath, _arm, _as_shape_cell, _leg, arm, leg, min_east_height
 from .rankwords import _skips
 
 
@@ -106,14 +108,19 @@ def _dinv_legs(m: int, n: int) -> tuple[tuple[int, int], ...]:
 def _pair_dinv(m: int, n: int) -> tuple[list[list[int]], list[list[int]]]:
     """The pair terms of each column a with column 0 and with column 1.
 
-    to0[a][x] = phi_a(x) and to1[a][x] = phi_{a-1}(x), for the heights
-    differing by x = 0..n (the module docstring); to1[0] and to1[1] pair
-    no columns.
+    to0[a][x] = phi_a(x) and to1[a][x] = phi_{a-1}(x) (the module
+    docstring), for the heights differing by x = 0..n - ceil(n/m), the
+    distances from column 0 that qtpoly._walk reads; to0[0], to1[0] and
+    to1[1] pair no columns and are zeros.
     """
-    zero = [0] * (n + 1)
-    g = [zero, *([min(max(x - low, 0), high - low) for x in range(n + 1)]
+    size = n - min_east_height(1, m, n) + 1
+    zero = [0] * size
+    # g_k(x) = clamp(x - low, 0, high - low); the highest high, high_{m-2} =
+    # n - floor(n/m), is size
+    g = [zero, *([0] * low + list(range(high - low)) + [high - low] * (size - high)
                  for low, high in _dinv_legs(m, n)), zero]
-    to0 = [list(map(sub, g[d], g[d + 1])) for d in range(m)]  # phi_d = g_{d-1} - g_d
+    # phi_d = g_{d-1} - g_d
+    to0 = [zero, *[list(map(sub, g[d], g[d + 1])) for d in range(1, m)]]
     return to0, [zero, *to0[:-1]]
 
 

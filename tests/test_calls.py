@@ -518,10 +518,10 @@ def test_the_walk_runs_its_lines_per_setting_of_the_upper_columns(m, n):
     assert lines <= WALK_LINES * upper_settings(m, n, 2)
 
 
-# lattices of the one-column count, with bottom columns of 4 to 7, 335 to 668
-# and 16 to 46 heights: a Python step per height, even on the short columns of
-# (3,10), would pass 40 m lines per setting of the columns above them
-COLUMN_LATTICES = ((3, 10), (3, 1001), (4, 61))
+# lattices of the one-column count, with bottom columns of 4 to 7, 335 to 668,
+# 16 to 46 and 4,501 heights: a Python step per height, even on the short
+# columns of (3,10), would pass 40 m lines per setting of the columns above them
+COLUMN_LATTICES = ((3, 10), (3, 1001), (4, 61), (2, 9001))
 
 
 @pytest.mark.parametrize("m, n", COLUMN_LATTICES)

@@ -32,16 +32,13 @@ def other_pairs(change):
     return lambda real: lambda *args: change(*real(*args))
 
 
-def ramp_end_late(grow, shift):
-    # in the bulk step alone, stretch 0 stops growing one height late, or
-    # each rise's ramps start one height late; the column's top height,
-    # which _column_dinv counts, stays right
+def other_pair_terms(change):
+    """A _pair_dinv whose tables to0 of the (3,n) lattices change rewrites."""
     def plant(real):
-        def late(counts, heights, legs, *rest):
-            (low, high), *rises = legs
-            legs = ((low, high + grow), *((lo + shift, hi) for lo, hi in rises))
-            return real(counts, heights, legs, *rest)
-        return late
+        def changed(m, n):
+            to0, to1 = real(m, n)
+            return (change(*to0) if m == 3 else to0), to1
+        return changed
     return plant
 
 
@@ -168,11 +165,16 @@ FAULTS = {
     "closed-form": (8, qtpoly, "catalan3_closed_form",
                     lambda real: lambda n: real(n) + QtPolynomial({(0, 0): 1}),
                     Result("closed-form", 1, "n=1: brute force and closed form differ")),
-    "closed-form-stretch-0-ends-late": (
-        31, qtpoly, "_count_bulk", ramp_end_late(1, 0),
-        Result("closed-form", 4, "n=5: brute force and closed form differ")),
-    "closed-form-rise-ramps-start-late": (
-        31, qtpoly, "_count_bulk", ramp_end_late(0, 1),
+    # the one-column count reads column 0's pair terms from the to0 tables,
+    # first at (3,4): with phi_1 read one distance late, ...
+    "closed-form-pair-term-one-late": (
+        31, stats, "_pair_dinv",
+        other_pair_terms(lambda phi0, phi1, phi2: (phi0, [0] + phi1[:-1], phi2)),
+        Result("closed-form", 3, "n=4: brute force and closed form differ")),
+    # ... and with phi_2's table one distance short of those the walk reads
+    "closed-form-last-table-one-short": (
+        31, stats, "_pair_dinv",
+        other_pair_terms(lambda phi0, phi1, phi2: (phi0, phi1, phi2[:-1])),
         Result("closed-form", 3, "n=4: brute force and closed form differ")),
     "qt-symmetry": (8, qtpoly, "catalan3_closed_form",
                     lambda real: lambda n: real(n) + QtPolynomial({(1, 0): 1}),
