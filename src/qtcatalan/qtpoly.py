@@ -9,10 +9,9 @@ over columns.  dinv is a sum of terms of pairs of columns (the stats
 docstring), so for each column a it sets the walk keeps a list over the
 heights y of column 0, built in C from the list of column a + 1: with0[a]
 holds the dinv of columns a..m-1 with their pair terms with column 0 at
-y.  Column a adds its own dinv, one stats._column_dinv call (beside the
-heights the walk keeps the first rise at or after each column, the list
-that kernel reads as nxt, in O(1) per column set), and a reversed slice
-of its pair terms with column 0 (stats._pair_dinv).
+y.  Column a adds its own dinv, the sum of its pair terms with the
+columns above it, and a reversed slice of its pair terms with column 0,
+all read from the one list of stats._pair_dinv tables.
 The bottom is counted at one of two depths, each by one _count_elements
 call.  Once columns 1..m-1 are set, with0[1] beside column 0's area at
 each height is the bottom column's (dinv, area) pairs.  Where
@@ -63,7 +62,7 @@ __all__ = [
 
 from collections import _count_elements  # the C loop of Counter.update, into any dict
 from itertools import accumulate, chain, count, islice, repeat, starmap
-from operator import add, index, itemgetter
+from operator import add, getitem, index, itemgetter, sub
 from typing import Iterator, Mapping
 
 from .errors import COEFFICIENT_LIMIT, CoefficientOverflow
@@ -173,35 +172,33 @@ def _walk(m: int, n: int) -> QtPolynomial:
     if m == 1:  # the one path (n,): no cell above it, none below
         return _counted({(0, 0): 1})
     floors = [paths.min_east_height(a, m, n) for a in range(1, m + 1)]
-    legs = stats._dinv_legs(m, n)
-    column_dinv = stats._column_dinv
     heights = [n] * m
-    nxt = [m - 1] * m  # the first rise at or after each column set so far
     area_from = [0] * m  # area of columns a..m-1; the last column adds nothing
     counts: dict[tuple[int, int], int] = {}
     bottom = floors[0]
     low = 2 if _two_columns(m, n) else 1  # the odometer sets columns low..m-1
-    to0, to1 = stats._pair_dinv(m, n)
+    phi = stats._pair_dinv(m, n)
+    above = phi[1:]  # column a's own dinv: phi_{b-a}(y_b - y_a) summed over b > a
     # with0[a][y - bottom]: the dinv of columns a..m-1 and their pair terms
     # with column 0 at height y; with1[a][y - bottom]: their pair terms with
     # column 1; the last column, at height n, has no dinv of its own
     with0, with1 = [None] * m, [None] * m
-    with0[-1] = to0[-1][::-1]
+    with0[-1] = phi[-1][::-1]
     if low == 2:
-        y0s, y1s, pair_dinv, pair_area, ends = _pair_table(n, bottom, floors[1], to0[1])
-        with1[-1] = to1[-1][::-1]
+        y0s, y1s, pair_dinv, pair_area, ends = _pair_table(n, bottom, floors[1], phi[1])
+        with1[-1] = phi[-2][::-1]
     a = m - 1  # columns a..m-1 are set
     while True:
-        if a > low:  # the next column down starts at its highest height: no rise
+        if a > low:  # the next column down starts at its highest height
             a -= 1
             heights[a] = heights[a + 1]
-            nxt[a] = nxt[a + 1]
         else:
             if low == 2:  # columns 2..m-1 are set: count the pairs below column 2
                 under = islice(y0s, ends[heights[2]])  # the pairs with y1 <= heights[2]
                 dinvs = map(add, map(add, map(with0[2].__getitem__, under),
                                      map(with1[2].__getitem__, y1s)), pair_dinv)
-                _count_elements(counts, zip(dinvs, map(area_from[2].__add__, pair_area)))
+                # add with repeat: int.__add__ costs about 20% more per pair
+                _count_elements(counts, zip(dinvs, map(add, repeat(area_from[2]), pair_area)))
             else:  # columns 1..m-1 are set: count the bottom column at each height
                 _count_elements(counts, zip(with0[1], count(area_from[1])))
             # then lower the first of columns low..m-2 above its floor
@@ -209,17 +206,17 @@ def _walk(m: int, n: int) -> QtPolynomial:
                 a += 1
             if a == m - 1:
                 return _counted(counts)
-            heights[a] -= 1  # now below column a + 1: a rise
-            nxt[a] = a
-        dinv = column_dinv(heights, a, legs, nxt)
-        area_from[a] = area_from[a + 1] + heights[a] - floors[a]
-        y = heights[a] - bottom
+            heights[a] -= 1
+        ya = heights[a]
+        dinv = sum(map(getitem, above, map(sub, heights[a + 1:], repeat(ya))))
+        area_from[a] = area_from[a + 1] + ya - floors[a]
+        y = ya - bottom
         # column a's dinv and its pair terms with the bottom columns; column
         # 1's list is read once, by the count, so it stays an iterator
-        row = map(add, repeat(dinv), map(add, with0[a + 1], to0[a][y::-1]))
+        row = map(add, repeat(dinv), map(add, with0[a + 1], phi[a][y::-1]))
         with0[a] = row if a == 1 else list(row)
         if low == 2:
-            with1[a] = list(map(add, with1[a + 1], to1[a][y::-1]))
+            with1[a] = list(map(add, with1[a + 1], phi[a - 1][y::-1]))
 
 
 def _two_columns(m: int, n: int) -> bool:

@@ -22,9 +22,7 @@ table once per (m, n) and keeps it for the most recent lattices.  A
 stretch is empty unless column r = a + k rises (y_r < y_{r+1}), and a
 path has at most min(m - 1, n) rises, so the sum has O(m*min(m, n))
 terms, whatever n is.  dinv sums it rise by rise, over the columns
-a <= r of each rise r; _column_dinv sums it column by column, one
-column's term at a time, for qtpoly._walk (the brute force), which sets
-the heights from the last column down.
+a <= r of each rise r.
 
 The same sum splits over pairs of columns.  With 0-based columns,
 y_{m-1} = n, and g_k(x) = clamp(x - low_k, 0, high_k - low_k) for the
@@ -37,9 +35,19 @@ so regrouping by the column b = a + k + 1 gives
 
 where each term reads one pair of columns.  At b = m - 1 and a > 0 the
 part g_{m-1-a}(n - y_a) of the term is 0, as n - y_a <= low_{m-1-a}.
-_pair_dinv tabulates phi for the pairs with columns 0 and 1, and
-qtpoly._walk reads those tables at both depths of its count: its bottom
-column alone, or its bottom two columns.
+Regrouped within one column, the same steps give the dinv cells of
+column a alone:
+
+    own(a) = sum over a < b <= m-1 of phi_{b-a}(y_b - y_a),
+
+since its first stretch starts at leg 0 (g_0(0) = 0) and the part
+g_{m-1-a}(n - y_a) of its last term, which none of its stretches adds,
+is 0: by the bound above for a > 0, and as g_{m-1} = 0 for a = 0.
+_pair_dinv tabulates phi once per lattice, and qtpoly._walk (the brute
+force) reads every dinv term from it: each column's own dinv as it sets
+the heights from the last column down, and the pair terms with its
+bottom column alone or with its bottom two columns, the two depths of
+its count.
 
 skips applies to three-column paths only: it is the number of maximal
 unboxed runs fenced by boxed entries in the marked rank word
@@ -105,13 +113,11 @@ def _dinv_legs(m: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple((k * n // m, (n * (k + 1) - 1) // m + 1) for k in range(m - 1))
 
 
-def _pair_dinv(m: int, n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """The pair terms of each column a with column 0 and with column 1.
+def _pair_dinv(m: int, n: int) -> list[list[int]]:
+    """The tables phi[d][x] = phi_d(x) (the module docstring), d = 0..m - 1.
 
-    to0[a][x] = phi_a(x) and to1[a][x] = phi_{a-1}(x) (the module
-    docstring), for the heights differing by x = 0..n - ceil(n/m), the
-    distances from column 0 that qtpoly._walk reads; to0[0], to1[0] and
-    to1[1] pair no columns and are zeros.
+    x runs over the height differences 0..n - ceil(n/m), every y_b - y_a
+    that qtpoly._walk reads; phi[0] pairs no columns and is zeros.
     """
     size = n - min_east_height(1, m, n) + 1
     zero = [0] * size
@@ -120,39 +126,7 @@ def _pair_dinv(m: int, n: int) -> tuple[list[list[int]], list[list[int]]]:
     g = [zero, *([0] * low + list(range(high - low)) + [high - low] * (size - high)
                  for low, high in _dinv_legs(m, n)), zero]
     # phi_d = g_{d-1} - g_d
-    to0 = [zero, *[list(map(sub, g[d], g[d + 1])) for d in range(1, m)]]
-    return to0, [zero, *to0[:-1]]
-
-
-def _column_dinv(heights, a: int, legs: tuple[tuple[int, int], ...], nxt) -> int:
-    """dinv cells of column a (0-based), the walk's kernel; reads only
-    heights[a:] and nxt[a:].
-
-    nxt[r] is the first rise at or after column r (heights[r] <
-    heights[r + 1]), or m - 1 if there is none.
-
-    In column a the rows y_a < row <= y_{a+1} have arm 0, the rows
-    y_{a+1} < row <= y_{a+2} arm 1, and so on, since y_m = n; a stretch
-    with arm k holds the legs y_{a+k} - y_a .. y_{a+k+1} - y_a - 1, and
-    exactly those in legs[k] straddle.  Stretch k is empty unless column
-    a + k rises, so the sum of the overlaps visits only the rises r =
-    nxt[a], nxt[r + 1], ...: at most min(m - 1, n - y_a) of them.
-    """
-    y = heights[a]
-    last = len(heights) - 1
-    total = 0
-    r = nxt[a]
-    while r < last:
-        low, high = legs[r - a]
-        lo, hi = heights[r] - y, heights[r + 1] - y  # the stretch's legs, half-open
-        if lo < low:
-            lo = low
-        if hi > high:
-            hi = high
-        if lo < hi:
-            total += hi - lo
-        r = nxt[r + 1]
-    return total
+    return [zero, *[list(map(sub, g[d], g[d + 1])) for d in range(1, m)]]
 
 
 def dinv(p: DyckPath) -> int:
@@ -164,8 +138,6 @@ def dinv(p: DyckPath) -> int:
     its overlap with legs[r - a] counts.  The last column, at height n,
     is no rise.
     """
-    # a second copy of _column_dinv's double sum: summing _column_dinv over the
-    # columns read +13.8% ref_wall_s on verify (BENCH_41.json)
     heights = p.east_heights
     legs = _dinv_legs(p.m, p.n)
     total = 0

@@ -1019,8 +1019,10 @@ def test_help_text_is_pinned(capsys, monkeypatch, command):
     with pytest.raises(SystemExit) as exit_:
         main([*command.split(), "--help"])
     assert exit_.value.code == 0
-    out = capsys.readouterr().out
-    assert out.replace("optional arguments:", "options:") == HELP[command]
+    out = capsys.readouterr().out.replace("optional arguments:", "options:")  # 3.10
+    if not command:  # 3.13 keeps the top-level usage's "..." on the line of its choices
+        out = out.replace("verify} ...\n", "verify}\n                 ...\n", 1)
+    assert out == HELP[command]
 
 
 def test_main_runs_the_handler_bound_at_the_call(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import gcd
 
 from hypothesis import example, given, strategies as st
@@ -15,7 +16,7 @@ from qtcatalan import (
     skips,
     transpose,
 )
-from qtcatalan.stats import _dinv_legs
+from qtcatalan.stats import _dinv_legs, _pair_dinv
 
 import oracles
 
@@ -40,6 +41,18 @@ def test_dinv_matches_fraction_oracle():
     for m, n in oracles.coprime_pairs(15):
         for p in enumerate_paths(m, n):
             assert dinv(p) == oracles.dinv_by_cells(m, n, p.east_heights)
+
+
+def test_each_columns_dinv_is_its_sum_of_phi_terms():
+    # own(a) = sum over b > a of phi_{b-a}(y_b - y_a), the one dinv identity
+    # the brute-force walk reads, column by column
+    for m, n in oracles.coprime_pairs(16):
+        phi = _pair_dinv(m, n)
+        for p in enumerate_paths(m, n):
+            y = p.east_heights
+            own = Counter(x.column - 1 for x in shape_cells(p) if contributes_to_dinv(p, x))
+            for a in range(m):
+                assert sum(phi[b - a][y[b] - y[a]] for b in range(a + 1, m)) == own[a], (p, a)
 
 
 def test_dinv_reads_each_lattice_its_own_leg_table_from_a_warm_cache():

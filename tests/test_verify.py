@@ -32,14 +32,10 @@ def other_pairs(change):
     return lambda real: lambda *args: change(*real(*args))
 
 
-def other_pair_terms(change):
-    """A _pair_dinv whose tables to0 of the (3,n) lattices change rewrites."""
-    def plant(real):
-        def changed(m, n):
-            to0, to1 = real(m, n)
-            return (change(*to0) if m == 3 else to0), to1
-        return changed
-    return plant
+def other_pair_terms(change, lattices=lambda m, n: m == 3):
+    """A _pair_dinv whose tables phi, on the lattices that lattices(m, n)
+    holds for (the (3,n) lattices by default), change rewrites."""
+    return lambda real: lambda m, n: list(change(*real(m, n))) if lattices(m, n) else real(m, n)
 
 
 # row -> (bound, module, attribute, fault built from the real attribute, the
@@ -89,9 +85,12 @@ FAULTS = {
         14, qtpoly, "_pair_table",
         other_pairs(lambda *lists: (*lists[:-1], [end - 1 for end in lists[-1]])),
         Result("poly-mn-symmetry", 21, "(5,6): C_{m,n} != C_{n,m}")),
-    # ... and with column 1's pair terms read at column 0's distance
-    "poly-mn-symmetry-column-1-as-0": (
-        14, stats, "_pair_dinv", lambda real: lambda m, n: (real(m, n)[0],) * 2,
+    # ... and with each phi_d, d >= 2, read one distance early on the lattices
+    # of the two-column count
+    "poly-mn-symmetry-phi-one-early": (
+        14, stats, "_pair_dinv",
+        other_pair_terms(lambda *phi: (*phi[:2], *(table[1:] + table[-1:] for table in phi[2:])),
+                         qtpoly._two_columns),
         Result("poly-mn-symmetry", 21, "(5,6): C_{m,n} != C_{n,m}")),
     # the check calls the unchecked rank, as the cell checks call _arm and _leg
     "rank-positivity": (8, rankwords, "_rank", lambda real: lambda a, b, n: real(a, b, n) - 3,
@@ -165,8 +164,8 @@ FAULTS = {
     "closed-form": (8, qtpoly, "catalan3_closed_form",
                     lambda real: lambda n: real(n) + QtPolynomial({(0, 0): 1}),
                     Result("closed-form", 1, "n=1: brute force and closed form differ")),
-    # the one-column count reads column 0's pair terms from the to0 tables,
-    # first at (3,4): with phi_1 read one distance late, ...
+    # the one-column count reads every dinv term from the phi tables, first
+    # at (3,4): with phi_1 read one distance late, ...
     "closed-form-pair-term-one-late": (
         31, stats, "_pair_dinv",
         other_pair_terms(lambda phi0, phi1, phi2: (phi0, [0] + phi1[:-1], phi2)),
