@@ -2,31 +2,36 @@
 
 Each oracle takes a different route than the library: paths are generated
 as raw step words and filtered point by point, area is counted cell by
-cell from corner positions, dinv uses Fraction arithmetic over an
-explicit cell set, skips works by string surgery on the boxed flags, the
-rank word is sorted from the cell ranks instead of read off residues, a
-path's marking is the set of its cell ranks, omega walks that sorted
-word entry by entry, transpose goes through the step word, the sweep
-map reorders the step word, so its area is a third route to dinv, and a
-step word is read one character at a time.  heights_by_odometer lists a
-lattice's paths one height tuple at a time, in lexicographic order, and
-coprime_pairs lists the lattices that tests sweep: every coprime (m, n)
-with m + n at most a bound, generated here rather than by verify, so that
-a fault in verify's generator cannot also shrink the tests' inputs.
+cell from corner positions, arm, leg and dinv over an explicit cell set
+(dinv with Fraction arithmetic), skips works by string surgery on the
+boxed flags, the rank word is sorted from the cell ranks instead of read
+off residues, a path's marking is the set of its cell ranks, omega walks
+that sorted word entry by entry, transpose goes through the step word,
+the sweep map reorders the step word, so its area is a third route to
+dinv, a step word is read one character at a time, and
+heights_by_odometer lists a lattice's paths in lexicographic order.  Only
+dinv_cells_by_column reads the library: per column, the cells its one-cell
+test accepts.
 
-It also defines, once, the worked examples the tests share: PI1 and PI2,
-the paper's (3,8)-paths of east-step heights (6,6,8) and (7,7,8);
-CLASSICAL_C3, the classical C_{3,4}(q,t); and SWAP_NE, the translation
-table that swaps N and E in a step word.
+The inputs that tests sweep are generated here rather than by verify, so
+that a fault in verify's generators cannot also shrink them: coprime
+lattices, row counts, triples, markings and twenty seeded 100,000-row
+paths.  So are the worked examples: PI1 and PI2, the paper's (3,8)-paths
+of east-step heights (6,6,8) and (7,7,8); CLASSICAL_C3, the classical
+C_{3,4}(q,t); and SWAP_NE, which swaps N and E in a step word.  No test
+framework is imported: the benchmark loads this file by its path.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import gcd
 
 from qtcatalan.errors import BadCharacter
-from qtcatalan.paths import make_path, parse_path, render_path
+from qtcatalan.paths import make_path, parse_path, render_path, shape_cells
 from qtcatalan.qtpoly import QtPolynomial
+from qtcatalan.stats import contributes_to_dinv
 
 PI1 = make_path(3, 8, [6, 6, 8])
 PI2 = make_path(3, 8, [7, 7, 8])
@@ -38,6 +43,30 @@ def coprime_pairs(max_mn):
     """Every (m, n) with gcd 1 and m + n <= max_mn, by m + n, then by m."""
     return [(m, total - m) for total in range(2, max_mn + 1) for m in range(1, total)
             if gcd(m, total - m) == 1]
+
+
+def row_counts(max_n):
+    """Every three-column row count n <= max_n, that is, every n not a multiple of 3."""
+    return [n for n in range(1, max_n + 1) if n % 3]
+
+
+def triples(max_total):
+    """Every (a, s, d) of naturals with a + s + d <= max_total, by sum, then a, then s."""
+    return ((a, s, total - a - s) for total in range(max_total + 1)
+            for a in range(total + 1) for s in range(total + 1 - a))
+
+
+def large_three_column_paths():
+    """Twenty seeded (3,n)-paths, n = 100000 and 100001: for each n the lowest and
+    highest, two with q +- 1 cells above the first column (q = n // 3), six random."""
+    rng = random.Random(20141)
+    found = []
+    for n in (100000, 100001):
+        low1, low2, q = -(-n // 3), -(-2 * n // 3), n // 3
+        found += [make_path(3, n, [low1, low2, n]), make_path(3, n, [n, n, n])]
+        for y1 in [n - q - 1, n - q + 1] + [rng.randint(low1, n) for _ in range(6)]:
+            found.append(make_path(3, n, [y1, rng.randint(max(y1, low2), n), n]))
+    return found
 
 
 def paths_by_filter(m, n):
@@ -111,23 +140,25 @@ def area_by_cells(m, n, east_heights):
     return total
 
 
+def arms_and_legs(m, n, east_heights):
+    """Each cell (column, row) above the path by its (arm, leg): the cells of
+    the explicit cell set east of it in its row, and south of it in its column."""
+    cells = {(a, b) for a in range(1, m + 1) for b in range(east_heights[a - 1] + 1, n + 1)}
+    return {(a, b): (sum(1 for c, r in cells if r == b and c > a),
+                     sum(1 for c, r in cells if c == a and r < b)) for a, b in cells}
+
+
 def dinv_by_cells(m, n, east_heights):
     """Straddle count over an explicit cell set with Fraction arithmetic."""
-    cells = {
-        (a, b)
-        for a in range(1, m + 1)
-        for b in range(east_heights[a - 1] + 1, n + 1)
-    }
     slope = Fraction(m, n)
-    count = 0
-    for a, b in cells:
-        arm = sum(1 for (c, r) in cells if r == b and c > a)
-        leg = sum(1 for (c, r) in cells if c == a and r < b)
-        if Fraction(arm, leg + 1) < slope and (
-            leg == 0 or slope < Fraction(arm + 1, leg)
-        ):
-            count += 1
-    return count
+    return sum(1 for arm, leg in arms_and_legs(m, n, east_heights).values()
+               if Fraction(arm, leg + 1) < slope and (leg == 0 or slope < Fraction(arm + 1, leg)))
+
+
+def dinv_cells_by_column(p):
+    """The cells above p that contributes_to_dinv accepts, counted per column."""
+    counts = Counter(x.column for x in shape_cells(p) if contributes_to_dinv(p, x))
+    return [counts[a] for a in range(1, p.m + 1)]
 
 
 def skips_by_runs(flags):
@@ -153,6 +184,12 @@ def marking_by_cells(n, east_heights):
         for a in (1, 2, 3)
         for b in range(east_heights[a - 1] + 1, n + 1)
     }
+
+
+def every_marking(n):
+    """Every set of ranks of the n-row rank word, by size, then in word order."""
+    ranks = [r for r, _ in rank_word_by_sorting(n)]
+    return (frozenset(c) for size in range(len(ranks) + 1) for c in combinations(ranks, size))
 
 
 def omega_by_walk(a, s, d):

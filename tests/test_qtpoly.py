@@ -1,11 +1,9 @@
 import json
-from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
-import oracles
 from qtcatalan import paths as paths_module
 from qtcatalan import chunks, cli, qtpoly
 from qtcatalan import (
@@ -15,18 +13,7 @@ from qtcatalan import (
     catalan3_closed_form,
     catalan_bruteforce,
     count_paths,
-    enumerate_paths,
-    stats,
 )
-
-# the walk's two counts of its bottom columns, each forced on every lattice
-# as the rule for the two-column count: the bottom two columns from the pair
-# table (wherever m > 2), or the bottom one
-ROUTES = {"pairs": lambda m, n: m > 2, "column": lambda m, n: False}
-
-
-def force(monkeypatch, route):
-    monkeypatch.setattr(qtpoly, "_two_columns", ROUTES[route])
 
 
 def test_addition_and_equality_are_exact():
@@ -76,57 +63,6 @@ def test_bruteforce_rejects_a_lattice_before_computing_any_height(monkeypatch):
             catalan_bruteforce(m, n)
     with pytest.raises(NotCoprime, match=r"gcd\(3, 6\) != 1"):
         catalan_bruteforce(3, 6)
-
-
-def _heights(word):
-    return [word[:i].count("N") for i, ch in enumerate(word) if ch == "E"]
-
-
-def test_bruteforce_equals_the_oracle_sum(monkeypatch):
-    # step words filtered point by point, dinv and area cell by cell: no
-    # line of the library's path, dinv or area code is shared
-    for m, n in oracles.coprime_pairs(13):
-        counts = {}
-        for word in oracles.paths_by_filter(m, n):
-            h = _heights(word)
-            key = (oracles.dinv_by_cells(m, n, h), oracles.area_by_cells(m, n, h))
-            counts[key] = counts.get(key, 0) + 1
-        want = QtPolynomial(counts)
-        # catalan_bruteforce walks the side with fewer columns, and
-        # _walk(m, n) this orientation: the loop visits both, by each route
-        for route in ROUTES:
-            force(monkeypatch, route)
-            assert qtpoly._walk(m, n) == want, (m, n, route)
-            assert catalan_bruteforce(m, n) == want, (m, n, route)
-
-
-def test_bruteforce_equals_the_sweep_sum(monkeypatch):
-    # dinv as the area of the sweep map's image: a route to C_{m,n}(q,t)
-    # that reads no arm, leg or straddle interval
-    for m, n in oracles.coprime_pairs(18):
-        counts = {}
-        for p in enumerate_paths(m, n):
-            image = oracles.sweep(p)
-            key = (
-                oracles.area_by_cells(m, n, image.east_heights),
-                oracles.area_by_cells(m, n, p.east_heights),
-            )
-            counts[key] = counts.get(key, 0) + 1
-        want = QtPolynomial(counts)
-        for route in ROUTES:
-            force(monkeypatch, route)
-            assert qtpoly._walk(m, n) == want, (m, n, route)
-            assert catalan_bruteforce(m, n) == want, (m, n, route)
-
-
-@given(st.integers(1, 9), st.integers(1, 9))
-def test_bruteforce_equals_the_sum_of_path_statistics(m, n):
-    assume(gcd(m, n) == 1)
-    counts = {}
-    for p in enumerate_paths(m, n):
-        key = (stats.dinv(p), stats.area(p))
-        counts[key] = counts.get(key, 0) + 1
-    assert catalan_bruteforce(m, n) == QtPolynomial(counts)
 
 
 def test_specialization_at_one_one_counts_paths():
@@ -200,16 +136,6 @@ def test_closed_form_terms_check_n_at_the_call():
         qtpoly._closed_form_rows(4.0)
 
 
-def test_closed_form_equals_bruteforce(monkeypatch):
-    # the rule never sends m = 3 to the two-column count, so each is forced
-    for route in ROUTES:
-        force(monkeypatch, route)
-        for n in range(1, 62):
-            if n % 3 == 0:
-                continue
-            assert catalan_bruteforce(3, n) == catalan3_closed_form(n), (n, route)
-
-
 def test_three_column_terms_respect_the_degree_bound():
     # i + j <= n - 1, with equality exactly on the skips-free terms
     for n in (5, 8, 13):
@@ -218,15 +144,3 @@ def test_three_column_terms_respect_the_degree_bound():
             assert dq + dt <= n - 1
         full = [(dq, dt) for dq, dt, _ in brute.terms() if dq + dt == n - 1]
         assert sorted(full) == [(i, n - 1 - i) for i in range(n)]
-
-
-def test_mn_symmetry_of_bruteforce(monkeypatch):
-    # two walks, one over each orientation, beyond the m + n <= 16 of
-    # verify's poly-mn-symmetry, both by the two-column count and both by the
-    # one-column count
-    for m, n in [(10, 11), (8, 23), (5, 41)]:
-        for route in ROUTES:
-            force(monkeypatch, route)
-            assert qtpoly._walk(m, n) == qtpoly._walk(n, m), (m, n, route)
-
-
