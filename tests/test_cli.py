@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import weakref
@@ -15,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtcatalan import bijection, chunks, cli, paths, qtpoly, rankwords, stats
+from qtcatalan import bijection, chunks, cli, paths, qtpoly, rankwords, stats, verify
 from qtcatalan.cli import main
 
 import oracles
@@ -61,74 +62,60 @@ LATTICE_4_JSON = (
     '"n": 4, "word": "1_2 2_1 5_1"}\n'
 )
 
-# `qtcatalan verify` at its default bounds: check names, order and counts
-VERIFY_DEFAULT_TEXT = """\
-PASS  path-count                    45 checked
-PASS  serialization-roundtrip      431 checked
-PASS  shape-monotone               431 checked
-PASS  transpose-involution         431 checked
-PASS  poly-mn-symmetry              23 checked
-PASS  rank-positivity             1305 checked
-PASS  cell-classification         1305 checked
-PASS  stat-identity                216 checked
-PASS  stat-inequalities            216 checked
-PASS  triple-uniqueness            216 checked
-PASS  word-roundtrip               216 checked
-PASS  triple-reconstruction        216 checked
-PASS  triple-realizability         216 checked
-PASS  closed-form                   11 checked
-PASS  qt-symmetry                   11 checked
-PASS  involution                   216 checked
-16 passed, 0 failed
-"""
-# the smallest bounds that select a lattice: the cell checks find no cell
-VERIFY_SMALLEST_TEXT = """\
-PASS  path-count                     1 checked
-PASS  serialization-roundtrip        1 checked
-PASS  shape-monotone                 1 checked
-PASS  transpose-involution           1 checked
-PASS  poly-mn-symmetry               1 checked
-PASS  rank-positivity                0 checked
-PASS  cell-classification            0 checked
-PASS  stat-identity                  1 checked
-PASS  stat-inequalities              1 checked
-PASS  triple-uniqueness              1 checked
-PASS  word-roundtrip                 1 checked
-PASS  triple-reconstruction          1 checked
-PASS  triple-realizability           1 checked
-PASS  closed-form                    1 checked
-PASS  qt-symmetry                    1 checked
-PASS  involution                     1 checked
-16 passed, 0 failed
-"""
-# each check's record holds its fields and ok, a failed one its counterexample
-VERIFY_5_JSON = (
-    '{"checks": ['
-    '{"checked": 9, "counterexample": null, "name": "path-count", "ok": true}, '
-    '{"checked": 11, "counterexample": null, '
-    '"name": "serialization-roundtrip", "ok": true}, '
-    '{"checked": 11, "counterexample": null, "name": "shape-monotone", "ok": true}, '
-    '{"checked": 11, "counterexample": null, '
-    '"name": "transpose-involution", "ok": true}, '
-    '{"checked": 5, "counterexample": null, "name": "poly-mn-symmetry", "ok": true}, '
-    '{"checked": 24, "counterexample": null, "name": "rank-positivity", "ok": true}, '
-    '{"checked": 24, "counterexample": null, '
-    '"name": "cell-classification", "ok": true}, '
-    '{"checked": 15, "counterexample": null, "name": "stat-identity", "ok": true}, '
-    '{"checked": 15, "counterexample": null, '
-    '"name": "stat-inequalities", "ok": true}, '
-    '{"checked": 15, "counterexample": null, '
-    '"name": "triple-uniqueness", "ok": true}, '
-    '{"checked": 15, "counterexample": null, "name": "word-roundtrip", "ok": true}, '
-    '{"checked": 15, "counterexample": null, '
-    '"name": "triple-reconstruction", "ok": true}, '
-    '{"checked": 15, "counterexample": null, '
-    '"name": "triple-realizability", "ok": true}, '
-    '{"checked": 4, "counterexample": null, "name": "closed-form", "ok": true}, '
-    '{"checked": 4, "counterexample": null, "name": "qt-symmetry", "ok": true}, '
-    '{"checked": 15, "counterexample": null, "name": "involution", "ok": true}], '
-    '"failed": 0, "passed": 16}\n'
-)
+# verify's pinned bounds (max_n, max_mn): the defaults, the smallest that
+# select a lattice (the cell checks find no cell), 5/5 and the acceptance bound
+VERIFY_BOUNDS = ((16, 12), (1, 2), (5, 5), (31, 14))
+# each check of verify.CHECKS, in order: the objects it visits at each of
+# VERIFY_BOUNDS, and its result at 5/5 with dinv one too high, None when it
+# passes, else (checked, counterexample); a new check is one row
+VERIFY = {
+    "path-count": ((45, 1, 9, 63), None),
+    "serialization-roundtrip": ((431, 1, 11, 1401), None),
+    "shape-monotone": ((431, 1, 11, 1401), None),
+    "transpose-involution": ((431, 1, 11, 1401), None),
+    "poly-mn-symmetry": ((23, 1, 5, 32), None),
+    "rank-positivity": ((1305, 0, 24, 16335), None),
+    "cell-classification": (
+        (1305, 0, 24, 16335), (1, "n=1 (1, 1, 1): 0 contributing cells, dinv 1")),
+    "stat-identity": ((216, 1, 15, 1331), (1, "n=1 (1, 1, 1): 0+0+1 != 0")),
+    "stat-inequalities": ((216, 1, 15, 1331), (1, "n=1 (1, 1, 1): triple (0,0,1)")),
+    "triple-uniqueness": ((216, 1, 15, 1331), None),
+    "word-roundtrip": ((216, 1, 15, 1331), None),
+    "triple-reconstruction": ((216, 1, 15, 1331), (1, "n=1 (1, 1, 1): omega(0,0,1) differs")),
+    "triple-realizability": ((216, 1, 15, 1331), (1, "n=1: mismatch at (0, 0, 0)")),
+    "closed-form": ((11, 1, 4, 21), None),
+    "qt-symmetry": ((11, 1, 4, 21), None),
+    "involution": ((216, 1, 15, 1331), (1, "n=1 (1, 1, 1): triple not swapped")),
+}
+
+
+def verify_results(bounds, dinv_plus_one=False):
+    """Each check's (name, checked, counterexample) at bounds, one of
+    VERIFY_BOUNDS; with dinv_plus_one, at 5/5 with dinv one too high."""
+    column = VERIFY_BOUNDS.index(bounds)
+    return [(name, *(failed if dinv_plus_one and failed else (counts[column], None)))
+            for name, (counts, failed) in VERIFY.items()]
+
+
+def verify_text(results):
+    """verify's text: a PASS or FAIL line per check, then the summary."""
+    lines = []
+    for name, checked, c in results:
+        line = f"{'PASS' if c is None else 'FAIL'}  {name:<24} {checked:>7} checked"
+        lines.append(line if c is None else f"{line}  counterexample: {c}")
+    failed = sum(c is not None for *_, c in results)
+    lines.append(f"{len(results) - failed} passed, {failed} failed")
+    return "".join(f"{line}\n" for line in lines)
+
+
+def verify_json(results):
+    """verify's JSON: each check's record holds its fields and ok."""
+    checks = [{"name": name, "checked": checked, "counterexample": c, "ok": c is None}
+              for name, checked, c in results]
+    failed = sum(not check["ok"] for check in checks)
+    record = {"passed": len(checks) - failed, "failed": failed, "checks": checks}
+    return json.dumps(record, sort_keys=True) + "\n"
+
 
 # requests that other tests run too, with a fault planted or in a child
 STATS_PI2 = ("stats", PI2_WORD)
@@ -241,9 +228,9 @@ SMALL_OUTPUTS = {
         '"path": "NNNNNNEENNE", "triple": {"area": 3, "dinv": 2, "skips": 2}}\n'),
     ("transpose", "NNNNE"): ok("NEEEE\n"),
     ("transpose", "NNNNE", *JSON): ok('{"path": "NNNNE", "transpose": "NEEEE"}\n'),
-    ("verify",): ok(VERIFY_DEFAULT_TEXT),
-    VERIFY_5: ok(VERIFY_5_JSON),
-    ("verify", "--max-n", "1", "--max-mn", "2"): ok(VERIFY_SMALLEST_TEXT),
+    ("verify",): ok(verify_text(verify_results((16, 12)))),
+    VERIFY_5: ok(verify_json(verify_results((5, 5)))),
+    ("verify", "--max-n", "1", "--max-mn", "2"): ok(verify_text(verify_results((1, 2)))),
     **{(*argv, *fmt): (2, "", err) for argv, err in REFUSED.items() for fmt in ((), JSON)},
 }
 
@@ -257,6 +244,31 @@ def argv_id(argv):
 @pytest.mark.parametrize("argv", SMALL_OUTPUTS, ids=argv_id)
 def test_a_small_request_prints_its_pinned_bytes(capsys, argv):
     assert run(capsys, *argv) == SMALL_OUTPUTS[argv]
+
+
+def readme_examples():
+    """argv -> the lines README shows under it, of each `$ qtcatalan` example
+    under "Command line"; a last line "..." stands for the rest of the output."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    examples = {}
+    for example in block.split("\n\n"):
+        command, *lines = example.splitlines()
+        assert command.startswith("$ qtcatalan ") and "..." not in lines[:-1], example
+        examples[tuple(shlex.split(command.removeprefix("$ qtcatalan ")))] = lines
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=" ".join)
+def test_readme_shows_what_each_example_prints(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    shown, lines = README_EXAMPLES[argv], out.splitlines()
+    if shown[-1] == "...":
+        shown, lines = shown[:-1], lines[:len(shown) - 1]
+    assert (code, lines, err) == (0, shown, "")
 
 
 # a request of each command, in each format: main writes what the handler returns
@@ -328,14 +340,6 @@ def test_a_long_north_run_is_cut_into_pieces_of_chars():
     p = paths.make_path(1, 2 * chars + 5, [2 * chars + 5])
     assert [len(c) for c in cli._step_chunks(p)] == [chars, chars, 6]
     assert paths.render_path(p) == "N" * (2 * chars + 5) + "E"
-
-
-def test_poly_brute_prints_one_polynomial_in_either_orientation(capsys):
-    # poly walks only the side with fewer columns, so both outputs come from
-    # one walk; test_mn_symmetry_of_bruteforce compares the walks of both sides
-    for m, n in (("10", "11"), ("8", "23")):
-        assert run(capsys, "poly", m, n, "--method", "brute") == run(
-            capsys, "poly", n, m, "--method", "brute")
 
 
 def test_poly_methods_agree(capsys):
@@ -429,66 +433,24 @@ def test_usage_errors_exit_2(capsys):
     assert info.value.code == 2
 
 
-# `verify --max-n 5 --max-mn 5` with dinv one too high, in text and JSON
-VERIFY_5_TEXT_DINV_PLUS_ONE = """\
-PASS  path-count                     9 checked
-PASS  serialization-roundtrip       11 checked
-PASS  shape-monotone                11 checked
-PASS  transpose-involution          11 checked
-PASS  poly-mn-symmetry               5 checked
-PASS  rank-positivity               24 checked
-FAIL  cell-classification            1 checked  counterexample: n=1 (1, 1, 1): 0 contributing \
-cells, dinv 1
-FAIL  stat-identity                  1 checked  counterexample: n=1 (1, 1, 1): 0+0+1 != 0
-FAIL  stat-inequalities              1 checked  counterexample: n=1 (1, 1, 1): triple (0,0,1)
-PASS  triple-uniqueness             15 checked
-PASS  word-roundtrip                15 checked
-FAIL  triple-reconstruction          1 checked  counterexample: n=1 (1, 1, 1): omega(0,0,1) \
-differs
-FAIL  triple-realizability           1 checked  counterexample: n=1: mismatch at (0, 0, 0)
-PASS  closed-form                    4 checked
-PASS  qt-symmetry                    4 checked
-FAIL  involution                     1 checked  counterexample: n=1 (1, 1, 1): triple not swapped
-10 passed, 6 failed
-"""
-VERIFY_5_JSON_DINV_PLUS_ONE = (
-    '{"checks": ['
-    '{"checked": 9, "counterexample": null, "name": "path-count", "ok": true}, '
-    '{"checked": 11, "counterexample": null, '
-    '"name": "serialization-roundtrip", "ok": true}, '
-    '{"checked": 11, "counterexample": null, "name": "shape-monotone", "ok": true}, '
-    '{"checked": 11, "counterexample": null, '
-    '"name": "transpose-involution", "ok": true}, '
-    '{"checked": 5, "counterexample": null, "name": "poly-mn-symmetry", "ok": true}, '
-    '{"checked": 24, "counterexample": null, "name": "rank-positivity", "ok": true}, '
-    '{"checked": 1, "counterexample": "n=1 (1, 1, 1): 0 contributing cells, dinv 1", '
-    '"name": "cell-classification", "ok": false}, '
-    '{"checked": 1, "counterexample": "n=1 (1, 1, 1): 0+0+1 != 0", '
-    '"name": "stat-identity", "ok": false}, '
-    '{"checked": 1, "counterexample": "n=1 (1, 1, 1): triple (0,0,1)", '
-    '"name": "stat-inequalities", "ok": false}, '
-    '{"checked": 15, "counterexample": null, '
-    '"name": "triple-uniqueness", "ok": true}, '
-    '{"checked": 15, "counterexample": null, "name": "word-roundtrip", "ok": true}, '
-    '{"checked": 1, "counterexample": "n=1 (1, 1, 1): omega(0,0,1) differs", '
-    '"name": "triple-reconstruction", "ok": false}, '
-    '{"checked": 1, "counterexample": "n=1: mismatch at (0, 0, 0)", '
-    '"name": "triple-realizability", "ok": false}, '
-    '{"checked": 4, "counterexample": null, "name": "closed-form", "ok": true}, '
-    '{"checked": 4, "counterexample": null, "name": "qt-symmetry", "ok": true}, '
-    '{"checked": 1, "counterexample": "n=1 (1, 1, 1): triple not swapped", '
-    '"name": "involution", "ok": false}], '
-    '"failed": 6, "passed": 10}\n'
-)
+def test_verify_pins_are_built_as_the_cli_writes_them(capsys, monkeypatch):
+    assert list(VERIFY) == [name for name, _, _ in verify.CHECKS]
+    results = [("path-count", 9, None), ("involution", 1, "n=1 (1, 1, 1): triple not swapped")]
+    monkeypatch.setattr(verify, "run_all", lambda **_: [verify.CheckResult(*r) for r in results])
+    text = ("PASS  path-count                     9 checked\n"
+            "FAIL  involution                     1 checked  counterexample: n=1 (1, 1, 1): "
+            "triple not swapped\n"
+            "1 passed, 1 failed\n")
+    assert run(capsys, *VERIFY_5_TEXT) == (1, text, "")
+    assert verify_text(results) == text
 
 
-@pytest.mark.parametrize("argv, out", [
-    (VERIFY_5_TEXT, VERIFY_5_TEXT_DINV_PLUS_ONE), (VERIFY_5, VERIFY_5_JSON_DINV_PLUS_ONE)
-], ids=["text", "json"])
-def test_verify_output_of_failed_checks_is_pinned(capsys, monkeypatch, argv, out):
+@pytest.mark.parametrize("argv, build", [(VERIFY_5_TEXT, verify_text), (VERIFY_5, verify_json)],
+                         ids=["text", "json"])
+def test_verify_output_of_failed_checks_is_pinned(capsys, monkeypatch, argv, build):
     real_dinv = stats.dinv
     monkeypatch.setattr(stats, "dinv", lambda p: real_dinv(p) + 1)
-    assert run(capsys, *argv) == (1, out, "")
+    assert run(capsys, *argv) == (1, build(verify_results((5, 5), dinv_plus_one=True)), "")
 
 
 # sha256 of the text and JSON output of large requests; the words and
@@ -750,16 +712,8 @@ def test_the_largest_row_count_is_admitted_and_the_next_valid_one_refused(capsys
 
 
 def test_verify_passes_at_the_acceptance_bound_and_visits_every_object(capsys):
-    code, out, _ = run(capsys, "verify", "--max-n", "31", "--max-mn", "14", "--format", "json")
-    record = json.loads(out)
-    assert (code, record["failed"]) == (0, 0)
-    mn = ["serialization-roundtrip", "shape-monotone", "transpose-involution"]
-    three = ["stat-identity", "stat-inequalities", "triple-uniqueness", "word-roundtrip",
-             "triple-reconstruction", "triple-realizability", "involution"]
-    assert {c["name"]: c["checked"] for c in record["checks"]} == {
-        "path-count": 63, "poly-mn-symmetry": 32, "rank-positivity": 16335,
-        "cell-classification": 16335, "closed-form": 21, "qt-symmetry": 21,
-        **dict.fromkeys(mn, 1401), **dict.fromkeys(three, 1331)}
+    assert run(capsys, "verify", "--max-n", "31", "--max-mn", "14", *JSON) == ok(
+        verify_json(verify_results((31, 14))))
     assert run(capsys, "verify", "--max-n", "61", "--max-mn", "16")[0] == 0
 
 
@@ -849,23 +803,30 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
 """
 
 
-# enumerate 3 1000: 167,167 paths of 1,003 steps, about 168 MB in either form
-LARGE_OUTPUT_SIZE = {
-    "text": 167167 * 1004,  # a newline after each path
-    "json": len('{"count": 167167, "m": 3, "n": 1000, "paths": []}\n')
-    + 167167 * 1005 + 167166 * 2,  # quoted, and ", " between them
+# argv -> (its stdout's size or head, the bound on its peak RSS in MiB)
+BOUNDED_MEMORY = {
+    # 167,167 paths of 1,003 steps, about 168 MB in either form: a newline
+    # after each path, or each quoted, with ", " between them
+    ("enumerate", "3", "1000", "--format", "text"): (167167 * 1004, 64),
+    ("enumerate", "3", "1000", *JSON): (
+        len('{"count": 167167, "m": 3, "n": 1000, "paths": []}\n') + 167167 * 1005
+        + 167166 * 2, 64),
+    # the word of (300000, 100000, 300000) boxes 500,000 of its 700,000
+    # ranks; held as a set of ints, they peaked at about 103 MB
+    ("omega", "300000", "100000", "300000", *JSON): (b'{"area": 300', 50),
 }
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
-@pytest.mark.parametrize("fmt", sorted(LARGE_OUTPUT_SIZE))
-def test_a_large_output_streams_in_bounded_memory(fmt):
+@pytest.mark.parametrize("argv", BOUNDED_MEMORY, ids=argv_id)
+def test_a_large_output_streams_in_bounded_memory(argv):
+    want, mib = BOUNDED_MEMORY[argv]
     child = subprocess.Popen(
-        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "qtcatalan",
-         "enumerate", "3", "1000", "--format", fmt],
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "qtcatalan", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
     )
-    size = 0
+    head = child.stdout.read(1 << 20)
+    size = len(head)
     while chunk := child.stdout.read(1 << 20):
         size += len(chunk)
     child.stdout.close()
@@ -873,29 +834,8 @@ def test_a_large_output_streams_in_bounded_memory(fmt):
     child.stderr.close()
     assert child.wait(timeout=120) == 0
     code, peak_kib = map(int, report.split())
-    assert (code, size) == (0, LARGE_OUTPUT_SIZE[fmt])
-    assert peak_kib < 64 * 1024
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
-def test_a_rebuilt_word_holds_no_set_of_its_ranks():
-    # the word of (300000, 100000, 300000) boxes 500,000 of its 700,000
-    # ranks; held as a set of ints, they peaked at about 103 MB
-    child = subprocess.Popen(
-        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "qtcatalan",
-         "omega", "300000", "100000", "300000", "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
-    )
-    head = child.stdout.read(12)
-    while child.stdout.read(1 << 20):
-        pass
-    child.stdout.close()
-    report = child.stderr.read().decode()
-    child.stderr.close()
-    assert child.wait(timeout=120) == 0
-    code, peak_kib = map(int, report.split())
-    assert (code, head) == (0, b'{"area": 300')
-    assert peak_kib < 50 * 1024
+    assert (code, size if isinstance(want, int) else head[:len(want)]) == (0, want)
+    assert peak_kib < mib * 1024
 
 
 @pytest.mark.parametrize("argv, code, head", [
