@@ -8,17 +8,13 @@ message fails.  An input that several entry points refuse (one lattice,
 one row count) enters the table from a comprehension, so no call is
 written out twice.
 
-COSTS states what one three-column path costs: a statistic, marking,
-inversion, omega, the involution, a path count and a path each run the
-same number of lines of qtcatalan code at every n, from 1001 to
-10^12 + 1, and allocate under 1 KB.  COSTS_IN_M states how dinv and
-transpose grow with the number of columns m, from 5 to 33: each runs the
-same lines at two n far apart, dinv at most 5 m^2 of them and under 1 KB,
-and transpose exactly 9 + 2m.  WALK_LATTICES states what the brute-force
-walk costs where it counts the bottom two columns from its pair table: at
-most WALK_LINES lines per setting of the columns above them, none per path;
-COLUMN_LATTICES does the same where it counts the bottom column alone, at
-most 40 m lines per setting of the columns above it, none per height.
+COSTS states what a call costs: built outside the count at each of its
+sizes, a row's call runs the same lines of qtcatalan code at every size,
+within the row's bound on lines and under its bound on peak memory where
+it has them.  The rows cover the statistics, words, omega and involution
+of a three-column path from n = 1001 to 10^12 + 1, dinv and transpose as
+the columns grow from 5 to 33, the brute-force walk's lines per setting
+of the columns above the ones it counts, and enumeration's memory.
 
 INTEGER_CALLS states README's integer rule: each public function that
 takes an integer refuses a float and takes any type with __index__.
@@ -160,7 +156,9 @@ ROW_ENTRIES = {
     "MarkedRankWord": lambda n: MarkedRankWord(n, ()),
     "catalan3_closed_form": catalan3_closed_form,
 }
-PATH_COUNTS = {(3, 5): 7, (3, 4): 5, (1, 9): 1, (2, 3): 2}
+PATH_COUNTS = {(3, 5): 7, (3, 4): 5, (1, 9): 1, (2, 3): 2, (7, 30): 278256}
+# tall and wide lattices whose first path COSTS bounds in memory
+FIRST_PATH_LATTICES = ((2, 10**9 + 1), (3, 3 * 10**8 + 1), (1099, 2), (10001, 2), (10001, 10000))
 
 CALLS = {
     **{f"{name}{mn}": (partial(entry, *mn), refused)
@@ -176,6 +174,10 @@ CALLS = {
     # built at import: an O(n) DyckPath then fails its COSTS row, not collection
     "first path at the cap": (lambda: fields(next(enumerate_paths(1, LIMIT))),
                               (DyckPath, 1, LIMIT, (LIMIT,))),
+    # the first path of a lattice stands at its floors
+    **{f"first path {mn}": (lambda mn=mn: next(enumerate_paths(*mn)),
+                            DyckPath(*mn, [-(-a * mn[1] // mn[0]) for a in range(1, mn[0] + 1)]))
+       for mn in FIRST_PATH_LATTICES},
 
     # paths: construction, parsing, shapes
     "make_path (1,4)": (lambda: make_path(1, 4, [4]), DyckPath(1, 4, (4,))),
@@ -389,25 +391,84 @@ def halfway(n, m=3):
     return DyckPath(m, n, [(min_east_height(a, m, n) + n) // 2 for a in range(1, m + 1)])
 
 
-# row -> the call that row costs, built from one path; each cost is the same
-# at every n of COST_SIZES
-COSTS = {
-    **{f.__name__: lambda p, f=f: partial(f, p)
-       for f in (area, dinv, skips, stat_triple, mark_from_path, involution)},
-    "path_from_word": lambda p: partial(path_from_word, mark_from_path(p)),
-    "omega": lambda p: partial(omega, *stat_triple(p)),
-    "count_paths": lambda p: partial(count_paths, 3, p.n),
-    "DyckPath": lambda p: partial(DyckPath, 3, p.n, p.east_heights),
-}
+def upper_settings(m, n, low):
+    """The settings of columns low..m-1 (0-based) of the (m,n)-paths."""
+    ways = {n: 1}  # column m - 1 stands at height n
+    for a in range(m - 2, low - 1, -1):
+        floor = min_east_height(a + 1, m, n)
+        ways = {y: sum(c for top, c in ways.items() if top >= y) for y in range(floor, n + 1)}
+    return sum(ways.values())
+
+
+class Cost(NamedTuple):
+    """call(size) builds the call of each size; lines(size, counted) bounds
+    the lines it runs, and peak its peak memory in bytes, when given."""
+
+    call: Callable[[object], Callable[[], object]]
+    sizes: tuple
+    lines: Callable[[object, int], bool] | None = None
+    peak: int | None = None
+
+
 # each n is 2 mod 3, so every halfway path has the same shape; 2003 comes
 # before 10^6 + 1 so that an O(n^2) loop, such as dinv by cells, fails
 # within seconds
 COST_SIZES = (1001, 2003, 10**6 + 1, 10**12 + 1)
+COST_COLUMNS = (5, 9, 17, 33)
+
+COSTS = {
+    # a three-column path: each call runs the same lines at every n and
+    # allocates under 1 KB
+    **{f.__name__: Cost(lambda n, f=f: partial(f, halfway(n)), COST_SIZES, peak=1024)
+       for f in (area, dinv, skips, stat_triple, mark_from_path, involution)},
+    "path_from_word": Cost(lambda n: partial(path_from_word, mark_from_path(halfway(n))),
+                           COST_SIZES, peak=1024),
+    "omega": Cost(lambda n: partial(omega, *stat_triple(halfway(n))), COST_SIZES, peak=1024),
+    "count_paths": Cost(lambda n: partial(count_paths, 3, n), COST_SIZES, peak=1024),
+    "DyckPath": Cost(lambda n: partial(DyckPath, 3, n, halfway(n).east_heights),
+                     COST_SIZES, peak=1024),
+    # how dinv and transpose grow with m: dinv by m * min(m, n) stretch
+    # visits, and no list of n; transpose by one tally step per column, its
+    # image holding its n heights
+    **{f"dinv m={m}": Cost(lambda n, m=m: partial(dinv, halfway(n, m)),
+                           (10 * m + 1, 10**6 * m + 1),
+                           lambda n, lines, m=m: lines <= 5 * m * m, 1024)
+       for m in COST_COLUMNS},
+    **{f"transpose m={m}": Cost(lambda n, m=m: partial(transpose, halfway(n, m)),
+                                (10 * m + 1, 1000 * m + 1),
+                                lambda n, lines, m=m: lines == 9 + 2 * m)
+       for m in COST_COLUMNS},
+    # the brute-force walk: which count _two_columns picks, and the lines it
+    # runs per setting of the columns above the two or one it counts.  (9,10)
+    # and (8,23) run 28 and 23 of 80 and have 11 and 58 paths per setting: a
+    # Python line per path passes 80 at (8,23), five lines per path at (9,10)
+    **{f"walk {mn}": Cost(lambda mn: partial(qtpoly._walk, *mn), (mn,),
+                          lambda mn, lines: qtpoly._two_columns(*mn)
+                          and lines <= 80 * upper_settings(*mn, 2))
+       for mn in ((9, 10), (8, 23))},
+    # bottom columns of 4 to 7, 335 to 668, 16 to 46, 11 to 41 and 4,501
+    # heights: a Python step per height, even on the short columns of (3,10),
+    # would pass 40 m lines; at (4,41), below 12 m, only the rule's bound on m
+    # keeps the one-column count
+    **{f"walk {mn}": Cost(lambda mn: partial(qtpoly._walk, *mn), (mn,),
+                          lambda mn, lines: not qtpoly._two_columns(*mn)
+                          and lines <= 40 * mn[0] * upper_settings(*mn, 1))
+       for mn in ((3, 10), (3, 1001), (4, 61), (4, 41), (2, 9001))},
+    # enumeration's memory: one block of about _HEIGHTS heights, with its
+    # tuples and paths, peaked at 0.1-0.8 MB for a first path, where a list
+    # sized by n takes gigabytes and a table of thousands of paths hundreds
+    # of MB; all 278,256 (7,30)-paths one at a time peaked at 0.1-0.3 MB,
+    # where a list of them takes 45 MB (CPython 3.11)
+    **{f"first path {mn}": Cost(lambda mn: lambda: next(enumerate_paths(*mn)), (mn,),
+                                peak=2_000_000)
+       for mn in FIRST_PATH_LATTICES},
+    "stream (7,30)": Cost(lambda mn: partial(enumerated, *mn), ((7, 30),), peak=1_000_000),
+}
 
 
 def cost(call):
-    """What call returns, the lines of qtcatalan code it runs, and the peak
-    memory it allocates, as tracemalloc counts it.
+    """The lines of qtcatalan code call runs, and the peak memory it
+    allocates, as tracemalloc counts it.
 
     It runs call twice, once under each count.  The tracer in place before,
     of a debugger or a coverage tool, is restored after, and so is
@@ -427,7 +488,7 @@ def cost(call):
     before = sys.gettrace()
     sys.settrace(on_call)
     try:
-        value = call()
+        call()
     finally:
         sys.settrace(before)
     started = not tracemalloc.is_tracing()
@@ -441,94 +502,22 @@ def cost(call):
     finally:
         if started:
             tracemalloc.stop()
-    return value, lines, peak
+    return lines, peak
 
 
 @pytest.mark.parametrize("name", COSTS)
-def test_a_call_costs_the_same_at_every_n(name):
+def test_a_call_costs_the_same_lines_at_every_size_within_its_bounds(name):
+    row = COSTS[name]
     lines = []
-    for n in COST_SIZES:
-        # the setup is counted too, since it calls the library at each n
-        call, setup_lines, setup_peak = cost(lambda: COSTS[name](halfway(n)))
-        _, call_lines, call_peak = cost(call)
-        lines.append((setup_lines, call_lines))
-        # each n is checked before the next, larger one, so an O(n) loop fails
-        # here and never runs at 10^12; so does an O(n) copy made in C, which
-        # runs no line of Python but allocates
-        assert lines == lines[:1] * len(lines), f"(setup, call) lines at n in {COST_SIZES}"
-        assert max(setup_peak, call_peak) < 1024
-
-
-class CostInM(NamedTuple):
-    """How the lines of one call on the halfway (m,n)-path grow with m: the
-    same at each n of sizes(m), and within bound(m); and its peak memory,
-    when it is bounded."""
-
-    call: Callable[[DyckPath], object]
-    sizes: Callable[[int], tuple[int, ...]]
-    bound: Callable[[int, int], bool]
-    peak: int | None
-
-
-# row -> how that row's call costs at each m of COST_COLUMNS
-COSTS_IN_M = {
-    # m * min(m, n) stretch visits, and no list of n
-    "dinv": CostInM(dinv, lambda m: (10 * m + 1, 10**6 * m + 1),
-                    lambda m, lines: lines <= 5 * m * m, 1024),
-    # one tally step per column; the image holds its n heights
-    "transpose": CostInM(transpose, lambda m: (10 * m + 1, 1000 * m + 1),
-                         lambda m, lines: lines == 9 + 2 * m, None),
-}
-COST_COLUMNS = (5, 9, 17, 33)
-
-
-@pytest.mark.parametrize("m", COST_COLUMNS)
-@pytest.mark.parametrize("name", COSTS_IN_M)
-def test_a_call_costs_at_most_its_bound_in_m(name, m):
-    row = COSTS_IN_M[name]
-    lines = []
-    for n in row.sizes(m):
-        _, call_lines, peak = cost(partial(row.call, halfway(n, m)))
-        lines.append(call_lines)
-        # checked at each n before the next, larger one, as in COSTS
-        assert row.bound(m, call_lines), f"{call_lines} lines at n = {n}"
-        assert lines == lines[:1] * len(lines), f"lines at n in {row.sizes(m)}"
-        assert row.peak is None or peak < row.peak
-
-
-def upper_settings(m, n, low):
-    """The settings of columns low..m-1 (0-based) of the (m,n)-paths."""
-    ways = {n: 1}  # column m - 1 stands at height n
-    for a in range(m - 2, low - 1, -1):
-        floor = min_east_height(a + 1, m, n)
-        ways = {y: sum(c for top, c in ways.items() if top >= y) for y in range(floor, n + 1)}
-    return sum(ways.values())
-
-
-# lattices of the two-column count, with 11 and 58 paths per setting of the
-# upper columns: a Python step per path would pass WALK_LINES
-WALK_LATTICES = ((9, 10), (8, 23))
-WALK_LINES = 80
-
-
-@pytest.mark.parametrize("m, n", WALK_LATTICES)
-def test_the_walk_runs_its_lines_per_setting_of_the_upper_columns(m, n):
-    assert qtpoly._two_columns(m, n)
-    _, lines, _ = cost(partial(qtpoly._walk, m, n))
-    assert lines <= WALK_LINES * upper_settings(m, n, 2)
-
-
-# lattices of the one-column count, with bottom columns of 4 to 7, 335 to 668,
-# 16 to 46 and 4,501 heights: a Python step per height, even on the short
-# columns of (3,10), would pass 40 m lines per setting of the columns above them
-COLUMN_LATTICES = ((3, 10), (3, 1001), (4, 61), (2, 9001))
-
-
-@pytest.mark.parametrize("m, n", COLUMN_LATTICES)
-def test_the_walk_runs_its_lines_per_setting_of_the_columns_above_the_bottom_one(m, n):
-    assert not qtpoly._two_columns(m, n)
-    _, lines, _ = cost(partial(qtpoly._walk, m, n))
-    assert lines <= 40 * m * upper_settings(m, n, 1)
+    for size in row.sizes:
+        counted, peak = cost(row.call(size))
+        lines.append(counted)
+        # each size is checked before the next, larger one, so an O(n) loop
+        # fails here and never runs at 10^12; so does an O(n) copy made in C,
+        # which runs no line of Python but allocates
+        assert lines == lines[:1] * len(lines), f"lines at sizes {row.sizes}"
+        assert row.lines is None or row.lines(size, counted), f"{counted} lines at {size}"
+        assert row.peak is None or peak < row.peak, f"peak {peak} B at {size}"
 
 
 # each function that takes integer cells, ranks, sides, heights, row counts,

@@ -5,12 +5,15 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import weakref
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
+from functools import partial
 from itertools import islice
 from pathlib import Path
+from typing import Callable, NamedTuple
 from unittest import mock
 
 import pytest
@@ -304,20 +307,6 @@ def test_text_output_builds_no_json(capsys, monkeypatch):
     for argv in HANDLER_REQUESTS:
         if "--format" not in argv:
             assert run(capsys, *argv) == SMALL_OUTPUTS[argv]
-
-
-@pytest.mark.parametrize("argv", [
-    argv for argv, (_, _, err) in SMALL_OUTPUTS.items()
-    if err.startswith("error: CoefficientOverflow: ")
-], ids=argv_id)
-def test_enumerate_refuses_a_lattice_of_more_than_the_cap_paths(argv):
-    # in a child with a timeout, so that a request that streams paths
-    # without end, or a count that never ends, fails the test
-    done = subprocess.run(
-        [sys.executable, "-m", "qtcatalan", *argv],
-        capture_output=True, text=True, env=child_env(), timeout=10,
-    )
-    assert (done.returncode, done.stdout, done.stderr) == SMALL_OUTPUTS[argv]
 
 
 def test_step_chunks_write_one_piece_per_column_and_cut_long_north_runs(monkeypatch):
@@ -664,25 +653,6 @@ def test_json_output_is_canonical_and_holds_the_library_data(request, chars):
     assert obj == expected
 
 
-def test_a_long_step_word_passes_through_argv(capsys):
-    _, out, _ = run(capsys, "omega", "20000", "10000", "19999")
-    path = out.splitlines()[1].removeprefix("path: ")
-    assert len(path) == 50003
-
-    def stats_in_a_child(word):
-        return subprocess.run([sys.executable, "-m", "qtcatalan", "stats", word],
-                              capture_output=True, text=True, env=child_env(), timeout=120)
-
-    done = stats_in_a_child(path)
-    assert done.returncode == 0
-    assert {"area: 20000", "dinv: 19999", "skips: 10000"} <= set(done.stdout.splitlines())
-    # character 25,001 replaced by X
-    done = stats_in_a_child(path[:25000] + "X" + path[25001:])
-    assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr.startswith("error: BadCharacter: ")
-    assert done.stderr.endswith("found 'X'\n")
-
-
 def test_the_largest_row_count_is_admitted_and_the_next_valid_one_refused(capsys):
     # 2**63 - 1 rows: only the first chunks are formatted, never the output
     n = qtpoly.COEFFICIENT_LIMIT
@@ -720,25 +690,11 @@ def test_verify_passes_at_the_acceptance_bound_and_visits_every_object(capsys):
 def child_env():
     """The environment of a child process that runs this checkout's CLI."""
     # stdout block-buffered, as it is for a pipe by default, so a short
-    # output reaches the pipe only when it is flushed
+    # output reaches the pipe only when it is flushed; argparse at 80 columns
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    env["COLUMNS"] = "80"
     return env
-
-
-def run_until_the_reader_leaves(argv, keep):
-    """Run the CLI in a child process, read keep(stdout), then close the pipe."""
-    child = subprocess.Popen(
-        [sys.executable, "-m", "qtcatalan", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=child_env(),
-    )
-    head = keep(child.stdout)
-    child.stdout.close()
-    err = child.stderr.read()
-    child.stderr.close()
-    return child.wait(timeout=120), head, err
 
 
 def loaded_modules(code):
@@ -756,98 +712,6 @@ def test_importing_the_cli_loads_neither_verify_nor_dataclasses():
     assert "qtcatalan.verify" not in started  # cmd_verify imports it
     # an interpreter's site may load dataclasses; the package adds no import of it
     assert "dataclasses" not in started - bare
-
-
-def test_verify_imports_its_checks_in_a_fresh_process():
-    done = subprocess.run([sys.executable, "-m", "qtcatalan", *VERIFY_5], capture_output=True,
-                          text=True, env=child_env(), timeout=120)
-    assert (done.returncode, done.stdout, done.stderr) == SMALL_OUTPUTS[VERIFY_5]
-
-
-# argparse's help of qtcatalan and of a command, and the head of each
-HELP_REQUESTS = {("--help",): b"usage: qtcatalan ", ("poly", "-h"): b"usage: qtcatalan poly "}
-
-
-@pytest.mark.parametrize("argv, keep, head", [
-    # the reader leaves in the middle of a long output
-    (["enumerate", "3", "200"], lambda out: out.readline(), b"N" * 67 + b"E"),
-    (list(LATTICE_100001), lambda out: out.read(10), b"1_1 2_2 4_"),
-    # the reader leaves before anything is written: the flush at the end hits it
-    (list(LATTICE_5), lambda out: b"", b""),
-    (["poly", "3", "5", "--method", "closed", "--format", "json"], lambda out: b"", b""),
-    # argparse prints the help and exits before any command runs
-    *((list(argv), lambda out: b"", b"") for argv in HELP_REQUESTS),
-    # the reader leaves in the middle of a streamed JSON record
-    ([*LATTICE_100001, *JSON], lambda out: out.read(10),
-     b'{"entries"'),
-    (["enumerate", "3", "200", "--format", "json"], lambda out: out.read1(),
-     b'{"count": 6767, "m": 3, "n": 200, "paths": ["' + b"N" * 67 + b"E"),
-])
-def test_a_closed_pipe_exits_141_quietly(argv, keep, head):
-    code, got, err = run_until_the_reader_leaves(argv, keep)
-    assert code == 141
-    assert got.startswith(head)
-    assert err == b""
-
-
-# Starts the command given in its argv and reports on stderr the command's
-# exit code and peak RSS (ru_maxrss, KiB on Linux).  A child started
-# straight from the test process would report the test process's peak too:
-# Linux carries the peak RSS of the memory an exec replaces into the
-# child's ru_maxrss, and subprocess starts children by vfork.
-LAUNCHER = """\
-import os, subprocess, sys
-child = subprocess.Popen(sys.argv[1:])
-_, status, usage = os.wait4(child.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
-"""
-
-
-# argv -> (its stdout's size or head, the bound on its peak RSS in MiB)
-BOUNDED_MEMORY = {
-    # 167,167 paths of 1,003 steps, about 168 MB in either form: a newline
-    # after each path, or each quoted, with ", " between them
-    ("enumerate", "3", "1000", "--format", "text"): (167167 * 1004, 64),
-    ("enumerate", "3", "1000", *JSON): (
-        len('{"count": 167167, "m": 3, "n": 1000, "paths": []}\n') + 167167 * 1005
-        + 167166 * 2, 64),
-    # the word of (300000, 100000, 300000) boxes 500,000 of its 700,000
-    # ranks; held as a set of ints, they peaked at about 103 MB
-    ("omega", "300000", "100000", "300000", *JSON): (b'{"area": 300', 50),
-}
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
-@pytest.mark.parametrize("argv", BOUNDED_MEMORY, ids=argv_id)
-def test_a_large_output_streams_in_bounded_memory(argv):
-    want, mib = BOUNDED_MEMORY[argv]
-    child = subprocess.Popen(
-        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "qtcatalan", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
-    )
-    head = child.stdout.read(1 << 20)
-    size = len(head)
-    while chunk := child.stdout.read(1 << 20):
-        size += len(chunk)
-    child.stdout.close()
-    report = child.stderr.read().decode()
-    child.stderr.close()
-    assert child.wait(timeout=120) == 0
-    code, peak_kib = map(int, report.split())
-    assert (code, size if isinstance(want, int) else head[:len(want)]) == (0, want)
-    assert peak_kib < mib * 1024
-
-
-@pytest.mark.parametrize("argv, code, head", [
-    *((list(argv), 0, head) for argv, head in HELP_REQUESTS.items()),
-    (["poly", "3"], 2, b"usage: qtcatalan poly "),
-])
-def test_help_and_usage_errors_to_an_open_pipe(argv, code, head):
-    got, stdout, stderr = run_until_the_reader_leaves(argv, lambda out: out.read())
-    assert got == code
-    # the help goes to stdout, a usage error to stderr, and nothing to the other
-    assert (stdout if code == 0 else stderr).startswith(head)
-    assert (stderr if code == 0 else stdout) == b""
 
 
 # --help of qtcatalan and of each command at 80 columns, as Python 3.11
@@ -1004,3 +868,142 @@ def test_the_parser_is_built_once(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert run(capsys, *STATS_PI2) == SMALL_OUTPUTS[STATS_PI2]
     assert built == []
+
+
+# Starts the command after its first argument, kills it after that many
+# seconds, and reports on stderr its exit code and peak RSS (ru_maxrss, KiB
+# on Linux).  A child started straight from the test process would report
+# the test process's peak too: Linux carries the peak RSS of the memory an
+# exec replaces into the child's ru_maxrss, and subprocess starts by vfork.
+LAUNCHER = """\
+import os, signal, subprocess, sys
+child = subprocess.Popen(sys.argv[2:])
+signal.signal(signal.SIGALRM, lambda *_: child.kill())
+signal.alarm(int(sys.argv[1]))
+_, status, usage = os.wait4(child.pid, 0)
+signal.alarm(0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+def launch(argv, keep, timeout):
+    """The CLI run on argv in a child started through LAUNCHER: its exit code,
+    keep(its stdout) read before the pipe closes, its stderr and ru_maxrss."""
+    with subprocess.Popen(
+        [sys.executable, "-c", LAUNCHER, str(timeout), sys.executable, "-m", "qtcatalan", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(), start_new_session=True,
+    ) as child:
+        try:
+            kept = keep(child.stdout)
+            child.stdout.close()
+            *err, report = child.stderr.read().decode().splitlines(keepends=True)
+            code, peak = map(int, report.split())
+            return code, kept, "".join(err), peak
+        except BaseException:
+            # the launcher and the CLI share a process group: kill both, and
+            # leaving the with block waits for the launcher
+            with suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+            raise
+
+
+# what a reader keeps of stdout before it closes the pipe: all of it, the
+# first k bytes before it leaves, the number of bytes read to the end a MiB
+# at a time, or the first k bytes with the rest read to the end
+def everything(out):
+    return out.read()
+
+
+def leave_after(k):
+    return lambda out: out.read(k)
+
+
+def size(out):
+    return sum(map(len, iter(partial(out.read, 1 << 20), b"")))
+
+
+def head(k):
+    def keep(out):
+        kept = out.read(k)
+        size(out)
+        return kept
+    return keep
+
+
+class Run(NamedTuple):
+    """A CLI run in a child process: its argv, what its reader keeps of
+    stdout, the exit code, kept stdout and whole stderr it must show, its
+    bound on peak RSS in MiB if any, and the seconds after which it is killed."""
+
+    argv: tuple
+    keep: Callable
+    code: int
+    out: bytes | int
+    err: str = ""
+    mib: int | None = None
+    timeout: int = 120
+
+
+# the floors of (3,200), its first path
+FLOORS_3_200 = b"N" * 67 + b"E" + b"N" * 67 + b"E" + b"N" * 66 + b"E"
+JSON_3_200 = b'{"count": 6767, "m": 3, "n": 200, "paths": ["' + FLOORS_3_200
+# a 50,003-step word passed through argv, also with its character 25,001 an X
+LONG_WORD = paths.render_path(rankwords.path_from_word(rankwords.omega(20000, 10000, 19999)))
+LONG_STATS = b"m: 3\nn: 50000\narea: 20000\ndinv: 19999\nskips: 10000\nrank word: "
+# argparse's help of qtcatalan and of a command, and the head of each
+HELP_HEADS = {("--help",): b"usage: qtcatalan ", ("poly", "-h"): b"usage: qtcatalan poly "}
+
+RUNS = {
+    # the reader leaves in the middle of a long output, or of a streamed
+    # JSON record: the run exits 141 quietly
+    "enumerate 3 200, one line": Run(
+        ("enumerate", "3", "200"), lambda out: out.readline(), 141, FLOORS_3_200 + b"\n"),
+    "rankword 100001, 10 bytes": Run(LATTICE_100001, leave_after(10), 141, b"1_1 2_2 4_"),
+    "rankword 100001 json, 10 bytes": Run(
+        (*LATTICE_100001, *JSON), leave_after(10), 141, b'{"entries"'),
+    "enumerate 3 200 json, its first path": Run(
+        ("enumerate", "3", "200", *JSON), leave_after(len(JSON_3_200)), 141, JSON_3_200),
+    # the reader leaves before anything is written: the flush at the end hits
+    # it, or argparse's, which prints the help and exits before any command
+    # runs; to an open pipe the help goes to stdout and a usage error to stderr
+    **{f"{' '.join(argv)}, nothing": Run(argv, leave_after(0), 141, b"")
+       for argv in (LATTICE_5, ("poly", "3", "5", "--method", "closed", *JSON), *HELP_HEADS)},
+    **{f"{' '.join(argv)}, its head": Run(argv, head(len(h)), 0, h)
+       for argv, h in HELP_HEADS.items()},
+    "poly 3": Run(("poly", "3"), everything, 2, b"", HELP["poly"].partition("\n\n")[0]
+                  + "\nqtcatalan poly: error: the following arguments are required: n\n"),
+    # the CLI imports verify's checks only when it runs them
+    "verify 5/5 json": Run(VERIFY_5, everything, 0, SMALL_OUTPUTS[VERIFY_5][1].encode()),
+    "stats of a 50,003-step word": Run(("stats", LONG_WORD), head(len(LONG_STATS)), 0, LONG_STATS),
+    "stats of that word with an X": Run(
+        ("stats", LONG_WORD[:25000] + "X" + LONG_WORD[25001:]), everything, 2, b"",
+        "error: BadCharacter: step words use only N and E, found 'X'\n"),
+    # large outputs stream in bounded memory: 167,167 paths of 1,003 steps,
+    # about 168 MB in either form, a newline after each path, or each quoted,
+    # with ", " between them
+    "enumerate 3 1000 text": Run(
+        ("enumerate", "3", "1000", "--format", "text"), size, 0, 167167 * 1004, mib=64),
+    "enumerate 3 1000 json": Run(
+        ("enumerate", "3", "1000", *JSON), size, 0,
+        len('{"count": 167167, "m": 3, "n": 1000, "paths": []}\n') + 167167 * 1005 + 167166 * 2,
+        mib=64),
+    # the word of (300000, 100000, 300000) boxes 500,000 of its 700,000
+    # ranks: the run peaked at 16 MiB, and at 48 MiB with them held as a set
+    # of ints (CPython 3.11)
+    "omega 300000 100000 300000 json": Run(
+        ("omega", "300000", "100000", "300000", *JSON), head(12), 0, b'{"area": 300', mib=32),
+    # the requests above the 2^63 - 1 cap, killed after 10 s, so that one that
+    # streams paths without end, or a count that never ends, fails
+    **{" ".join(argv): Run(argv, everything, code, out.encode(), err, timeout=10)
+       for argv, (code, out, err) in SMALL_OUTPUTS.items()
+       if err.startswith("error: CoefficientOverflow: ")},
+}
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_a_run_in_a_child_process_shows_its_pinned_exit_output_and_memory(name):
+    row = RUNS[name]
+    code, kept, err, peak = launch(row.argv, row.keep, row.timeout)
+    assert (code, kept, err) == (row.code, row.out, row.err)
+    if row.mib is not None and sys.platform.startswith("linux"):  # ru_maxrss in KiB
+        assert peak < row.mib * 1024

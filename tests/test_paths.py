@@ -1,4 +1,3 @@
-import tracemalloc
 from math import comb
 
 import pytest
@@ -7,19 +6,12 @@ from qtcatalan import (
     COEFFICIENT_LIMIT,
     CoefficientOverflow,
     cells_above,
-    count_paths,
     enumerate_paths,
     shape_cells,
 )
 from qtcatalan import paths as paths_module
 
 import oracles
-
-
-def test_enumeration_is_lexicographic_in_heights():
-    heights = [p.east_heights for p in enumerate_paths(3, 5)]
-    assert heights == sorted(heights)
-    assert heights[0] == (2, 4, 5)
 
 
 def test_the_bounded_count_refuses_a_lattice_of_more_than_the_cap_paths():
@@ -64,36 +56,6 @@ def test_enumeration_is_the_odometer_with_small_blocks(monkeypatch, heights):
     for m, n in oracles.coprime_pairs(22):
         got = [(p.m, p.n, p.east_heights) for p in enumerate_paths(m, n)]
         assert got == [(m, n, h) for h in oracles.heights_by_odometer(m, n)]
-
-
-@pytest.mark.parametrize(
-    "m, n", [(2, 10**9 + 1), (3, 3 * 10**8 + 1), (1099, 2), (10001, 2), (10001, 10000)]
-)
-def test_the_first_path_of_a_tall_or_wide_lattice_takes_one_block_of_memory(m, n):
-    # a list or index sized by n would take gigabytes, and a table or block
-    # of thousands of paths of m heights hundreds of MB; one block of about
-    # _HEIGHTS heights, with its tuples and paths, peaked at 0.1-0.8 MB
-    tracemalloc.start()
-    try:
-        p = next(enumerate_paths(m, n))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert p.east_heights == tuple(-(-a * n // m) for a in range(1, m + 1))
-    assert peak < 2_000_000
-
-
-def test_streaming_a_lattice_keeps_memory_bounded():
-    # all 278,256 (7,30)-paths, one at a time, peaked at 0.1-0.3 MB on
-    # CPython 3.11; the bound leaves headroom, and a list of the paths takes 45 MB
-    tracemalloc.start()
-    try:
-        count = sum(1 for _ in enumerate_paths(7, 30))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert count == count_paths(7, 30)
-    assert peak < 1_000_000
 
 
 def test_cells_above_weakly_decreasing_everywhere():

@@ -4,24 +4,9 @@ from math import gcd
 
 from hypothesis import example, given, strategies as st
 
-from qtcatalan import (
-    DyckPath,
-    count_skips,
-    lattice_rank_word,
-    parse_path,
-    render_path,
-    MarkedRankWord,
-)
+from qtcatalan import DyckPath, parse_path, render_path
 
 import oracles
-
-
-@given(st.sampled_from([2, 4, 5, 7, 8, 10, 11, 13]), st.data())
-def test_count_skips_matches_run_oracle(n, data):
-    ranks = [e.rank for e in lattice_rank_word(n).entries]
-    subset = data.draw(st.sets(st.sampled_from(ranks)) if ranks else st.just(set()))
-    word = MarkedRankWord(n, frozenset(subset))
-    assert count_skips(word) == oracles.skips_by_runs([e.boxed for e in word.entries])
 
 
 @given(st.text(alphabet="NE", max_size=14))

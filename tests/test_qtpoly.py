@@ -12,7 +12,6 @@ from qtcatalan import (
     QtPolynomial,
     catalan3_closed_form,
     catalan_bruteforce,
-    count_paths,
 )
 
 
@@ -63,12 +62,6 @@ def test_bruteforce_rejects_a_lattice_before_computing_any_height(monkeypatch):
             catalan_bruteforce(m, n)
     with pytest.raises(NotCoprime, match=r"gcd\(3, 6\) != 1"):
         catalan_bruteforce(3, 6)
-
-
-def test_specialization_at_one_one_counts_paths():
-    assert catalan_bruteforce(3, 5).evaluate(1, 1) == 7
-    for m, n in [(2, 5), (3, 7), (4, 5)]:
-        assert catalan_bruteforce(m, n).evaluate(1, 1) == count_paths(m, n)
 
 
 def closed_form_terms(n):

@@ -12,7 +12,6 @@ from qtcatalan import (
     count_skips,
     enumerate_paths,
     lattice_rank_word,
-    make_path,
     mark_from_path,
     omega,
     path_from_word,
@@ -22,7 +21,7 @@ from qtcatalan import (
 )
 
 import oracles
-from oracles import PI1, PI2
+from oracles import PI1
 
 
 def test_third_column_ranks_are_negative():
@@ -78,12 +77,6 @@ def test_color_counts_and_right_block_structure():
             for _, c in reversed(pairs[: len(pairs) - block]):
                 assert c == want
                 want = 3 - want
-
-
-def test_mark_from_path_boxes_the_cells_above():
-    assert sorted(mark_from_path(PI1).boxed) == [2, 5, 10, 13]
-    assert sorted(mark_from_path(PI2).boxed) == [5, 13]
-    assert mark_from_path(make_path(3, 8, [8, 8, 8])).boxed == frozenset()
 
 
 def word_forms(w):

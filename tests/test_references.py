@@ -141,7 +141,7 @@ REFERENCES = {
         lambda x: (x, hash(x)), validated),
     # both residues of n, the one- and two-entry words among them
     "skips-by-runs-on-every-marking": (
-        lambda: (MarkedRankWord(n, b) for n in (1, 2, 4, 5, 7, 8, 10, 11)
+        lambda: (MarkedRankWord(n, b) for n in (1, 2, 4, 5, 7, 8, 10, 11, 13)
                  for b in oracles.every_marking(n)),
         count_skips, lambda w: oracles.skips_by_runs([e.boxed for e in w.entries])),
     # n < 64 reaches K = max(k - n // 3, 0) both at most and above ell, for
