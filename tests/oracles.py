@@ -2,24 +2,26 @@
 
 Each oracle takes a different route than the library: paths are generated
 as raw step words and filtered point by point, area is counted cell by
-cell from corner positions, arm, leg and dinv over an explicit cell set
-(dinv with Fraction arithmetic), skips works by string surgery on the
-boxed flags, the rank word is sorted from the cell ranks instead of read
-off residues, a path's marking is the set of its cell ranks, omega walks
-that sorted word entry by entry, transpose goes through the step word,
-the sweep map reorders the step word, so its area is a third route to
-dinv, a step word is read one character at a time, and
-heights_by_odometer lists a lattice's paths in lexicographic order.  Only
-dinv_cells_by_column reads the library: per column, the cells its one-cell
-test accepts.
+cell from corner positions, arm, leg, each cell's straddle and dinv over
+an explicit cell set (in Fraction arithmetic), skips works by string
+surgery on the boxed flags, the rank word is sorted from the cell ranks
+instead of read off residues, a path's marking is the set of its cell
+ranks, a word's top ranks are read off the sorted word, omega walks that
+sorted word entry by entry, transpose goes through the step word, the
+sweep map reorders the step word, so its area is a third route to dinv,
+a step word is read one character at a time, and heights_by_odometer
+lists a lattice's paths in lexicographic order.  Only
+dinv_cells_by_column reads the library: per column, the cells its
+one-cell test accepts.
 
 The inputs that tests sweep are generated here rather than by verify, so
 that a fault in verify's generators cannot also shrink them: coprime
-lattices, row counts, triples, markings and twenty seeded 100,000-row
-paths.  So are the worked examples: PI1 and PI2, the paper's (3,8)-paths
-of east-step heights (6,6,8) and (7,7,8); CLASSICAL_C3, the classical
-C_{3,4}(q,t); and SWAP_NE, which swaps N and E in a step word.  No test
-framework is imported: the benchmark loads this file by its path.
+lattices, row counts, a word's counts of top ranks, triples, markings
+and twenty seeded 100,000-row paths.  So are the worked examples: PI1
+and PI2, the paper's (3,8)-paths of east-step heights (6,6,8) and
+(7,7,8); CLASSICAL_C3, the classical C_{3,4}(q,t); and SWAP_NE, which
+swaps N and E in a step word.  No test framework is imported: the
+benchmark loads this file by its path.
 """
 
 import random
@@ -148,11 +150,17 @@ def arms_and_legs(m, n, east_heights):
                      sum(1 for c, r in cells if c == a and r < b)) for a, b in cells}
 
 
+def straddles_by_cells(m, n, east_heights):
+    """Each cell above the path by whether it straddles the slope,
+    arm/(leg+1) < m/n < (arm+1)/leg (no upper side at leg 0), in Fractions."""
+    slope = Fraction(m, n)
+    return {x: Fraction(arm, leg + 1) < slope and (leg == 0 or slope < Fraction(arm + 1, leg))
+            for x, (arm, leg) in arms_and_legs(m, n, east_heights).items()}
+
+
 def dinv_by_cells(m, n, east_heights):
     """Straddle count over an explicit cell set with Fraction arithmetic."""
-    slope = Fraction(m, n)
-    return sum(1 for arm, leg in arms_and_legs(m, n, east_heights).values()
-               if Fraction(arm, leg + 1) < slope and (leg == 0 or slope < Fraction(arm + 1, leg)))
+    return sum(straddles_by_cells(m, n, east_heights).values())
 
 
 def dinv_cells_by_column(p):
@@ -184,6 +192,19 @@ def marking_by_cells(n, east_heights):
         for a in (1, 2, 3)
         for b in range(east_heights[a - 1] + 1, n + 1)
     }
+
+
+def top_counts(max_n):
+    """Every (n, k, ell) with n <= max_n a row count, k and ell up to its
+    numbers of color-1 and color-2 ranks, 2n // 3 and n // 3."""
+    return ((n, k, ell) for n in row_counts(max_n)
+            for k in range(2 * n // 3 + 1) for ell in range(n // 3 + 1))
+
+
+def top_ranks(n, k, ell):
+    """The k largest color-1 and the ell largest color-2 ranks of the sorted word."""
+    word = rank_word_by_sorting(n)[::-1]
+    return frozenset([r for r, c in word if c == 1][:k] + [r for r, c in word if c == 2][:ell])
 
 
 def every_marking(n):

@@ -78,7 +78,7 @@ from qtcatalan import (
     stat_triple,
     transpose,
 )
-from qtcatalan import errors, qtpoly, verify
+from qtcatalan import errors, paths, qtpoly, verify
 
 from oracles import CLASSICAL_C3, PI1, PI2
 
@@ -132,9 +132,10 @@ def no_triple(a, s, d):
 
 # lattices that every entry point refuses before it reads a height
 REFUSED_LATTICES = {
-    **dict.fromkeys([(0, 1), (1, 0), (2, -1), (-1, 2), (0, 5), (5, 0), (-3, 4)],
+    **dict.fromkeys([(0, 1), (1, 0), (2, -1), (-1, 2), (0, 5), (5, 0), (-3, 4), (3, -4)],
                     Refused(ValueError, "m and n must be positive")),
     (3, 6): Refused(NotCoprime, "gcd(3, 6) != 1"),
+    (4, 6): Refused(NotCoprime, "gcd(4, 6) != 1"),
     (BIG, 1): Refused(CoefficientOverflow, f"m must be at most {LIMIT}, got {BIG}"),
     (1, BIG): Refused(CoefficientOverflow, f"n must be at most {LIMIT}, got {BIG}"),
     (LIMIT, BIG): Refused(CoefficientOverflow, f"n must be at most {LIMIT}, got {BIG}"),
@@ -224,6 +225,10 @@ CALLS = {
     # statistics
     "area PI1": (lambda: area(PI1), 3),
     "area PI2": (lambda: area(PI2), 5),
+    # the top path's area is half the lattice, (m - 1)(n - 1) / 2; REFERENCES'
+    # area-by-cells, which counts the cells under the heights, bounds the rest
+    **{f"area top {mn}": (lambda mn=mn: area(make_path(*mn, [mn[1]] * mn[0])), half)
+       for mn, half in {(3, 5): 4, (4, 7): 9, (5, 3): 4}.items()},
     **{f"area (1,{n})": (lambda n=n: area(make_path(1, n, [n])), 0) for n in (1, 2, 5, 9)},
     "dinv PI1": (lambda: dinv(PI1), 2),
     "dinv PI2": (lambda: dinv(PI2), 1),
@@ -379,6 +384,18 @@ def test_a_call_gives_its_pinned_answer_or_refusal(name):
     assert (type(got), got) == (type(want), want)
 
 
+def test_a_refused_lattice_is_refused_before_any_height(monkeypatch):
+    # the first path and the walk's floors hold m heights, so a check left
+    # to them would cost O(m) time and memory before the error
+    def no_heights(a, m, n):
+        raise AssertionError("computed a height of a refused lattice")
+
+    monkeypatch.setattr(paths, "min_east_height", no_heights)
+    for mn, refused in REFUSED_LATTICES.items():
+        for name, entry in LATTICE_ENTRIES.items():
+            assert outcome(partial(entry, *mn)) == refused, f"{name}{mn}"
+
+
 def test_every_named_error_has_a_row():
     # a named error that no public call can reach would show here
     named = {value for value in map(vars(errors).get, errors.__all__) if isinstance(value, type)}
@@ -440,11 +457,11 @@ COSTS = {
        for m in COST_COLUMNS},
     # the brute-force walk: which count _two_columns picks, and the lines it
     # runs per setting of the columns above the two or one it counts.  (9,10)
-    # and (8,23) run 28 and 23 of 80 and have 11 and 58 paths per setting: a
-    # Python line per path passes 80 at (8,23), five lines per path at (9,10)
+    # and (8,23) run 27.7 and 23.3 of 35 and have 11.3 and 58 paths per
+    # setting: a Python line per path passes 35 at both
     **{f"walk {mn}": Cost(lambda mn: partial(qtpoly._walk, *mn), (mn,),
                           lambda mn, lines: qtpoly._two_columns(*mn)
-                          and lines <= 80 * upper_settings(*mn, 2))
+                          and lines <= 35 * upper_settings(*mn, 2))
        for mn in ((9, 10), (8, 23))},
     # bottom columns of 4 to 7, 335 to 668, 16 to 46, 11 to 41 and 4,501
     # heights: a Python step per height, even on the short columns of (3,10),

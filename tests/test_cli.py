@@ -66,29 +66,30 @@ LATTICE_4_JSON = (
 )
 
 # verify's pinned bounds (max_n, max_mn): the defaults, the smallest that
-# select a lattice (the cell checks find no cell), 5/5 and the acceptance bound
-VERIFY_BOUNDS = ((16, 12), (1, 2), (5, 5), (31, 14))
+# select a lattice (the cell checks find no cell), 5/5, the acceptance bound
+# and 61/16, where the whole run visits 537,183 objects
+VERIFY_BOUNDS = ((16, 12), (1, 2), (5, 5), (31, 14), (61, 16))
 # each check of verify.CHECKS, in order: the objects it visits at each of
 # VERIFY_BOUNDS, and its result at 5/5 with dinv one too high, None when it
 # passes, else (checked, counterexample); a new check is one row
 VERIFY = {
-    "path-count": ((45, 1, 9, 63), None),
-    "serialization-roundtrip": ((431, 1, 11, 1401), None),
-    "shape-monotone": ((431, 1, 11, 1401), None),
-    "transpose-involution": ((431, 1, 11, 1401), None),
-    "poly-mn-symmetry": ((23, 1, 5, 32), None),
-    "rank-positivity": ((1305, 0, 24, 16335), None),
+    "path-count": ((45, 1, 9, 63, 79), None),
+    "serialization-roundtrip": ((431, 1, 11, 1401, 4505), None),
+    "shape-monotone": ((431, 1, 11, 1401, 4505), None),
+    "transpose-involution": ((431, 1, 11, 1401, 4505), None),
+    "poly-mn-symmetry": ((23, 1, 5, 32, 40), None),
+    "rank-positivity": ((1305, 0, 24, 16335, 229320), None),
     "cell-classification": (
-        (1305, 0, 24, 16335), (1, "n=1 (1, 1, 1): 0 contributing cells, dinv 1")),
-    "stat-identity": ((216, 1, 15, 1331), (1, "n=1 (1, 1, 1): 0+0+1 != 0")),
-    "stat-inequalities": ((216, 1, 15, 1331), (1, "n=1 (1, 1, 1): triple (0,0,1)")),
-    "triple-uniqueness": ((216, 1, 15, 1331), None),
-    "word-roundtrip": ((216, 1, 15, 1331), None),
-    "triple-reconstruction": ((216, 1, 15, 1331), (1, "n=1 (1, 1, 1): omega(0,0,1) differs")),
-    "triple-realizability": ((216, 1, 15, 1331), (1, "n=1: mismatch at (0, 0, 0)")),
-    "closed-form": ((11, 1, 4, 21), None),
-    "qt-symmetry": ((11, 1, 4, 21), None),
-    "involution": ((216, 1, 15, 1331), (1, "n=1 (1, 1, 1): triple not swapped")),
+        (1305, 0, 24, 16335, 229320), (1, "n=1 (1, 1, 1): 0 contributing cells, dinv 1")),
+    "stat-identity": ((216, 1, 15, 1331, 9261), (1, "n=1 (1, 1, 1): 0+0+1 != 0")),
+    "stat-inequalities": ((216, 1, 15, 1331, 9261), (1, "n=1 (1, 1, 1): triple (0,0,1)")),
+    "triple-uniqueness": ((216, 1, 15, 1331, 9261), None),
+    "word-roundtrip": ((216, 1, 15, 1331, 9261), None),
+    "triple-reconstruction": ((216, 1, 15, 1331, 9261), (1, "n=1 (1, 1, 1): omega(0,0,1) differs")),
+    "triple-realizability": ((216, 1, 15, 1331, 9261), (1, "n=1: mismatch at (0, 0, 0)")),
+    "closed-form": ((11, 1, 4, 21, 41), None),
+    "qt-symmetry": ((11, 1, 4, 21, 41), None),
+    "involution": ((216, 1, 15, 1331, 9261), (1, "n=1 (1, 1, 1): triple not swapped")),
 }
 
 
@@ -684,7 +685,8 @@ def test_the_largest_row_count_is_admitted_and_the_next_valid_one_refused(capsys
 def test_verify_passes_at_the_acceptance_bound_and_visits_every_object(capsys):
     assert run(capsys, "verify", "--max-n", "31", "--max-mn", "14", *JSON) == ok(
         verify_json(verify_results((31, 14))))
-    assert run(capsys, "verify", "--max-n", "61", "--max-mn", "16")[0] == 0
+    assert run(capsys, "verify", "--max-n", "61", "--max-mn", "16") == ok(
+        verify_text(verify_results((61, 16))))
 
 
 def child_env():
@@ -882,7 +884,8 @@ signal.signal(signal.SIGALRM, lambda *_: child.kill())
 signal.alarm(int(sys.argv[1]))
 _, status, usage = os.wait4(child.pid, 0)
 signal.alarm(0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+child.returncode = os.waitstatus_to_exitcode(status)  # reaped, so Popen does not warn
+print(child.returncode, usage.ru_maxrss, file=sys.stderr)
 """
 
 

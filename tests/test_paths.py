@@ -2,16 +2,8 @@ from math import comb
 
 import pytest
 
-from qtcatalan import (
-    COEFFICIENT_LIMIT,
-    CoefficientOverflow,
-    cells_above,
-    enumerate_paths,
-    shape_cells,
-)
+from qtcatalan import COEFFICIENT_LIMIT, CoefficientOverflow
 from qtcatalan import paths as paths_module
-
-import oracles
 
 
 def test_the_bounded_count_refuses_a_lattice_of_more_than_the_cap_paths():
@@ -33,33 +25,3 @@ def test_the_bounded_count_refuses_a_lattice_of_more_than_the_cap_paths():
             paths_module._check_lattice(m, n)
         assert (type(counted.value), str(counted.value)) == (
             type(checked.value), str(checked.value))
-
-
-def test_enumeration_rejects_a_lattice_before_computing_any_height(monkeypatch):
-    # the first path holds m heights, so a check left to it would cost O(m)
-    # time and memory before the error
-    def no_heights(a, m, n):
-        raise AssertionError("computed a height of a rejected lattice")
-
-    monkeypatch.setattr(paths_module, "min_east_height", no_heights)
-    for m, n in ((4, 6), (5, 0), (3, -4)):
-        with pytest.raises(ValueError):
-            next(enumerate_paths(m, n))
-
-
-@pytest.mark.parametrize("heights", [1, 8, 30, 100])
-def test_enumeration_is_the_odometer_with_small_blocks(monkeypatch, heights):
-    # with blocks this small the table is cut after a column or two (with 1
-    # and 8 it hardly grows), so the prefix odometer runs and a block is
-    # flushed after a few paths on most lattices
-    monkeypatch.setattr(paths_module, "_HEIGHTS", heights)
-    for m, n in oracles.coprime_pairs(22):
-        got = [(p.m, p.n, p.east_heights) for p in enumerate_paths(m, n)]
-        assert got == [(m, n, h) for h in oracles.heights_by_odometer(m, n)]
-
-
-def test_cells_above_weakly_decreasing_everywhere():
-    for p in enumerate_paths(4, 7):
-        counts = cells_above(p)
-        assert all(a >= b for a, b in zip(counts, counts[1:]))
-        assert sum(counts) == len(shape_cells(p))

@@ -1,25 +1,10 @@
 """Property-based checks over randomly drawn instances."""
 
-from math import gcd
-
 from hypothesis import example, given, strategies as st
 
-from qtcatalan import DyckPath, parse_path, render_path
+from qtcatalan import DyckPath, parse_path
 
 import oracles
-
-
-@given(st.text(alphabet="NE", max_size=14))
-def test_parse_accepts_exactly_the_valid_words(word):
-    m, n = word.count("E"), word.count("N")
-    try:
-        p = parse_path(word)
-    except ValueError:
-        degenerate = m < 1 or n < 1 or gcd(m, n) != 1
-        assert degenerate or word not in oracles.paths_by_filter(m, n)
-    else:
-        assert render_path(p) == word
-        assert word in oracles.paths_by_filter(m, n)
 
 
 def outcome(read, word):

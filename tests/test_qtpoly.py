@@ -4,15 +4,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from qtcatalan import paths as paths_module
 from qtcatalan import chunks, cli, qtpoly
-from qtcatalan import (
-    BadResidue,
-    NotCoprime,
-    QtPolynomial,
-    catalan3_closed_form,
-    catalan_bruteforce,
-)
+from qtcatalan import BadResidue, QtPolynomial, catalan3_closed_form, catalan_bruteforce
 
 
 def test_addition_and_equality_are_exact():
@@ -48,38 +41,6 @@ def test_bruteforce_walks_the_side_with_fewer_columns(monkeypatch):
     for m, n in ((7, 12), (12, 7), (1, 5), (5, 1), (2, 3), (3, 2)):
         assert catalan_bruteforce(m, n) == real_walk(m, n)
     assert walked == [(7, 12), (7, 12), (1, 5), (1, 5), (2, 3), (2, 3)]
-
-
-def test_bruteforce_rejects_a_lattice_before_computing_any_height(monkeypatch):
-    # the walk's floors hold m heights, so a check left to them would cost
-    # O(m) time and memory before the error
-    def no_heights(a, m, n):
-        raise AssertionError("computed a height of a rejected lattice")
-
-    monkeypatch.setattr(paths_module, "min_east_height", no_heights)
-    for m, n in ((0, 5), (-3, 4)):
-        with pytest.raises(ValueError, match="m and n must be positive"):
-            catalan_bruteforce(m, n)
-    with pytest.raises(NotCoprime, match=r"gcd\(3, 6\) != 1"):
-        catalan_bruteforce(3, 6)
-
-
-def closed_form_terms(n):
-    """The terms (dq, dt, 1) of C_{3,n}(q,t), row after row of _closed_form_rows."""
-    rows = qtpoly._closed_form_rows(n)
-    return [(dq, dt, 1) for qs, ts in rows for dq, dt in zip(qs, ts)]
-
-
-def test_closed_form_terms_come_in_graded_lex_order():
-    # the same terms as the sorted polynomial, in its order, for every n < 400
-    for n in range(1, 400):
-        if n % 3 == 0:
-            continue
-        terms = closed_form_terms(n)
-        assert terms == catalan3_closed_form(n).terms(), n
-        # row s holds q^(n-a-s-1) t^a for s <= a < n - 2s, s ascending
-        assert terms == [(n - a - s - 1, a, 1)
-                         for s in range(n // 3 + 1) for a in range(s, n - 2 * s)], n
 
 
 def cmd_poly_closed(n, fmt):
@@ -127,13 +88,3 @@ def test_closed_form_terms_check_n_at_the_call():
         qtpoly._closed_form_rows(6)
     with pytest.raises(TypeError):
         qtpoly._closed_form_rows(4.0)
-
-
-def test_three_column_terms_respect_the_degree_bound():
-    # i + j <= n - 1, with equality exactly on the skips-free terms
-    for n in (5, 8, 13):
-        brute = catalan_bruteforce(3, n)
-        for dq, dt, _ in brute.terms():
-            assert dq + dt <= n - 1
-        full = [(dq, dt) for dq, dt, _ in brute.terms() if dq + dt == n - 1]
-        assert sorted(full) == [(i, n - 1 - i) for i in range(n)]

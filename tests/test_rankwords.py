@@ -1,24 +1,8 @@
 import random
 from unittest import mock
 
-import pytest
-
-from qtcatalan import chunks, cli, rankwords
-from qtcatalan import (
-    MarkedRankWord,
-    NotRealizable,
-    RankEntry,
-    boxed_counts,
-    count_skips,
-    enumerate_paths,
-    lattice_rank_word,
-    mark_from_path,
-    omega,
-    path_from_word,
-    rank,
-    render_word,
-    stat_triple,
-)
+from qtcatalan import chunks, rankwords
+from qtcatalan import MarkedRankWord, RankEntry, lattice_rank_word, mark_from_path, rank
 
 import oracles
 from oracles import PI1
@@ -79,43 +63,19 @@ def test_color_counts_and_right_block_structure():
                 want = 3 - want
 
 
-def word_forms(w):
-    """Everything the library reads off a word, its path or its NotRealizable."""
-    try:
-        path = path_from_word(w)
-    except NotRealizable as exc:
-        path = str(exc)
-    record = "".join(cli._json(cli._word_record(w)))
-    return (render_word(w), w.entries, boxed_counts(w), count_skips(w), record, path,
-            sorted(w.boxed), len(w.boxed))
-
-
 def test_a_derived_word_is_the_word_of_the_same_ranks():
-    # the boxed set of a derived word is its counts (k, ell); k up to the
-    # number of color-1 ranks puts the threshold 2n - 3k on each side of n
-    for n in range(1, 41):
-        if n % 3 == 0:
-            continue
-        word = oracles.rank_word_by_sorting(n)
-        ones, twos = ([r for r, color in reversed(word) if color == c] for c in (1, 2))
-        for k in range(len(ones) + 1):
-            for ell in range(len(twos) + 1):
-                derived = rankwords._derived(n, k, ell)
-                plain = MarkedRankWord(n, frozenset(ones[:k] + twos[:ell]))
-                for w in (derived, plain):  # at most 4 progressions, none empty
-                    runs = list(rankwords._runs(w))
-                    assert len(runs) <= 4, (n, k, ell)
-                    assert all(c for cs, _ in runs for c in cs), (n, k, ell)
-                assert derived == plain and plain == derived, (n, k, ell)
-                assert derived.boxed == plain.boxed and plain.boxed == derived.boxed
-                assert hash(derived) == hash(plain), (n, k, ell)
-                assert hash(derived.boxed) == hash(plain.boxed), (n, k, ell)
-                assert word_forms(derived) == word_forms(plain), (n, k, ell)
-                if k < ell:
-                    with pytest.raises(NotRealizable):
-                        path_from_word(derived)
-                other = rankwords._TopRanks(n, k + 1, ell)
-                assert derived.boxed != other and other != plain.boxed
+    # REFERENCES' derived-words-by-their-ranks holds each derived word equal
+    # to, and read as, the word of its ranks; here that word equals it from
+    # the other side, and both run in at most 4 progressions, none empty
+    for n, k, ell in oracles.top_counts(40):
+        derived = rankwords._derived(n, k, ell)
+        plain = MarkedRankWord(n, frozenset(derived.boxed))
+        for w in (derived, plain):
+            runs = list(rankwords._runs(w))
+            assert len(runs) <= 4 and all(c for cs, _ in runs for c in cs), (n, k, ell)
+        assert plain == derived and plain.boxed == derived.boxed, (n, k, ell)
+        other = rankwords._TopRanks(n, k + 1, ell)
+        assert derived.boxed != other and other != plain.boxed, (n, k, ell)
 
 
 def test_derived_boxed_sets_compare_as_sets():
@@ -155,38 +115,3 @@ def test_top_ranks_are_a_consistent_set_past_the_color_counts():
             for ell in range(n // 3 + 3):
                 top = rankwords._TopRanks(n, k, ell)
                 assert len(top) == len(list(top)) == len(set(top)), (n, k, ell)
-
-
-def test_marked_word_rejects_foreign_ranks():
-    for n in (1, 2, 4, 5, 7, 8):
-        ranks = {r for r, _ in oracles.rank_word_by_sorting(n)}
-        for r in range(-3 * n, 3 * n + 1):
-            if r in ranks:
-                assert MarkedRankWord(n, frozenset({r})).boxed == {r}
-            else:
-                with pytest.raises(ValueError):
-                    MarkedRankWord(n, frozenset({r}))
-
-
-def test_path_from_word_inverts_marking_on_every_boxed_subset():
-    words = 0
-    for n in (2, 4, 5, 7, 8, 10):
-        marked = {mark_from_path(p): p for p in enumerate_paths(3, n)}
-        for boxed in oracles.every_marking(n):
-            word = MarkedRankWord(n, boxed)
-            words += 1
-            if word in marked:
-                assert path_from_word(word) == marked[word]
-            else:
-                with pytest.raises(NotRealizable):
-                    path_from_word(word)
-    assert words == 730
-
-
-def test_omega_roundtrips_at_a_thousand_rows():
-    for n in (1000, 1001):
-        top = (n - 1) // 3
-        for s in {0, 1, top // 2, top}:
-            for a in {s, (n - 1 - s) // 2, n - 1 - 2 * s}:
-                t = (a, s, n - 1 - a - s)
-                assert stat_triple(path_from_word(omega(*t))) == t

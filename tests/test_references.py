@@ -1,18 +1,23 @@
 """The library against its independent references (tests/oracles.py), from two tables.
 
 REFERENCES maps a row name to (objects, library, reference): on every x
-that objects() yields (paths, lattices, row counts, triples or words),
-library(x) must equal reference(x).  POLYS maps a row name to (lattices,
+that objects() yields (paths, lattices, row counts, triples, words or
+step words, or pairs and triples of these), library(x) must equal
+reference(x).  An input the library must refuse has the error's class
+as its reference, and the library's outcome is that class when it
+raises it (refusing).  POLYS maps a row name to (lattices,
 reference): under each count of the walk's bottom columns (ROUTES),
 qtpoly._walk(m, n) and catalan_bruteforce(m, n) must equal reference(m, n)
 on every lattice.  A new reference is one row.
 """
 
+import functools
 import importlib.util
+import json
 import random
 import sys
 from collections import Counter
-from itertools import chain
+from itertools import chain, product
 from math import gcd
 from pathlib import Path
 from unittest import mock
@@ -21,11 +26,14 @@ import pytest
 
 import oracles
 from qtcatalan import (
-    Cell, DyckPath, MarkedRankWord, QtPolynomial, area, arm, catalan3_closed_form,
-    catalan_bruteforce, count_skips, dinv, enumerate_paths, involution, is_valid_triple,
-    lattice_rank_word, leg, make_path, mark_from_path, omega, path_from_word, qtpoly,
-    render_path, shape_cells, skips, stat_triple, transpose,
+    Cell, CellClass, DyckPath, MarkedRankWord, NotRealizable, QtPolynomial, area, arm,
+    boxed_counts, catalan3_closed_form, catalan_bruteforce, cells_above, classify_nondinv_cell,
+    count_skips, dinv, enumerate_paths, involution, is_valid_triple, lattice_rank_word, leg,
+    make_path, mark_from_path, omega, parse_path, path_from_word, render_path, render_word,
+    shape_cells, skips, stat_triple, transpose,
 )
+from qtcatalan import cli, qtpoly, rankwords
+from qtcatalan import paths as paths_module
 from qtcatalan.stats import _pair_dinv
 
 
@@ -75,6 +83,74 @@ def rebuilt_from_the_word(p):
     return path_from_word(omega(d, s, a))
 
 
+def refusing(f, error):
+    """x -> f(x), or the class error when f(x) raises one."""
+    def outcome(x):
+        try:
+            return f(x)
+        except error:
+            return error
+    return outcome
+
+
+def heights_in_blocks(lattice, block):
+    with mock.patch.object(paths_module, "_HEIGHTS", block):
+        return heights_of(lattice)
+
+
+def straddles(p):
+    return oracles.straddles_by_cells(p.m, p.n, p.east_heights)
+
+
+def cells_per_column(p):
+    columns = Counter(a for a, _ in oracles.arms_and_legs(p.m, p.n, p.east_heights))
+    return tuple(columns[a] for a in range(1, p.m + 1))
+
+
+def word_forms(w):
+    """w, its boxed set, their hashes, and everything the library reads off
+    w: its text, entries, counts, skips, JSON record, and path or refusal."""
+    try:
+        path = path_from_word(w)
+    except NotRealizable as exc:
+        path = str(exc)
+    return (w, w.boxed, hash(w), hash(w.boxed), render_word(w), w.entries, boxed_counts(w),
+            count_skips(w), "".join(cli._json(cli._word_record(w))), path, sorted(w.boxed),
+            len(w.boxed))
+
+
+@functools.cache
+def paths_by_marking(n):
+    return {frozenset(oracles.marking_by_cells(n, h)): make_path(3, n, h)
+            for h in oracles.heights_by_odometer(3, n)}
+
+
+def seeded_markings(n):
+    """Words of n rows boxing no rank, every rank and seeded random ranks."""
+    rng = random.Random(n)
+    ranks = [r for r, _ in oracles.rank_word_by_sorting(n)]
+    return (MarkedRankWord(n, frozenset(boxed)) for boxed in
+            [(), ranks, *(rng.sample(ranks, size) for size in (1, 50, len(ranks) // 2))])
+
+
+def listed(w):
+    """render_word(w) and w's JSON record, formatted entry by entry from the sorted word."""
+    entries = [(r, c, r in w.boxed) for r, c in oracles.rank_word_by_sorting(w.n)]
+    text = " ".join(f"[{r}_{c}]" if b else f"{r}_{c}" for r, c, b in entries)
+    record = {"entries": [{"boxed": b, "color": c, "rank": r} for r, c, b in entries],
+              "n": w.n, "word": text}
+    return text, json.dumps(record, sort_keys=True)
+
+
+def closed_form_terms(n):
+    return [(dq, dt, 1) for qs, ts in qtpoly._closed_form_rows(n) for dq, dt in zip(qs, ts)]
+
+
+@functools.cache
+def step_words(m, n):
+    return frozenset(oracles.paths_by_filter(m, n) if m and n and gcd(m, n) == 1 else ())
+
+
 def a_long_path_both_ways():
     """A seeded (3,30001)-path and its (30001,3) image, which transpose
     takes back in one step per column."""
@@ -110,18 +186,40 @@ REFERENCES = {
         lambda: oracles.coprime_pairs(12),
         lambda mn: sorted(render_path(p) for p in enumerate_paths(*mn)),
         lambda mn: sorted(oracles.paths_by_filter(*mn))),
-    # (6,23) has more paths than one block takes, (7,30) runs the prefix
-    # odometer over several columns, and on the wide (1099,2) and (2001,2)
-    # a block holds a few paths and the table a few suffixes
+    # (lattice, heights per block): blocks of 1 to 100 heights cut the table
+    # after a column or two (with 1 and 8 it hardly grows), so the prefix
+    # odometer runs and a block is flushed after a few paths; in the
+    # library's blocks (6,23) has more paths than one block takes, (7,30)
+    # runs the prefix odometer over several columns, and on the wide
+    # (1099,2) and (2001,2) a block holds a few paths and the table a few
+    # suffixes
     "enumeration-by-the-odometer": (
-        lambda: [*oracles.coprime_pairs(22), (1100, 1), (1, 50), (2, 1001), (6, 23), (7, 30),
-                 (1099, 2), (2001, 2)],
-        heights_of, lambda mn: list(oracles.heights_by_odometer(*mn))),
+        lambda: chain(
+            ((mn, block) for block in (1, 8, 30, 100) for mn in oracles.coprime_pairs(22)),
+            ((mn, paths_module._HEIGHTS) for mn in [*oracles.coprime_pairs(22), (1100, 1),
+                                                    (1, 50), (2, 1001), (6, 23), (7, 30),
+                                                    (1099, 2), (2001, 2)])),
+        lambda x: heights_in_blocks(*x), lambda x: list(oracles.heights_by_odometer(*x[0]))),
+    # every word over {N, E} of up to 14 steps, rendered back when it is a path
+    "parse-every-short-word": (
+        lambda: ("".join(steps) for size in range(15) for steps in product("NE", repeat=size)),
+        refusing(lambda word: render_path(parse_path(word)), ValueError),
+        lambda w: w if w in step_words(w.count("E"), w.count("N")) else ValueError),
     "arm-and-leg-by-cells": (
         lambda: paths_of(oracles.coprime_pairs(12)),
         lambda p: {(type(x), *x): (arm(p, x), leg(p, x)) for x in shape_cells(p)},
         lambda p: {(Cell, *x): arm_leg
                    for x, arm_leg in oracles.arms_and_legs(p.m, p.n, p.east_heights).items()}),
+    "cells-above-by-cells": (lambda: paths_of(oracles.coprime_pairs(12)), cells_above,
+                             cells_per_column),
+    # each cell's class is CONTRIBUTES exactly when it straddles, and skips
+    # counts the cells that do not
+    "cell-classification-by-straddles": (
+        lambda: three_column_paths(20),
+        lambda p: {x: classify_nondinv_cell(p, x) is CellClass.CONTRIBUTES for x in shape_cells(p)},
+        straddles),
+    "skips-by-the-cells-that-do-not-straddle": (
+        lambda: three_column_paths(20), skips, lambda p: sum(not s for s in straddles(p).values())),
     "transpose-by-the-step-word": (
         lambda: chain(paths_of(oracles.coprime_pairs(16)),
                       paths_of(mn for n in range(1, 41) for mn in ((1, n), (n, 1))),
@@ -135,6 +233,26 @@ REFERENCES = {
                              oracles.rank_word_by_sorting),
     "marking-by-cells": (lambda: three_column_paths(99), lambda p: mark_from_path(p).boxed,
                          lambda p: oracles.marking_by_cells(p.n, p.east_heights)),
+    # a derived word, holding only its counts (k, ell), against the word of
+    # the same ranks; k up to the color-1 count puts 2n - 3k on each side of n
+    "derived-words-by-their-ranks": (
+        lambda: oracles.top_counts(40), lambda t: word_forms(rankwords._derived(*t)),
+        lambda t: word_forms(MarkedRankWord(t[0], oracles.top_ranks(*t)))),
+    # every r from -3n to 3n, n < 21: a word boxes r if it is one of its ranks
+    "words-of-one-rank": (
+        lambda: ((n, r) for n in oracles.row_counts(20) for r in range(-3 * n, 3 * n + 1)),
+        refusing(lambda nr: MarkedRankWord(nr[0], {nr[1]}).boxed, ValueError),
+        lambda nr: {nr[1]} if nr[1] in dict(oracles.rank_word_by_sorting(nr[0])) else ValueError),
+    "path-from-word-on-every-marking": (
+        lambda: (MarkedRankWord(n, b) for n in (1, 2, 4, 5, 7, 8, 10, 11)
+                 for b in oracles.every_marking(n)),
+        refusing(path_from_word, NotRealizable),
+        lambda w: paths_by_marking(w.n).get(w.boxed, NotRealizable)),
+    # ranks past 1000 and 2000, where chunks.rows cuts a block at each new
+    # high part, against the cuts of _runs at each boxed rank
+    "seeded-markings-by-the-sorted-word": (
+        lambda: chain.from_iterable(map(seeded_markings, (1501, 3001, 3002))),
+        lambda w: (render_word(w), "".join(cli._json(cli._word_record(w)))), listed),
     "unchecked-words-are-genuine": (
         lambda: chain(map(mark_from_path, three_column_paths(99)),
                       (omega(*t) for t in valid_triples(78))),
@@ -152,12 +270,25 @@ REFERENCES = {
     # n < 80 covers t = max(d - n // 3, 0) zero, even and odd
     "omega-by-the-walk": (lambda: valid_triples(78), lambda t: omega(*t).boxed,
                           lambda t: oracles.omega_by_walk(*t)),
+    # n = 1000 and 1001: skips 0, 1, half and all of (n - 1) // 3, at the
+    # least, the middle and the greatest area
+    "omega-and-back-at-a-thousand-rows": (
+        lambda: ((a, s, n - 1 - a - s) for n in (1000, 1001) for top in [(n - 1) // 3]
+                 for s in {0, 1, top // 2, top} for a in {s, (n - 1 - s) // 2, n - 1 - 2 * s}),
+        lambda t: stat_triple(path_from_word(omega(*t))), lambda t: t),
     "involution-through-the-word": (
         lambda: chain(three_column_paths(63), oracles.large_three_column_paths()),
         involution, rebuilt_from_the_word),
     "validity-swapping-area-and-dinv": (lambda: oracles.triples(20),
                                         lambda t: is_valid_triple(*t),
                                         lambda t: is_valid_triple(*t[::-1])),
+    # the closed form's rows in the sorted polynomial's order, and as the
+    # triples with s <= a and s <= d
+    "closed-form-rows-in-graded-lex-order": (lambda: oracles.row_counts(399), closed_form_terms,
+                                             lambda n: catalan3_closed_form(n).terms()),
+    "closed-form-rows-by-the-triples": (
+        lambda: oracles.row_counts(399), closed_form_terms,
+        lambda n: [(n - a - s - 1, a, 1) for s in range(n // 3 + 1) for a in range(s, n - 2 * s)]),
 }
 
 

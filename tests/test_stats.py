@@ -2,28 +2,10 @@ from math import gcd
 
 from hypothesis import example, given, strategies as st
 
-from qtcatalan import (
-    CellClass,
-    area,
-    classify_nondinv_cell,
-    contributes_to_dinv,
-    dinv,
-    enumerate_paths,
-    make_path,
-    min_east_height,
-    shape_cells,
-    skips,
-)
+from qtcatalan import dinv, enumerate_paths, make_path, min_east_height
 from qtcatalan.stats import _dinv_legs
 
 import oracles
-
-
-def test_area_maximum_is_half_the_lattice():
-    for m, n in [(3, 5), (4, 7), (5, 3)]:
-        top = make_path(m, n, [n] * m)
-        assert area(top) == (m - 1) * (n - 1) // 2
-        assert all(area(p) <= area(top) for p in enumerate_paths(m, n))
 
 
 def test_dinv_reads_each_lattice_its_own_leg_table_from_a_warm_cache():
@@ -67,18 +49,3 @@ def dyck_paths(draw):
 @example(make_path(40, 79, [79] * 40))  # the highest path: no rise at all
 def test_dinv_counts_the_contributing_cells(p):
     assert dinv(p) == sum(oracles.dinv_cells_by_column(p))
-
-
-def test_classification_is_exclusive_and_counts_skips():
-    for n in range(1, 13):
-        if n % 3 == 0:
-            continue
-        for p in enumerate_paths(3, n):
-            fenced = 0
-            for x in shape_cells(p):
-                label = classify_nondinv_cell(p, x)
-                assert contributes_to_dinv(p, x) == (label is CellClass.CONTRIBUTES)
-                # every cell of the second column contributes
-                assert x.column != 2 or label is CellClass.CONTRIBUTES
-                fenced += label is not CellClass.CONTRIBUTES
-            assert fenced == skips(p)
